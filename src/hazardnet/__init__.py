@@ -2,7 +2,8 @@
 
 Pipeline: temporal graph -> windowed meta-path count features -> censored
 survival dataset -> non-parametric or parametric proportional-hazards
-GLM -> probability/quantile/sampling queries and ranking metrics.
+GLM (one model type for both) -> probability/quantile/sampling queries
+and ranking metrics.
 """
 
 from .graph import (
@@ -32,7 +33,6 @@ from .metapaths import (
 from .datasets import (
     Dataset,
     DatasetError,
-    LabeledSample,
     Standardization,
     WindowConfig,
     aggregate_expsmooth,
@@ -46,7 +46,7 @@ from .datasets import (
 )
 from .npglm import (
     FitConfig,
-    NpGlmModel,
+    HazardModel,
     TimeEstimate,
     compute_H,
     fit,
@@ -60,7 +60,7 @@ from .npglm import (
     ranged_probability,
     sample_time,
 )
-from .baselines import ParametricGlmModel, fit_parametric
+from .baselines import fit_parametric
 from .synthetic import SynthConfig, SynthOutput, generate
 from .metrics import EvalReport, concordance_index, evaluate, point_metrics
 
@@ -72,14 +72,14 @@ __all__ = [
     "time_aware_adjacency", "transpose",
     "MetaPath", "MetaPathError", "PairSeries", "PrefixCache", "SnapshotPlan",
     "dynamic_series", "metapath_matrix", "parse_metapath", "read_metapath_file",
-    "Dataset", "DatasetError", "LabeledSample", "Standardization",
+    "Dataset", "DatasetError", "Standardization",
     "WindowConfig", "aggregate_expsmooth", "aggregate_stack", "build_dataset",
     "candidate_pairs", "label_pairs", "load_dataset", "save_dataset",
     "subsample_censored",
-    "FitConfig", "NpGlmModel", "TimeEstimate", "compute_H", "fit",
+    "FitConfig", "HazardModel", "TimeEstimate", "compute_H", "fit",
     "interpolate_H", "link_g", "loss", "optimize_w", "predict_median",
     "quantile", "quantile_times", "ranged_probability", "sample_time",
-    "ParametricGlmModel", "fit_parametric",
+    "fit_parametric",
     "SynthConfig", "SynthOutput", "generate",
     "EvalReport", "concordance_index", "evaluate", "point_metrics",
     "__version__",

@@ -3,22 +3,19 @@
 Event times follow S(t | x) = exp(-exp(w.x) * t^shape); the Exponential
 family pins shape = 1, the Weibull family learns it.  Fit by maximizing
 the censored log-likelihood with quasi-Newton descent over (w, log shape).
+The result is a ``HazardModel`` with baseline H0(t) = t^shape, queried
+through the functions in ``npglm``.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .datasets import Dataset, Standardization
-from .npglm import _CLAMP, augment, link_g
+from .npglm import _CLAMP, PARAMETRIC_FAMILIES, HazardModel, augment
 
-__all__ = ["ParametricGlmModel", "fit_parametric", "predict_median"]
-
-FAMILIES = ("exponential", "weibull")
+__all__ = ["fit_parametric"]
 
 
 def _negative_ll(theta, xa, y, t, log_t, learn_shape):
@@ -40,79 +37,15 @@ def _negative_ll(theta, xa, y, t, log_t, learn_shape):
     return -float(ll), -grad
 
 
-@dataclass
-class ParametricGlmModel:
-    """Fitted baseline: coefficients (bias last), shape, feature transform.
-
-    Queries take raw-space feature vectors; the stored standardization is
-    applied internally.
-    """
-
-    family: str
-    w: np.ndarray
-    shape: float
-    standardization: Standardization
-    unit: str = ""
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        self.w = np.asarray(self.w, dtype=float)
-        if not self.shape > 0:
-            raise ValueError("shape must be positive")
-
-    @property
-    def d(self) -> int:
-        return len(self.w) - 1
-
-    def score(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return augment(self.standardization.apply(x)) @ self.w
-
-    def raw_coefficients(self) -> tuple[np.ndarray, float]:
-        wf = self.w[:-1] / self.standardization.std
-        bias = float(self.w[-1] - np.sum(self.w[:-1] * self.standardization.mean
-                                         / self.standardization.std))
-        return wf, bias
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "w": self.w.tolist(),
-            "shape": float(self.shape),
-            "standardization": self.standardization.to_dict(),
-            "unit": self.unit,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ParametricGlmModel":
-        return cls(
-            family=doc["family"],
-            w=np.asarray(doc["w"], dtype=float),
-            shape=float(doc["shape"]),
-            standardization=Standardization.from_dict(doc["standardization"]),
-            unit=doc.get("unit", ""),
-        )
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "ParametricGlmModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
-
 def fit_parametric(dataset: Dataset, family: str = "weibull",
                    max_steps: int = 500, grad_tol: float = 1e-8,
-                   unit: str = "", standardize: bool = True) -> ParametricGlmModel:
+                   unit: str = "", standardize: bool = True) -> HazardModel:
     """Maximum-likelihood fit of one parametric family.
 
     Starts from zero coefficients and unit shape.  A dataset without a
     recorded feature transform is standardized first (unless disabled).
     """
-    if family not in FAMILIES:
+    if family not in PARAMETRIC_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
@@ -141,34 +74,5 @@ def fit_parametric(dataset: Dataset, family: str = "weibull",
         w, shape = res.x[:-1], float(np.exp(res.x[-1]))
     else:
         w, shape = res.x, 1.0
-    return ParametricGlmModel(family=family, w=w, shape=shape,
-                              standardization=stats, unit=unit)
-
-
-def predict_median(model: ParametricGlmModel, x) -> float:
-    """Median event time: t with exp(w.x) * t^shape = log 2."""
-    g = link_g(model.score(x))[0]
-    return float((np.log(2.0) / g) ** (1.0 / model.shape))
-
-
-def quantile(model: ParametricGlmModel, x, alpha: float) -> float:
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    g = link_g(model.score(x))[0]
-    return float((-np.log1p(-alpha) / g) ** (1.0 / model.shape))
-
-
-def ranged_probability(model: ParametricGlmModel, x, t_a: float, t_b: float) -> float:
-    if not 0 <= t_a <= t_b:
-        raise ValueError("need 0 <= t_a <= t_b")
-    g = link_g(model.score(x))[0]
-    p = np.exp(-g * t_a ** model.shape) - np.exp(-g * t_b ** model.shape)
-    return float(min(max(p, 0.0), 1.0))
-
-
-def sample_time(model: ParametricGlmModel, x, rng: np.random.Generator) -> float:
-    g = link_g(model.score(x))[0]
-    u = rng.uniform()
-    while u == 0.0:
-        u = rng.uniform()
-    return float((-np.log(u) / g) ** (1.0 / model.shape))
+    return HazardModel(w=w, standardization=stats, family=family, shape=shape,
+                       unit=unit)

@@ -21,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, npglm
-from .baselines import ParametricGlmModel, fit_parametric
+from . import npglm
+from .baselines import fit_parametric
 from .datasets import (
-    Dataset,
     DatasetError,
     WindowConfig,
     aggregate_expsmooth,
@@ -44,8 +43,8 @@ from .metapaths import (
     read_metapath_file,
 )
 from .metrics import evaluate
-from .npglm import FitConfig, NpGlmModel
-from .synthetic import SynthConfig, generate, load_truth, save_truth
+from .npglm import FitConfig, HazardModel
+from .synthetic import SynthConfig, draw_dataset, generate, save_truth
 
 log = logging.getLogger("hazardnet")
 
@@ -66,17 +65,6 @@ def env_threads() -> int | None:
     return value if value >= 1 else None
 
 
-def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    family = doc.get("family")
-    if family == "npglm":
-        return NpGlmModel.from_json(doc)
-    if family in baselines.FAMILIES:
-        return ParametricGlmModel.from_json(doc)
-    raise ValueError(f"model file {path} has unknown family {family!r}")
-
-
 def _fit_model(dataset, name: str, seed: int, unit: str = ""):
     if name == "npglm":
         return npglm.fit(dataset, FitConfig(seed=seed), unit=unit)
@@ -89,12 +77,7 @@ def _predict_medians(model, dataset):
         raise DatasetError(
             f"model expects {model.d} features, dataset has {dataset.d}"
         )
-    x = dataset.raw_x
-    if isinstance(model, NpGlmModel):
-        return npglm.quantile_times(model, x, 0.5)
-    g = npglm.link_g(model.score(x))
-    times = (np.log(2.0) / g) ** (1.0 / model.shape)
-    return times, np.zeros(len(times), dtype=bool)
+    return npglm.quantile_times(model, dataset.raw_x, 0.5)
 
 
 def cmd_synth(args) -> int:
@@ -157,7 +140,7 @@ def cmd_features(args) -> int:
 def cmd_fit(args) -> int:
     dataset = load_dataset(args.input)
     model = _fit_model(dataset, args.model, seed=args.seed, unit=args.unit)
-    if isinstance(model, NpGlmModel) and not model.converged:
+    if not model.converged:
         log.warning("fit stopped at the iteration cap without converging")
     model.save(args.out)
     log.info("fit %s on %d samples (d=%d) -> %s", args.model, dataset.n,
@@ -166,7 +149,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model_file)
+    model = HazardModel.load(args.model_file)
     dataset = load_dataset(args.input)
     times, exceeded = _predict_medians(model, dataset)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -196,30 +179,22 @@ def _parse_query_x(args, d: int) -> np.ndarray:
 
 
 def cmd_query(args) -> int:
-    model = load_model(args.model_file)
+    model = HazardModel.load(args.model_file)
     x = _parse_query_x(args, model.d)
     op, rest = args.op[0], args.op[1:]
     if op == "ranged":
         if len(rest) != 2:
             raise ValueError("usage: --op ranged <t_a> <t_b>")
         t_a, t_b = float(rest[0]), float(rest[1])
-        if isinstance(model, NpGlmModel):
-            p = npglm.ranged_probability(model, x, t_a, t_b)
-        else:
-            p = baselines.ranged_probability(model, x, t_a, t_b)
-        answer = {"op": "ranged", "t_a": t_a, "t_b": t_b, "probability": p}
+        answer = {"op": "ranged", "t_a": t_a, "t_b": t_b,
+                  "probability": npglm.ranged_probability(model, x, t_a, t_b)}
     elif op == "quantile":
         if len(rest) != 1:
             raise ValueError("usage: --op quantile <alpha>")
         alpha = float(rest[0])
-        if isinstance(model, NpGlmModel):
-            est = npglm.quantile(model, x, alpha)
-            answer = {"op": "quantile", "alpha": alpha, "time": est.time,
-                      "horizon_exceeded": est.horizon_exceeded}
-        else:
-            t = baselines.quantile(model, x, alpha)
-            answer = {"op": "quantile", "alpha": alpha, "time": t,
-                      "horizon_exceeded": False}
+        est = npglm.quantile(model, x, alpha)
+        answer = {"op": "quantile", "alpha": alpha, "time": est.time,
+                  "horizon_exceeded": est.horizon_exceeded}
     elif op == "sample":
         if len(rest) != 2:
             raise ValueError("usage: --op sample <n> <seed>")
@@ -227,15 +202,10 @@ def cmd_query(args) -> int:
         if count < 1:
             raise ValueError("sample count must be >= 1")
         rng = np.random.default_rng(seed)
-        if isinstance(model, NpGlmModel):
-            draws = [npglm.sample_time(model, x, rng) for _ in range(count)]
-            answer = {"op": "sample", "seed": seed,
-                      "times": [e.time for e in draws],
-                      "horizon_exceeded": [e.horizon_exceeded for e in draws]}
-        else:
-            times = [baselines.sample_time(model, x, rng) for _ in range(count)]
-            answer = {"op": "sample", "seed": seed, "times": times,
-                      "horizon_exceeded": [False] * count}
+        draws = [npglm.sample_time(model, x, rng) for _ in range(count)]
+        answer = {"op": "sample", "seed": seed,
+                  "times": [e.time for e in draws],
+                  "horizon_exceeded": [e.horizon_exceeded for e in draws]}
     else:
         raise ValueError(f"unknown op {op!r} (expected ranged, quantile, or sample)")
     json.dump(answer, sys.stdout)
@@ -336,7 +306,7 @@ def _run_cell(job: dict) -> dict:
         out["fit_seconds"] = time.perf_counter() - start
         w_hat, _ = model.raw_coefficients()
         out["w_mae"] = float(np.abs(w_hat - drawn.true_w).mean())
-        if isinstance(model, NpGlmModel):
+        if model.loss_trace:  # only the NP-GLM fit records one
             out["iterations"] = len(model.loss_trace)
             out["final_loss"] = model.loss_trace[-1]
             out["converged"] = int(model.converged)
@@ -348,7 +318,8 @@ def _run_cell(job: dict) -> dict:
             test_cfg = SynthConfig(n_observed=job["test_n"], n_censored=0,
                                    d=job["dim"], dist=job["dist"],
                                    seed=job["seed"] + 1_000_003)
-            test = _regenerate_with_truth(test_cfg, drawn.true_w, drawn.true_b)
+            test = draw_dataset(np.random.default_rng(test_cfg.seed), test_cfg,
+                                drawn.true_w, drawn.true_b)
             times, _ = _predict_medians(model, test)
             report = evaluate(test.t, test.y, times)
             out["test_mae"] = report.mae
@@ -358,25 +329,6 @@ def _run_cell(job: dict) -> dict:
         out["failed"] = 1
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
-
-
-def _regenerate_with_truth(config: SynthConfig, w: np.ndarray, b: float) -> Dataset:
-    """Fresh all-observed draw from fixed ground-truth parameters (test split)."""
-    rng = np.random.default_rng(config.seed)
-    n = config.n
-    x = rng.standard_normal((n, config.d))
-    alpha = np.exp(x @ w + b)
-    u = rng.uniform(size=n)
-    while np.any(u == 0.0):
-        zero = u == 0.0
-        u[zero] = rng.uniform(size=int(zero.sum()))
-    if config.dist == "rayleigh":
-        t = np.sqrt(-2.0 * np.log(u) / alpha)
-    else:
-        t = np.log1p(-np.log(u) / alpha)
-    order = np.argsort(t, kind="stable")
-    return Dataset(x=x[order], y=np.ones(n, dtype=int), t=t[order],
-                   pairs=[(i, i) for i in range(n)])
 
 
 _AGG_FIELDS = ("w_mae", "fit_seconds", "iterations", "final_loss",

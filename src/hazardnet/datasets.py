@@ -23,7 +23,6 @@ from .metapaths import MetaPath, PairSeries, PrefixCache, SnapshotPlan, metapath
 
 __all__ = [
     "WindowConfig",
-    "LabeledSample",
     "Dataset",
     "Standardization",
     "DatasetError",
@@ -74,16 +73,6 @@ class WindowConfig:
 
     def snapshot_plan(self) -> SnapshotPlan:
         return SnapshotPlan(t0=self.t0, delta=self.delta, k=self.k)
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One training/test record: features, observation flag, recorded time."""
-
-    pair: tuple[int, int]
-    x: np.ndarray
-    y: int
-    t: float
 
 
 @dataclass
@@ -160,12 +149,6 @@ class Dataset:
         if self.standardization is None:
             return self.x
         return self.x * self.standardization.std + self.standardization.mean
-
-    def samples(self) -> list[LabeledSample]:
-        return [
-            LabeledSample(self.pairs[i], self.x[i], int(self.y[i]), float(self.t[i]))
-            for i in range(self.n)
-        ]
 
 
 def _sort_order(t, y, pairs):
@@ -365,16 +348,3 @@ def load_dataset(path) -> Dataset:
     return Dataset(x=x, y=np.asarray(ys, dtype=np.int64), t=np.asarray(ts, dtype=float),
                    pairs=pairs, standardization=stats)
 
-
-def save_series(path, series_list: list[PairSeries]):
-    """Write per-pair snapshot series as CSV: src,dst,snapshot,feat_0..feat_{d-1}."""
-    if not series_list:
-        raise DatasetError("no series to write")
-    d = series_list[0].series.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "snapshot"] + [f"feat_{j}" for j in range(d)])
-        for ps in series_list:
-            src, dst = ps.pair
-            for i in range(ps.series.shape[0]):
-                writer.writerow([src, dst, i + 1] + [int(v) for v in ps.series[i]])

@@ -1,11 +1,14 @@
-"""Non-parametric proportional-hazards GLM with censoring.
+"""Proportional-hazards GLMs with censoring: the NP-GLM fit and the
+queries shared by every fitted model.
 
 The conditional event intensity factorizes as g(w.x) * h(t) with
-g = exp.  The cumulative baseline hazard H is tabulated non-parametrically
-at the sorted training times through a closed-form update, alternating
-with convex minimization over the coefficient vector until the loss
-stabilizes.  Inference (interval probabilities, quantiles, sampling) runs
-off the tabulated H by piecewise-linear lookup.
+g = exp.  The NP-GLM tabulates the cumulative baseline hazard H
+non-parametrically at the sorted training times through a closed-form
+update, alternating with convex minimization over the coefficient vector
+until the loss stabilizes.  The Exponential and Weibull baselines
+(``baselines.py``) are the same model with H0(t) = t**shape.  Inference
+(interval probabilities, quantiles, sampling) runs off H0 and its inverse
+only, so one implementation serves all three families.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .datasets import Dataset, Standardization
 
 __all__ = [
     "FitConfig",
-    "NpGlmModel",
+    "HazardModel",
     "TimeEstimate",
     "link_g",
     "compute_H",
@@ -91,14 +94,14 @@ def resolve_ties(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     if eps == 0.0 or observed.size < 2:
         return t
     values = t[observed]
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] != values[start]:
-            m = i - start
-            if m > 1:
-                ranks = np.arange(m)
-                t[observed[start:i]] = values[start] - eps * (m - 1 - ranks)
-            start = i
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    size = np.diff(np.append(starts, len(values)))[group]
+    rank = np.arange(len(values)) - starts[group]
+    tied = size > 1
+    t[observed[tied]] = values[tied] - eps * (size - 1 - rank)[tied]
     return t
 
 
@@ -180,26 +183,42 @@ def optimize_w(dataset: Dataset, H: np.ndarray, w_init: np.ndarray,
     return res.x
 
 
+PARAMETRIC_FAMILIES = ("exponential", "weibull")  # H0(t) = t**shape
+FAMILIES = ("npglm",) + PARAMETRIC_FAMILIES
+
+
 @dataclass
-class NpGlmModel:
-    """Fitted model: coefficients plus the tabulated cumulative hazard.
+class HazardModel:
+    """Fitted proportional-hazards model: coefficients, baseline, transform.
 
     ``w`` has d+1 entries, the last being the bias on an implicit constant
-    feature.  ``event_times``/``H`` tabulate the cumulative hazard at the
-    distinct (tie-resolved) training times.  Queries take raw-space
-    feature vectors; the stored standardization is applied internally.
+    feature.  The baseline cumulative hazard H0 is the only part that
+    depends on ``family``.  For "npglm", ``event_times``/``H`` tabulate it
+    at the distinct (tie-resolved) training times; it is linear between
+    knots, starts at (0, 0), and is flat past the last knot, the training
+    horizon.  For "exponential" (shape 1) and "weibull" it is t**shape.
+    Queries take raw-space feature vectors; the stored standardization is
+    applied internally.
     """
 
     w: np.ndarray
-    event_times: np.ndarray
-    H: np.ndarray
     standardization: Standardization
+    family: str = "npglm"
+    event_times: np.ndarray | None = None
+    H: np.ndarray | None = None
+    shape: float = 1.0
     unit: str = ""
     loss_trace: list[float] = field(default_factory=list)
     converged: bool = True
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
         self.w = np.asarray(self.w, dtype=float)
+        if self.family != "npglm":
+            if not self.shape > 0:
+                raise ValueError("shape must be positive")
+            return
         self.event_times = np.asarray(self.event_times, dtype=float)
         self.H = np.asarray(self.H, dtype=float)
         if self.event_times.ndim != 1 or self.H.shape != self.event_times.shape:
@@ -209,6 +228,8 @@ class NpGlmModel:
                 raise ValueError("event_times must be strictly increasing")
             if np.any(np.diff(self.H) < 0) or self.H[0] < 0:
                 raise ValueError("H must be non-negative and non-decreasing")
+        self._t_knots = np.concatenate(([0.0], self.event_times))
+        self._H_knots = np.concatenate(([0.0], self.H))
 
     @property
     def d(self) -> int:
@@ -216,7 +237,21 @@ class NpGlmModel:
 
     @property
     def horizon(self) -> float:
+        """Last training time of a tabulated baseline."""
         return float(self.event_times[-1])
+
+    def H0(self, t):
+        """Baseline cumulative hazard at times t >= 0 (scalar or array)."""
+        if self.family == "npglm":
+            return np.interp(t, self._t_knots, self._H_knots)
+        return t ** self.shape
+
+    def H0_inverse(self, h):
+        """Times at which H0 reaches h, plus flags for targets beyond the
+        tabulated range; a flagged target gets the horizon back."""
+        if self.family == "npglm":
+            return np.interp(h, self._H_knots, self._t_knots), h > self._H_knots[-1]
+        return h ** (1.0 / self.shape), np.zeros_like(h, dtype=bool)
 
     def score(self, x) -> np.ndarray:
         """Linear predictor w.x (+ bias) for raw-space feature rows."""
@@ -231,27 +266,39 @@ class NpGlmModel:
         return wf, bias
 
     def to_json(self) -> dict:
-        return {
-            "family": "npglm",
+        doc = {
+            "family": self.family,
             "w": self.w.tolist(),
-            "event_times": self.event_times.tolist(),
-            "H": self.H.tolist(),
             "standardization": self.standardization.to_dict(),
             "unit": self.unit,
-            "loss_trace": list(self.loss_trace),
-            "converged": bool(self.converged),
         }
+        if self.family == "npglm":
+            doc.update(event_times=self.event_times.tolist(), H=self.H.tolist(),
+                       loss_trace=list(self.loss_trace), converged=bool(self.converged))
+        else:
+            doc["shape"] = float(self.shape)
+        return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "NpGlmModel":
+    def from_json(cls, doc: dict) -> "HazardModel":
+        family = doc.get("family")
+        if family == "npglm":
+            family_fields = {
+                "event_times": doc["event_times"],
+                "H": doc["H"],
+                "loss_trace": [float(v) for v in doc.get("loss_trace", [])],
+                "converged": bool(doc.get("converged", True)),
+            }
+        elif family in PARAMETRIC_FAMILIES:
+            family_fields = {"shape": float(doc["shape"])}
+        else:
+            raise ValueError(f"unknown family {family!r}")
         return cls(
-            w=np.asarray(doc["w"], dtype=float),
-            event_times=np.asarray(doc["event_times"], dtype=float),
-            H=np.asarray(doc["H"], dtype=float),
+            w=doc["w"],
             standardization=Standardization.from_dict(doc["standardization"]),
+            family=family,
             unit=doc.get("unit", ""),
-            loss_trace=[float(v) for v in doc.get("loss_trace", [])],
-            converged=bool(doc.get("converged", True)),
+            **family_fields,
         )
 
     def save(self, path):
@@ -259,7 +306,7 @@ class NpGlmModel:
             json.dump(self.to_json(), fh)
 
     @classmethod
-    def load(cls, path) -> "NpGlmModel":
+    def load(cls, path) -> "HazardModel":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 
@@ -272,7 +319,7 @@ def _dedupe_knots(t: np.ndarray, H: np.ndarray):
 
 
 def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
-        standardize: bool = True) -> NpGlmModel:
+        standardize: bool = True) -> HazardModel:
     """Alternating fit: closed-form H update, then convex descent over w.
 
     Starts from seeded standard-normal coefficients and stops when the
@@ -306,76 +353,69 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
     _, _, t_spread = _prepared(dataset)
     knots_t, knots_H = _dedupe_knots(t_spread, H)
     stats = dataset.standardization or Standardization.identity(dataset.d)
-    return NpGlmModel(
-        w=w, event_times=knots_t, H=knots_H, standardization=stats,
+    return HazardModel(
+        w=w, standardization=stats, event_times=knots_t, H=knots_H,
         unit=unit, loss_trace=trace, converged=converged,
     )
 
 
-def interpolate_H(model: NpGlmModel, t: float) -> float:
-    """Piecewise-linear cumulative hazard through (0, 0) and the tabulated
-    knots; clamped to H(t_N) beyond the training horizon."""
+def interpolate_H(model: HazardModel, t: float) -> float:
+    """Baseline cumulative hazard H0(t) as a float; a tabulated baseline is
+    piecewise-linear through (0, 0) and the knots, clamped to H(t_N) beyond
+    the training horizon."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    return float(np.interp(t, np.concatenate(([0.0], model.event_times)),
-                           np.concatenate(([0.0], model.H))))
+    return float(model.H0(t))
 
 
-def ranged_probability(model: NpGlmModel, x, t_a: float, t_b: float) -> float:
+def ranged_probability(model: HazardModel, x, t_a: float, t_b: float) -> float:
     """Probability that the event time falls in [t_a, t_b] given features x."""
     if not 0 <= t_a <= t_b:
         raise ValueError("need 0 <= t_a <= t_b")
     g = link_g(model.score(x))[0]
-    p = np.exp(-g * interpolate_H(model, t_a)) - np.exp(-g * interpolate_H(model, t_b))
+    p = np.exp(-g * model.H0(t_a)) - np.exp(-g * model.H0(t_b))
     return float(min(max(p, 0.0), 1.0))
 
 
-def quantile_times(model: NpGlmModel, x, alpha: float):
-    """Vectorized quantile over feature rows: (times, horizon_exceeded).
-
-    Inverts the piecewise-linear cumulative hazard at target
-    H* = -log(1-alpha)/g(w.x); rows whose target exceeds the tabulated
-    range get the training horizon back as a lower bound, flagged.
-    """
+def _check_alpha(alpha: float):
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    g = link_g(model.score(x))
-    h_star = -np.log1p(-alpha) / g
-    t_knots = np.concatenate(([0.0], model.event_times))
-    h_knots = np.concatenate(([0.0], model.H))
-    top = h_knots[-1]
-    exceeded = h_star > top
-    hs = np.where(exceeded, top, h_star)
-    k = np.clip(np.searchsorted(h_knots, hs, side="right") - 1, 0, len(h_knots) - 2)
-    denom = h_knots[k + 1] - h_knots[k]
-    frac = np.where(denom > 0, (hs - h_knots[k]) / np.where(denom > 0, denom, 1.0), 1.0)
-    times = t_knots[k] + frac * (t_knots[k + 1] - t_knots[k])
-    return times, exceeded
 
 
-def quantile(model: NpGlmModel, x, alpha: float) -> TimeEstimate:
-    """Smallest t with P(T <= t | x) = alpha; alpha = 0.5 is the median."""
-    times, exceeded = quantile_times(model, np.atleast_2d(np.asarray(x, dtype=float)), alpha)
-    return TimeEstimate(float(times[0]), bool(exceeded[0]))
+def quantile_times(model: HazardModel, x, alpha: float):
+    """Vectorized quantile over feature rows: (times, horizon_exceeded).
+
+    Inverts the baseline at target H0 = -log(1-alpha)/g(w.x).  With a
+    tabulated baseline, rows whose target exceeds the tabulated range get
+    the training horizon back as a lower bound, flagged.
+    """
+    _check_alpha(alpha)
+    return model.H0_inverse(-np.log1p(-alpha) / link_g(model.score(x)))
 
 
-def predict_median(model: NpGlmModel, x) -> TimeEstimate:
+def quantile(model: HazardModel, x, alpha: float) -> TimeEstimate:
+    """Smallest t with P(T <= t | x) = alpha for one feature row, through
+    the same inverse as ``quantile_times``; alpha = 0.5 is the median."""
+    _check_alpha(alpha)
+    # Scalar arithmetic, not quantile_times on one row: numpy's array power
+    # may round differently from the scalar t**(1/shape) in the last bit.
+    time, exceeded = model.H0_inverse(-np.log1p(-alpha) / link_g(model.score(x))[0])
+    return TimeEstimate(float(time), bool(exceeded))
+
+
+def predict_median(model: HazardModel, x) -> TimeEstimate:
     return quantile(model, x, 0.5)
 
 
-def sample_time(model: NpGlmModel, x, rng: np.random.Generator) -> TimeEstimate:
+def sample_time(model: HazardModel, x, rng: np.random.Generator) -> TimeEstimate:
     """Inverse-transform draw from the fitted time distribution at x.
 
-    Returns the first tabulated time whose conditional survival falls at
-    or below the uniform draw; draws surviving past the horizon come back
-    flagged, with the horizon as a lower bound.
+    Draws u uniform on (0, 1) and returns ``quantile(model, x, 1 - u)``:
+    between knots of a tabulated baseline the draw is interpolated, and
+    draws surviving past the horizon come back flagged, with the horizon
+    as a lower bound.
     """
-    u = float(rng.uniform())
-    g = link_g(model.score(x))[0]
-    with np.errstate(divide="ignore"):
-        h_star = -np.log(u) / g if u > 0 else np.inf
-    h_knots = model.H
-    if h_star > h_knots[-1]:
-        return TimeEstimate(float(model.event_times[-1]), True)
-    k = int(np.searchsorted(h_knots, h_star, side="left"))
-    return TimeEstimate(float(model.event_times[k]), False)
+    u = rng.uniform()
+    while u == 0.0:
+        u = rng.uniform()
+    return quantile(model, x, 1.0 - u)

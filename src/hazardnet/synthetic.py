@@ -16,7 +16,8 @@ import numpy as np
 
 from .datasets import Dataset
 
-__all__ = ["SynthConfig", "SynthOutput", "generate", "save_truth", "load_truth"]
+__all__ = ["SynthConfig", "SynthOutput", "generate", "draw_dataset", "save_truth",
+           "load_truth"]
 
 DISTRIBUTIONS = ("rayleigh", "gompertz")
 CENSORING_POLICIES = ("tail", "random")
@@ -59,17 +60,26 @@ def _draw_times(dist: str, alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def generate(config: SynthConfig, policy: str = "tail") -> SynthOutput:
-    """Draw one dataset; bit-for-bit reproducible from the seed.
+    """Draw ground truth w, b, then one dataset from it; bit-for-bit
+    reproducible from the seed.
 
     policy "tail" censors exactly the n_censored largest times; "random"
     censors a uniformly chosen subset instead.  Either way censored rows
     keep their drawn times.
     """
-    if policy not in CENSORING_POLICIES:
-        raise ValueError(f"policy must be one of {CENSORING_POLICIES}")
     rng = np.random.default_rng(config.seed)
     w = rng.standard_normal(config.d)
     b = float(rng.standard_normal())
+    dataset = draw_dataset(rng, config, w, b, policy)
+    return SynthOutput(dataset=dataset, true_w=w, true_b=b)
+
+
+def draw_dataset(rng: np.random.Generator, config: SynthConfig, w: np.ndarray,
+                 b: float, policy: str = "tail") -> Dataset:
+    """Draw config.n rows from fixed ground truth w, b, sorted by time,
+    censored by ``policy`` as in ``generate``."""
+    if policy not in CENSORING_POLICIES:
+        raise ValueError(f"policy must be one of {CENSORING_POLICIES}")
     n = config.n
     x = rng.standard_normal((n, config.d))
     alpha = np.exp(x @ w + b)
@@ -88,8 +98,7 @@ def generate(config: SynthConfig, policy: str = "tail") -> SynthOutput:
         y[:] = 1
         y[censored] = 0
     pairs = [(i, i) for i in range(n)]
-    dataset = Dataset(x=x, y=y, t=t, pairs=pairs)
-    return SynthOutput(dataset=dataset, true_w=w, true_b=b)
+    return Dataset(x=x, y=y, t=t, pairs=pairs)
 
 
 def save_truth(path, output: SynthOutput, config: SynthConfig) -> None:

@@ -2,11 +2,14 @@ import csv
 import json
 import subprocess
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hazardnet.cli import ExperimentConfig, _run_cell, env_threads, load_model, main
+from hazardnet import npglm
+from hazardnet.cli import ExperimentConfig, _run_cell, env_threads, main
 from hazardnet.datasets import load_dataset
+from hazardnet.npglm import HazardModel
 
 from conftest import EXPECTED_ROWS, WINDOW
 
@@ -164,7 +167,126 @@ class TestFitPredictQuery:
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"family": "gamma"}))
         with pytest.raises(ValueError):
-            load_model(path)
+            HazardModel.load(path)
+
+
+# Model files in the format written before the model types were merged:
+# every score below is exact in floating point, x = (1, 2) standardizes to
+# (0.5, 1.0) and scores 0.125.
+STATS = {"mean": [0.0, 1.0], "std": [2.0, 1.0]}
+W = [0.5, -0.25, 0.125]
+X = "1,2"
+KNOTS_T = [0.5, 1.0, 2.0, 3.5]
+KNOTS_H = [0.1, 0.4, 0.4, 1.2]
+PARENT_DOCS = {
+    "npglm": {"family": "npglm", "w": W, "event_times": KNOTS_T, "H": KNOTS_H,
+              "standardization": STATS, "unit": "days",
+              "loss_trace": [12.5, 12.25], "converged": True},
+    "exponential": {"family": "exponential", "w": W, "shape": 1.0,
+                    "standardization": STATS, "unit": ""},
+    "weibull": {"family": "weibull", "w": W, "shape": 1.7,
+                "standardization": STATS, "unit": ""},
+}
+G = np.exp(np.array([0.125]))[0]  # link_g of the score, as the models compute it
+
+
+def parametric_ranged(shape, t_a, t_b):
+    p = np.exp(-G * t_a ** shape) - np.exp(-G * t_b ** shape)
+    return float(min(max(p, 0.0), 1.0))
+
+
+def knot_H(t):
+    return float(np.interp(t, [0.0] + KNOTS_T, [0.0] + KNOTS_H))
+
+
+def knot_ranged(t_a, t_b):
+    p = np.exp(-G * knot_H(t_a)) - np.exp(-G * knot_H(t_b))
+    return float(min(max(p, 0.0), 1.0))
+
+
+def knot_quantile(alpha):
+    """Hand inversion of the knots (0, 0), (0.5, 0.1), (1, 0.4), (2, 0.4), (3.5, 1.2)."""
+    h = -np.log1p(-alpha) / G
+    if h > 1.2:
+        return 3.5, True
+    if h <= 0.1:
+        return 0.5 * h / 0.1, False
+    assert h > 0.4, "probe alphas avoid the other segments"
+    return 2.0 + (h - 0.4) / 0.8 * 1.5, False
+
+
+class TestParentFormatModels:
+    RANGES = [(0.0, 0.0), (0.25, 3.0), (1.2, 10.0)]
+    ALPHAS = [0.1, 0.5, 0.9]
+
+    @pytest.fixture
+    def model_file(self, tmp_path, request):
+        path = tmp_path / f"{request.param}.json"
+        path.write_text(json.dumps(PARENT_DOCS[request.param]))
+        return request.param, path
+
+    def query(self, capsys, path, *op):
+        capsys.readouterr()
+        assert run("query", "--model-file", path, "--x", X, "--op", *op) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def expected(self, family):
+        if family == "npglm":
+            ranged = [knot_ranged(a, b) for a, b in self.RANGES]
+            quantiles = [knot_quantile(alpha) for alpha in self.ALPHAS]
+        else:
+            shape = PARENT_DOCS[family]["shape"]
+            ranged = [parametric_ranged(shape, a, b) for a, b in self.RANGES]
+            quantiles = [(float((-np.log1p(-alpha) / G) ** (1.0 / shape)), False)
+                         for alpha in self.ALPHAS]
+        return ranged, quantiles
+
+    def check(self, family, ranged, quantiles):
+        want_ranged, want_quantiles = self.expected(family)
+        assert ranged == want_ranged
+        for (time, flag), (want_time, want_flag) in zip(quantiles, want_quantiles):
+            assert flag == want_flag
+            if family == "npglm":
+                assert abs(time - want_time) <= 1e-12
+            else:
+                assert time == want_time
+
+    @pytest.mark.parametrize("model_file", list(PARENT_DOCS), indirect=True)
+    def test_cli_query(self, capsys, model_file):
+        family, path = model_file
+        ranged = [self.query(capsys, path, "ranged", a, b)["probability"]
+                  for a, b in self.RANGES]
+        quantiles = []
+        for alpha in self.ALPHAS:
+            answer = self.query(capsys, path, "quantile", alpha)
+            quantiles.append((answer["time"], answer["horizon_exceeded"]))
+        self.check(family, ranged, quantiles)
+
+    @pytest.mark.parametrize("model_file", list(PARENT_DOCS), indirect=True)
+    def test_library(self, model_file):
+        family, path = model_file
+        model = HazardModel.load(path)
+        assert model.family == family
+        assert model.to_json() == PARENT_DOCS[family]
+        x = np.array([1.0, 2.0])
+        ranged = [npglm.ranged_probability(model, x, a, b) for a, b in self.RANGES]
+        quantiles = [tuple(npglm.quantile(model, x, alpha)) for alpha in self.ALPHAS]
+        self.check(family, ranged, quantiles)
+
+    @pytest.mark.parametrize("model_file", ["exponential", "weibull"], indirect=True)
+    def test_parametric_samples_never_flagged(self, capsys, model_file):
+        family, path = model_file
+        answer = self.query(capsys, path, "sample", 50, 3)
+        u = np.random.default_rng(3).uniform(size=50)
+        want = (-np.log(u) / G) ** (1.0 / PARENT_DOCS[family]["shape"])
+        assert_allclose(answer["times"], want, rtol=1e-12)
+        assert answer["horizon_exceeded"] == [False] * 50
+
+    def test_unknown_family_exits_2(self, tmp_path):
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(dict(PARENT_DOCS["weibull"], family="gamma")))
+        assert run("query", "--model-file", path, "--x", X,
+                   "--op", "quantile", 0.5) == 2
 
 
 class TestEval:

@@ -16,7 +16,6 @@ from hazardnet.datasets import (
     save_dataset,
     subsample_censored,
 )
-from hazardnet.datasets import save_series
 from hazardnet.metapaths import PairSeries, parse_metapath, read_metapath_file, dynamic_series
 
 from conftest import EXPECTED_ROWS, WINDOW
@@ -107,11 +106,6 @@ class TestDataset:
     def test_raw_x_passthrough(self):
         ds = self.make()
         assert ds.raw_x is ds.x
-
-    def test_samples(self):
-        recs = self.make().samples()
-        assert [r.pair for r in recs] == [(0, 1), (1, 2), (2, 3)]
-        assert [r.y for r in recs] == [1, 0, 1]
 
 
 class TestBuildDataset:
@@ -305,16 +299,3 @@ class TestPersistence:
         path.write_text("src,dst,y,t,x_0\n0,1,1,1.0\n")
         with pytest.raises(DatasetError):
             load_dataset(path)
-
-    def test_save_series(self, tmp_path):
-        ps = PairSeries((4, 7), np.array([[1, 2], [3, 4]]), np.array([0, 0]))
-        path = tmp_path / "series.csv"
-        save_series(path, [ps])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "src,dst,snapshot,feat_0,feat_1"
-        assert lines[1] == "4,7,1,1,2"
-        assert lines[2] == "4,7,2,3,4"
-
-    def test_save_series_empty_rejected(self, tmp_path):
-        with pytest.raises(DatasetError):
-            save_series(tmp_path / "s.csv", [])

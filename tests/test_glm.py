@@ -3,16 +3,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats as sps
 
-from hazardnet.baselines import (
-    ParametricGlmModel,
-    _negative_ll,
-    fit_parametric,
+from hazardnet.baselines import _negative_ll, fit_parametric
+from hazardnet.datasets import Dataset, Standardization
+from hazardnet.npglm import (
+    HazardModel,
+    TimeEstimate,
     predict_median,
     quantile,
     ranged_probability,
     sample_time,
 )
-from hazardnet.datasets import Dataset, Standardization
 from hazardnet.synthetic import SynthConfig, generate
 
 X0 = np.zeros((1, 0))
@@ -33,8 +33,8 @@ def exponential_dataset(n, d, seed):
 
 
 def toy(family="weibull", bias=0.0, shape=1.0):
-    return ParametricGlmModel(family=family, w=np.array([bias]), shape=shape,
-                              standardization=Standardization.identity(0))
+    return HazardModel(w=np.array([bias]), standardization=Standardization.identity(0),
+                       family=family, shape=shape)
 
 
 class TestGradients:
@@ -96,20 +96,26 @@ class TestRecovery:
 
 
 class TestQueries:
+    """Parametric models answer through the shared npglm query functions;
+    a parametric baseline has no horizon, so nothing is ever flagged."""
+
     def test_median_formula(self):
         m = toy(bias=np.log(2.0), shape=2.0)  # g = 2
-        assert_allclose(predict_median(m, X0), np.sqrt(np.log(2.0) / 2.0),
-                        rtol=1e-14)
+        est = predict_median(m, X0)
+        assert_allclose(est.time, np.sqrt(np.log(2.0) / 2.0), rtol=1e-14)
+        assert not est.horizon_exceeded
 
     def test_median_is_alpha_half(self):
         m = toy(bias=0.4, shape=1.7)
-        assert_allclose(predict_median(m, X0), quantile(m, X0, 0.5), rtol=1e-14)
+        assert predict_median(m, X0) == quantile(m, X0, 0.5)
 
     def test_quantile_round_trip(self):
         m = toy(bias=-0.3, shape=2.5)
         for alpha in (0.05, 0.5, 0.95):
-            t = quantile(m, X0, alpha)
-            assert_allclose(ranged_probability(m, X0, 0.0, t), alpha, rtol=1e-12)
+            est = quantile(m, X0, alpha)
+            assert not est.horizon_exceeded
+            assert_allclose(ranged_probability(m, X0, 0.0, est.time), alpha,
+                            rtol=1e-12)
 
     def test_ranged_probability_bounds(self):
         m = toy(shape=1.0)
@@ -128,7 +134,10 @@ class TestQueries:
         m = toy(bias=0.5, shape=2.0)
         g = np.exp(0.5)
         rng = np.random.default_rng(4)
-        draws = np.array([sample_time(m, X0, rng) for _ in range(10000)])
+        draws = [sample_time(m, X0, rng) for _ in range(10000)]
+        assert all(isinstance(e, TimeEstimate) and not e.horizon_exceeded
+                   for e in draws)
+        draws = np.array([e.time for e in draws])
         stat = sps.kstest(draws, lambda t: 1 - np.exp(-g * t ** 2)).statistic
         assert stat < 0.02
 
@@ -159,7 +168,7 @@ class TestValidationAndSerialization:
     def test_json_round_trip(self):
         ds, _, _ = exponential_dataset(100, 2, seed=7)
         model = fit_parametric(ds, family="weibull", unit="weeks")
-        back = ParametricGlmModel.from_json(model.to_json())
+        back = HazardModel.from_json(model.to_json())
         assert back.family == "weibull" and back.unit == "weeks"
         assert_array_equal(back.w, model.w)
         assert back.shape == model.shape
@@ -169,7 +178,7 @@ class TestValidationAndSerialization:
         model = fit_parametric(ds, family="exponential")
         path = tmp_path / "baseline.json"
         model.save(path)
-        back = ParametricGlmModel.load(path)
+        back = HazardModel.load(path)
         x = ds.x[:5]
         assert_array_equal(back.score(x), model.score(x))
 

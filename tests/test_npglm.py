@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from hazardnet.baselines import fit_parametric
 from hazardnet.datasets import Dataset, Standardization
 from hazardnet.npglm import (
     FitConfig,
-    NpGlmModel,
+    HazardModel,
     compute_H,
     fit,
     interpolate_H,
@@ -60,6 +61,25 @@ def compute_H_oracle(w, dataset):
     return H
 
 
+def resolve_ties_oracle(t, y):
+    """Group-by-group loop over the observed rows."""
+    t = np.asarray(t, dtype=float).copy()
+    eps = 1e-9 * float(t.max()) if len(t) else 0.0
+    observed = np.flatnonzero(np.asarray(y) == 1)
+    if eps == 0.0 or observed.size < 2:
+        return t
+    values = t[observed]
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[start]:
+            m = i - start
+            if m > 1:
+                ranks = np.arange(m)
+                t[observed[start:i]] = values[start] - eps * (m - 1 - ranks)
+            start = i
+    return t
+
+
 class TestLink:
     def test_values(self):
         assert link_g(0.0) == 1.0
@@ -98,6 +118,16 @@ class TestResolveTies:
     def test_censored_duplicates_untouched(self):
         t = np.array([1.0, 5.0, 5.0])
         assert_array_equal(resolve_ties(t, np.array([1, 0, 0])), t)
+
+    def test_matches_loop_oracle_exactly(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            # few distinct values, so observed and censored ties are common
+            t = np.sort(rng.integers(1, int(rng.integers(2, 12)), size=n)
+                        * rng.uniform(0.1, 3.0))
+            y = (rng.uniform(size=n) < rng.uniform(0.2, 1.0)).astype(np.int64)
+            assert_array_equal(resolve_ties(t, y), resolve_ties_oracle(t, y))
 
 
 class TestComputeH:
@@ -317,17 +347,17 @@ class TestModelValidation:
 
     def test_decreasing_times_rejected(self):
         with pytest.raises(ValueError):
-            NpGlmModel(w=np.zeros(1), event_times=np.array([2.0, 1.0]),
+            HazardModel(w=np.zeros(1), event_times=np.array([2.0, 1.0]),
                        H=np.array([0.5, 1.0]), standardization=self.stats0())
 
     def test_decreasing_H_rejected(self):
         with pytest.raises(ValueError):
-            NpGlmModel(w=np.zeros(1), event_times=np.array([1.0, 2.0]),
+            HazardModel(w=np.zeros(1), event_times=np.array([1.0, 2.0]),
                        H=np.array([1.0, 0.5]), standardization=self.stats0())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            NpGlmModel(w=np.zeros(1), event_times=np.array([1.0, 2.0]),
+            HazardModel(w=np.zeros(1), event_times=np.array([1.0, 2.0]),
                        H=np.array([0.5]), standardization=self.stats0())
 
     def test_horizon(self):
@@ -337,7 +367,7 @@ class TestModelValidation:
 
 def toy_model(bias=0.0):
     """d = 0 model with knots (1, 0.5) and (2, 1.5); g = exp(bias)."""
-    return NpGlmModel(
+    return HazardModel(
         w=np.array([bias]),
         event_times=np.array([1.0, 2.0]),
         H=np.array([0.5, 1.5]),
@@ -424,10 +454,14 @@ class TestQuantile:
         m = toy_model()
         assert predict_median(m, X0) == quantile(m, X0, 0.5)
 
-    def test_vectorized_matches_scalar(self):
+    @pytest.mark.parametrize("family", ["npglm", "weibull"])
+    def test_vectorized_matches_scalar(self, family):
         out = generate(SynthConfig(n_observed=200, n_censored=50, d=3,
                                    dist="rayleigh", seed=8))
-        model = fit(out.dataset)
+        if family == "npglm":
+            model = fit(out.dataset)
+        else:
+            model = fit_parametric(out.dataset, family=family)
         x = out.dataset.raw_x[:20]
         times, exceeded = quantile_times(model, x, 0.5)
         for i in range(len(x)):
@@ -450,6 +484,7 @@ class TestSampleTime:
         assert a == b
 
     def test_returns_tabulated_times_or_horizon(self):
+        # draws interpolate between knots; a flagged draw is the horizon
         m = toy_model()
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -457,14 +492,14 @@ class TestSampleTime:
             if est.horizon_exceeded:
                 assert est.time == 2.0
             else:
-                assert est.time in (1.0, 2.0)
+                assert 0.0 <= est.time <= 2.0
 
     def test_matches_inverse_transform_frequencies(self):
         m = toy_model()
         rng = np.random.default_rng(1)
         n = 20000
         draws = [sample_time(m, X0, rng) for _ in range(n)]
-        p1 = sum(1 for e in draws if not e.horizon_exceeded and e.time == 1.0) / n
+        p1 = sum(1 for e in draws if not e.horizon_exceeded and e.time <= 1.0) / n
         p_exceeded = sum(1 for e in draws if e.horizon_exceeded) / n
         assert abs(p1 - (1 - np.exp(-0.5))) < 0.02
         assert abs(p_exceeded - np.exp(-1.5)) < 0.02
@@ -475,7 +510,7 @@ class TestSerialization:
         out = generate(SynthConfig(n_observed=80, n_censored=20, d=2,
                                    dist="gompertz", seed=9))
         model = fit(out.dataset)
-        back = NpGlmModel.from_json(model.to_json())
+        back = HazardModel.from_json(model.to_json())
         assert_array_equal(back.w, model.w)
         assert_array_equal(back.event_times, model.event_times)
         assert_array_equal(back.H, model.H)
@@ -488,7 +523,7 @@ class TestSerialization:
         model = fit(out.dataset, unit="days")
         path = tmp_path / "model.json"
         model.save(path)
-        back = NpGlmModel.load(path)
+        back = HazardModel.load(path)
         assert back.unit == "days"
         assert_array_equal(back.w, model.w)
         x = out.dataset.raw_x[:5]

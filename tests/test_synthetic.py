@@ -9,6 +9,7 @@ from hazardnet.synthetic import (
     SynthConfig,
     SynthOutput,
     _draw_times,
+    draw_dataset,
     generate,
     load_truth,
     save_truth,
@@ -92,6 +93,26 @@ class TestGenerate:
         assert_array_equal(a.dataset.y, b.dataset.y)
         assert_array_equal(a.true_w, b.true_w)
         assert a.true_b == b.true_b
+
+    def test_random_stream_pinned(self):
+        # golden values: changing the order of draws changes every dataset
+        out = generate(SynthConfig(n_observed=3, n_censored=1, d=2,
+                                   dist="gompertz", seed=4), policy="random")
+        assert out.dataset.t.tolist() == [0.0036843704817416958, 0.036674427927765686,
+                                          0.13338882884281797, 0.1498729558162434]
+        assert out.dataset.y.tolist() == [1, 1, 1, 0]
+        assert out.dataset.x[:, 0].tolist() == [0.2417718768768513, 0.14863152325202633,
+                                                -0.005203264171931977, 0.659147749832255]
+
+    def test_draw_from_fixed_truth_pinned(self):
+        # the held-out split of a sweep cell: fresh seed, the cell's truth
+        config = SynthConfig(n_observed=4, n_censored=0, d=2, dist="rayleigh", seed=9)
+        ds = draw_dataset(np.random.default_rng(9), config, np.array([0.5, -1.0]), 0.25)
+        assert ds.t.tolist() == [0.6361825684580993, 2.0996110104137578,
+                                 2.384265436772464, 3.280358747101307]
+        assert ds.y.tolist() == [1, 1, 1, 1]
+        assert ds.x[:, 1].tolist() == [-0.45261100300789897, 0.25093256908418204,
+                                       0.656104877556666, 0.2428499070790021]
 
     def test_seeds_differ(self):
         a = generate(self.cfg(seed=1))
