@@ -53,7 +53,6 @@ from .npglm import (
     interpolate_H,
     link_g,
     loss,
-    optimize_w,
     predict_median,
     quantile,
     quantile_times,
@@ -77,7 +76,7 @@ __all__ = [
     "candidate_pairs", "label_pairs", "load_dataset", "save_dataset",
     "subsample_censored",
     "FitConfig", "HazardModel", "TimeEstimate", "compute_H", "fit",
-    "interpolate_H", "link_g", "loss", "optimize_w", "predict_median",
+    "interpolate_H", "link_g", "loss", "predict_median",
     "quantile", "quantile_times", "ranged_probability", "sample_time",
     "fit_parametric",
     "SynthConfig", "SynthOutput", "generate",

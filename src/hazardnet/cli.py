@@ -43,7 +43,7 @@ from .metapaths import (
     read_metapath_file,
 )
 from .metrics import evaluate
-from .npglm import FitConfig, HazardModel
+from .npglm import HazardModel
 from .synthetic import SynthConfig, draw_dataset, generate, save_truth
 
 log = logging.getLogger("hazardnet")
@@ -65,9 +65,9 @@ def env_threads() -> int | None:
     return value if value >= 1 else None
 
 
-def _fit_model(dataset, name: str, seed: int, unit: str = ""):
+def _fit_model(dataset, name: str, unit: str = ""):
     if name == "npglm":
-        return npglm.fit(dataset, FitConfig(seed=seed), unit=unit)
+        return npglm.fit(dataset, unit=unit)
     return fit_parametric(dataset, family=_PARAMETRIC_FAMILY[name], unit=unit)
 
 
@@ -139,7 +139,7 @@ def cmd_features(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = load_dataset(args.input)
-    model = _fit_model(dataset, args.model, seed=args.seed, unit=args.unit)
+    model = _fit_model(dataset, args.model, unit=args.unit)
     if not model.converged:
         log.warning("fit stopped at the iteration cap without converging")
     model.save(args.out)
@@ -302,7 +302,7 @@ def _run_cell(job: dict) -> dict:
                              d=job["dim"], dist=job["dist"], seed=job["seed"])
         drawn = generate(config)
         start = time.perf_counter()
-        model = _fit_model(drawn.dataset, job["model"], seed=job["seed"])
+        model = _fit_model(drawn.dataset, job["model"])
         out["fit_seconds"] = time.perf_counter() - start
         w_hat, _ = model.raw_coefficients()
         out["w_mae"] = float(np.abs(w_hat - drawn.true_w).mean())
@@ -446,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unit", default="")
     p.set_defaults(func=cmd_fit)
 

@@ -3,11 +3,12 @@ queries shared by every fitted model.
 
 The conditional event intensity factorizes as g(w.x) * h(t) with
 g = exp.  The NP-GLM tabulates the cumulative baseline hazard H
-non-parametrically at the sorted training times through a closed-form
-update, alternating with convex minimization over the coefficient vector
-(damped Newton steps) until the loss stabilizes.  The Exponential and
-Weibull baselines (``baselines.py``) are the same model with
-H0(t) = t**shape.  Inference (interval probabilities, quantiles,
+non-parametrically at the sorted training times.  At fixed w the H that
+minimizes the loss is the Breslow estimator; the loss at that H, the
+profile loss, is the negative Cox partial log-likelihood plus a
+constant, and the fit runs damped Newton steps on it over w.  The
+Exponential and Weibull baselines (``baselines.py``) are the same model
+with H0(t) = t**shape.  Inference (interval probabilities, quantiles,
 sampling) runs off H0 and its inverse only, so one implementation serves
 all three families.
 """
@@ -29,7 +30,6 @@ __all__ = [
     "link_g",
     "compute_H",
     "loss",
-    "optimize_w",
     "fit",
     "interpolate_H",
     "ranged_probability",
@@ -56,25 +56,23 @@ def link_g(z):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the alternating fit.
+    """Knobs of the Newton fit.
 
-    ``threshold`` stops the outer loop once the loss changes by less;
-    ``max_outer`` caps outer iterations.  Each inner solve over w takes at
-    most ``inner_max_steps`` damped Newton steps and stops early once the
-    gradient max-norm falls below ``inner_grad_tol``.
+    ``threshold`` stops the fit once a Newton iteration changes the loss
+    by less; ``max_outer`` caps Newton iterations, one loss-trace entry
+    each.  ``seed`` is ignored by the fit, which always starts from w = 0;
+    it is kept so that existing ``FitConfig(seed=...)`` calls still work.
     """
 
     threshold: float = 1e-4
     max_outer: int = 500
-    inner_max_steps: int = 200
-    inner_grad_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.max_outer < 1 or self.inner_max_steps < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 class TimeEstimate(NamedTuple):
@@ -117,25 +115,18 @@ def resolve_ties(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _prepared(dataset: Dataset):
-    """The arrays the fit runs on: (xa, xt, y, t).
-
-    ``xa`` is the augmented design matrix, one row per sample; the linear
-    predictor is ``xa @ w``, which rounds exactly like the row-major
-    product that the double-loop H oracles use.  ``xt`` holds the same
-    values one row per coefficient; the gradient and Hessian products
-    stream through it several times faster than through ``xa.T``.  ``t``
-    is tie-resolved, with its order re-checked.
-    """
+    """(y, t) as floats, ``t`` tie-resolved with its order re-checked."""
     t = resolve_ties(dataset.t, dataset.y)
     if np.any(np.diff(t) < 0):
         raise ValueError("dataset must be sorted ascending by t")
-    xa = augment(dataset.x)
-    return xa, np.ascontiguousarray(xa.T), dataset.y.astype(float), t
+    return dataset.y.astype(float), t
 
 
-# Array-level pieces of the fit.  ``z`` is the clamped linear predictor
-# clip(xa @ w) and ``e`` = exp(z); the fit carries both from the accepted
-# coefficient step into the next H update and the loss.
+# Array-level pieces of the loss.  ``z`` is the clamped linear predictor
+# clip(x @ w) and ``e`` = exp(z).  ``compute_H`` and ``loss`` form z from
+# the augmented design ``xa``, which rounds exactly like the row-major
+# product that the double-loop H oracles use; the fit, whose bias is
+# pinned at 0, forms it from the feature columns alone.
 
 def _linear(xa: np.ndarray, w: np.ndarray):
     z = np.clip(xa @ w, -_CLAMP, _CLAMP)
@@ -145,6 +136,19 @@ def _linear(xa: np.ndarray, w: np.ndarray):
 def _hazard(e: np.ndarray, y: np.ndarray) -> np.ndarray:
     risk = np.cumsum(e[::-1])[::-1]
     return np.cumsum(y / risk)
+
+
+def _breslow(e: np.ndarray, ev: np.ndarray):
+    """Risk-set sums S0 at the event rows ``ev`` and the Breslow H at
+    every row, from segment sums between consecutive events.
+
+    Equals ``_hazard`` up to the order of additions (within ~1e-13
+    relative); all-equal ``e`` gives the Nelson-Aalen H exactly.
+    """
+    S0 = np.cumsum(np.add.reduceat(e, ev)[::-1])[::-1]
+    steps = np.zeros(len(e))
+    steps[ev] = 1.0 / S0
+    return S0, np.cumsum(steps)
 
 
 def _loss(z, e, H, y, t) -> float:
@@ -160,23 +164,24 @@ def _loss(z, e, H, y, t) -> float:
     return float(np.sum(e * H - y * (z + log_h)))
 
 
-def _objective(z, e, H, y) -> float:
-    """Coefficient part of the loss, sum(exp(z) H - y z)."""
-    value = float(np.sum(e * H - y * z))
-    if not np.isfinite(value):
-        raise FloatingPointError(
-            "non-finite objective while optimizing w; are the features standardized?"
-        )
-    return value
-
-
 def _gradient(xt, e, H, y) -> np.ndarray:
+    """xt (e H - y): the gradient of the loss over w at fixed H; at the
+    Breslow H(w) also the gradient of the profile loss (envelope theorem)."""
     return xt @ (e * H - y)
 
 
-def _hessian(xt, s) -> np.ndarray:
-    """xt diag(s) xt.T, accumulated over column blocks that stay in cache."""
-    hess = np.zeros((len(xt), len(xt)))
+def _hessian(xt, e, H, ev, S0) -> np.ndarray:
+    """Hessian of the profile loss over w.
+
+    xt diag(e H) xt.T, accumulated over column blocks that stay in cache,
+    minus the sum over events of m m.T, where m = S1 / S0 is the risk-set
+    mean of the features at the event and S1 the risk-set sum of
+    x exp(z), again from segment sums between events.
+    """
+    S1 = np.add.reduceat(xt * e, ev, axis=1)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    m = S1 / S0
+    hess = -(m @ m.T)
+    s = e * H
     for lo in range(0, len(s), _HESSIAN_BLOCK):
         block = xt[:, lo:lo + _HESSIAN_BLOCK]
         hess += (block * s[lo:lo + _HESSIAN_BLOCK]) @ block.T
@@ -184,46 +189,10 @@ def _hessian(xt, s) -> np.ndarray:
 
 
 def _w_objective(w, xa, y, H):
-    """Objective and gradient of the coefficient step at w."""
+    """Loss terms that depend on w at fixed H, sum(exp(z) H - y z), and
+    their gradient."""
     z, e = _linear(xa, w)
-    return _objective(z, e, H, y), _gradient(xa.T, e, H, y)
-
-
-def _newton(xa, xt, y, H, w, z, e, config: FitConfig):
-    """Damped Newton descent on the coefficient objective from (w, z, e).
-
-    Gradient xa.T (e H - y) and Hessian xa.T diag(e H) xa, both computed
-    through ``xt`` = xa.T.  The Newton system is solved by least squares:
-    a Hessian that is singular (a zero-variance column) or singular up to
-    rounding (fewer rows than coefficients) gets the minimum-norm step,
-    which leaves w alone along directions the objective cannot see.
-    Steps are halved until the objective drops by at least 1e-4 of the
-    predicted linear decrease, so it never rises.  Stops when the
-    gradient max-norm falls below ``inner_grad_tol``, after
-    ``inner_max_steps`` steps, or when no step lowers the objective by a
-    representable amount.  Returns (w, z, e) at the last accepted point.
-    """
-    value = _objective(z, e, H, y)
-    for _ in range(config.inner_max_steps):
-        grad = _gradient(xt, e, H, y)
-        if np.max(np.abs(grad)) < config.inner_grad_tol:
-            break
-        hess = _hessian(xt, e * H)
-        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        slope = float(grad @ step)
-        alpha = 1.0
-        # backtrack while the wanted decrease is still representable
-        while value + alpha * slope < value:
-            w_try = w + alpha * step
-            z_try, e_try = _linear(xa, w_try)
-            v_try = _objective(z_try, e_try, H, y)
-            if v_try <= value + 1e-4 * alpha * slope:
-                w, z, e, value = w_try, z_try, e_try, v_try
-                break
-            alpha *= 0.5
-        else:
-            break
-    return w, z, e
+    return float(np.sum(e * H - y * z)), _gradient(xa.T, e, H, y)
 
 
 def compute_H(w: np.ndarray, dataset: Dataset) -> np.ndarray:
@@ -233,10 +202,10 @@ def compute_H(w: np.ndarray, dataset: Dataset) -> np.ndarray:
     the risk-set sums, one forward prefix sum.  Non-decreasing by
     construction.
     """
-    xa, _, y, _ = _prepared(dataset)
+    y, _ = _prepared(dataset)
     if y.sum() == 0:
         raise ValueError("all samples censored: H would be identically zero")
-    return _hazard(_linear(xa, np.asarray(w, dtype=float))[1], y)
+    return _hazard(_linear(augment(dataset.x), np.asarray(w, dtype=float))[1], y)
 
 
 def loss(w: np.ndarray, H: np.ndarray, dataset: Dataset) -> float:
@@ -245,22 +214,9 @@ def loss(w: np.ndarray, H: np.ndarray, dataset: Dataset) -> float:
     h(t_i) is the slope of H over (t_{i-1}, t_i]; its log enters only at
     observed samples.
     """
-    xa, _, y, t = _prepared(dataset)
-    z, e = _linear(xa, np.asarray(w, dtype=float))
+    y, t = _prepared(dataset)
+    z, e = _linear(augment(dataset.x), np.asarray(w, dtype=float))
     return _loss(z, e, np.asarray(H, dtype=float), y, t)
-
-
-def optimize_w(dataset: Dataset, H: np.ndarray, w_init: np.ndarray,
-               config: FitConfig = FitConfig()) -> np.ndarray:
-    """Minimize the coefficient part of the loss at fixed H (convex in w).
-
-    Damped Newton descent from ``w_init`` (see ``FitConfig`` for the stop
-    rules); deterministic given its inputs.
-    """
-    xa, xt, y, _ = _prepared(dataset)
-    w = np.asarray(w_init, dtype=float)
-    z, e = _linear(xa, w)
-    return _newton(xa, xt, y, np.asarray(H, dtype=float), w, z, e, config)[0]
 
 
 PARAMETRIC_FAMILIES = ("exponential", "weibull")  # H0(t) = t**shape
@@ -400,13 +356,19 @@ def _dedupe_knots(t: np.ndarray, H: np.ndarray):
 
 def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
         standardize: bool = True) -> HazardModel:
-    """Alternating fit: closed-form H update, then Newton descent over w.
+    """Damped Newton descent on the profile loss P(w) = loss(w, H(w)),
+    with H(w) the Breslow estimator.
 
-    Starts from seeded standard-normal coefficients and stops when the
-    summed loss changes by less than the threshold, or at the iteration
-    cap (returned with ``converged=False``).  The recorded loss trace is
-    non-increasing.  A dataset without a recorded feature transform is
-    standardized first (unless disabled).
+    Starts from w = 0.  The bias is pinned at 0 and left out of the
+    Newton system: it cancels out of P, and H absorbs exp(bias).  Each
+    iteration takes a least-squares Newton step (a Hessian singular along
+    a zero-variance column gets the minimum-norm step), halves it until P
+    drops by at least 1e-4 of the predicted linear decrease, and records
+    the new P in the loss trace, which therefore never rises.  Stops when
+    an iteration changes P by less than the threshold (also when no step
+    can lower P by a representable amount), or after ``max_outer``
+    iterations (returned with ``converged=False``).  A dataset without a
+    recorded feature transform is standardized first (unless disabled).
     """
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
@@ -414,28 +376,45 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
         stats = Standardization.fit(dataset.x)
         dataset = Dataset(x=stats.apply(dataset.x), y=dataset.y, t=dataset.t,
                           pairs=dataset.pairs, standardization=stats)
-    xa, xt, y, t = _prepared(dataset)
-    rng = np.random.default_rng(config.seed)
-    w = rng.standard_normal(dataset.d + 1)
-    z, e = _linear(xa, w)
+    y, t = _prepared(dataset)
+    x = dataset.x
+    xt = np.ascontiguousarray(x.T)
+    ev = np.flatnonzero(y)
+
+    def profile(w):
+        z, e = _linear(x, w)
+        S0, H = _breslow(e, ev)
+        value = _loss(z, e, H, y, t)
+        if not np.isfinite(value):
+            raise FloatingPointError(
+                "non-finite loss while fitting; are the features standardized?")
+        return e, S0, H, value
+
+    w = np.zeros(dataset.d)
+    e, S0, H, value = profile(w)
     trace: list[float] = []
-    prev = np.inf
     converged = False
     for _ in range(config.max_outer):
-        H = _hazard(e, y)
-        w, z, e = _newton(xa, xt, y, H, w, z, e, config)
-        value = _loss(z, e, H, y, t)
-        if trace and value > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
-            raise FloatingPointError("loss increased across an outer iteration")
+        grad = _gradient(xt, e, H, y)
+        step = np.linalg.lstsq(_hessian(xt, e, H, ev, S0), -grad, rcond=None)[0]
+        slope = float(grad @ step)
+        prev, alpha = value, 1.0
+        # backtrack while the wanted decrease is still representable
+        while value + alpha * slope < value:
+            trial = profile(w + alpha * step)
+            if trial[-1] <= value + 1e-4 * alpha * slope:
+                w = w + alpha * step
+                e, S0, H, value = trial
+                break
+            alpha *= 0.5
         trace.append(value)
-        if abs(value - prev) < config.threshold:
+        if prev - value < config.threshold:
             converged = True
             break
-        prev = value
     knots_t, knots_H = _dedupe_knots(t, H)
     stats = dataset.standardization or Standardization.identity(dataset.d)
     return HazardModel(
-        w=w, standardization=stats, event_times=knots_t, H=knots_H,
+        w=np.append(w, 0.0), standardization=stats, event_times=knots_t, H=knots_H,
         unit=unit, loss_trace=trace, converged=converged,
     )
 

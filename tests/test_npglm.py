@@ -13,7 +13,6 @@ from hazardnet.npglm import (
     interpolate_H,
     link_g,
     loss,
-    optimize_w,
     predict_median,
     quantile,
     quantile_times,
@@ -21,7 +20,7 @@ from hazardnet.npglm import (
     resolve_ties,
     sample_time,
 )
-from hazardnet.npglm import _w_objective
+from hazardnet.npglm import _breslow, _gradient, _hazard, _hessian, _w_objective
 from hazardnet.synthetic import SynthConfig, generate
 
 
@@ -81,16 +80,30 @@ def resolve_ties_oracle(t, y):
     return t
 
 
-def optimize_w_oracle(dataset, H, w_init, config=FitConfig()):
-    """The coefficient step as scipy's L-BFGS-B solves it, with the limits
-    the fit once passed to it."""
-    xa = np.hstack([dataset.x, np.ones((dataset.n, 1))])
+def partial_likelihood_oracle(w, x, y, t):
+    """Negative Cox partial log-likelihood and its gradient, summed event
+    by event over the risk set {k : t_k >= t_i}."""
+    z = x @ w
+    e = np.exp(z)
+    value, grad = 0.0, np.zeros(len(w))
+    for i in np.flatnonzero(y):
+        risk = t >= t[i]
+        s0 = e[risk].sum()
+        value -= z[i] - np.log(s0)
+        grad -= x[i] - x[risk].T @ e[risk] / s0
+    return value, grad
+
+
+def fit_partial_likelihood_oracle(dataset):
+    """Feature coefficients minimizing the partial likelihood over the
+    tie-resolved times, by L-BFGS-B at tight tolerance."""
+    if dataset.d == 0:
+        return np.zeros(0)
     res = minimize(
-        _w_objective, np.asarray(w_init, dtype=float),
-        args=(xa, dataset.y.astype(float), np.asarray(H, dtype=float)),
+        partial_likelihood_oracle, np.zeros(dataset.d),
+        args=(dataset.x, dataset.y, resolve_ties(dataset.t, dataset.y)),
         jac=True, method="L-BFGS-B",
-        options={"maxiter": config.inner_max_steps,
-                 "gtol": config.inner_grad_tol, "ftol": 1e-14},
+        options={"maxiter": 10000, "gtol": 1e-12, "ftol": 1e-16},
     )
     return res.x
 
@@ -226,30 +239,8 @@ class TestLoss:
 
 
 class TestOptimizeW:
-    def test_bias_only_closed_form(self):
-        ds = make_dataset([1.0, 2.0, 4.0], [1, 1, 0])
-        H = compute_H(np.zeros(1), ds)
-        w = optimize_w(ds, H, w_init=np.zeros(1))
-        # minimizer of sum(exp(b) H_i - y_i b) is log(sum y / sum H)
-        assert_allclose(w[0], np.log(ds.y.sum() / H.sum()), atol=1e-6)
-
-    def test_bias_only_matches_ternary_search(self):
-        rng = np.random.default_rng(31)
-        ds = random_dataset(rng, 60, 0)
-        H = compute_H(rng.normal(size=1), ds)
-
-        def f(b):
-            return float(np.sum(np.exp(b) * H - ds.y * b))
-
-        lo, hi = -20.0, 20.0
-        for _ in range(200):
-            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-            if f(m1) < f(m2):
-                hi = m2
-            else:
-                lo = m1
-        w = optimize_w(ds, H, w_init=np.zeros(1))
-        assert_allclose(w[0], (lo + hi) / 2, atol=1e-5)
+    """The loss over w at fixed H (``_w_objective``), whose gradient the
+    fit uses."""
 
     def test_gradient_at_zero(self):
         rng = np.random.default_rng(7)
@@ -292,52 +283,100 @@ class TestOptimizeW:
             assert fm <= lam * f1 + (1 - lam) * f2 + 1e-9 * max(1.0, abs(fm))
 
 
-class TestOptimizeWMatchesLbfgsOracle:
-    """The Newton step lands where L-BFGS-B does, at no higher objective."""
+class TestProfile:
+    """Pieces of the profile loss the Newton fit runs on."""
 
-    def check(self, ds, H, w_init):
-        xa = np.hstack([ds.x, np.ones((ds.n, 1))])
-        y = ds.y.astype(float)
-        w_newton = optimize_w(ds, H, w_init=w_init)
-        w_oracle = optimize_w_oracle(ds, H, w_init)
-        f_newton, _ = _w_objective(w_newton, xa, y, H)
-        f_oracle, _ = _w_objective(w_oracle, xa, y, H)
-        # slack: one rounding of a sum of n terms
-        assert f_newton <= f_oracle + 1e-13 * max(1.0, abs(f_oracle))
-        assert_allclose(w_newton, w_oracle, rtol=0, atol=1e-6)
+    def test_breslow_matches_hazard(self):
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            e = np.exp(rng.normal(scale=2.0, size=n))
+            y = (rng.uniform(size=n) > 0.3).astype(float)
+            y[rng.integers(n)] = 1.0
+            ev = np.flatnonzero(y)
+            S0, H = _breslow(e, ev)
+            assert_allclose(H, _hazard(e, y), rtol=1e-12, atol=0)
+            assert_allclose(S0, np.cumsum(e[::-1])[::-1][ev], rtol=1e-12, atol=0)
+
+    def test_hessian_matches_finite_differences(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            n, d = int(rng.integers(5, 60)), int(rng.integers(1, 5))
+            ds = random_dataset(rng, n, d)
+            xt, y = ds.x.T.copy(), ds.y.astype(float)
+            ev = np.flatnonzero(y)
+
+            def pieces(w):
+                e = np.exp(ds.x @ w)
+                S0, H = _breslow(e, ev)
+                return e, S0, H, _gradient(xt, e, H, y)
+
+            w = rng.normal(size=d) * 0.5
+            e, S0, H, _ = pieces(w)
+            hess = _hessian(xt, e, H, ev, S0)
+            eps = 1e-6
+            for j in range(d):
+                step = np.zeros(d)
+                step[j] = eps
+                fd = (pieces(w + step)[3] - pieces(w - step)[3]) / (2 * eps)
+                assert_allclose(hess[:, j], fd, rtol=1e-5, atol=1e-7)
+
+
+class TestFitMatchesPartialLikelihoodOracle:
+    """The Newton fit lands where L-BFGS-B on the partial likelihood does."""
+
+    def check(self, ds):
+        model = fit(ds)
+        w_ref = fit_partial_likelihood_oracle(ds)
+        assert model.w[-1] == 0.0
+        assert_allclose(model.w[:-1], w_ref, rtol=0, atol=1e-5)
+        w_ref = np.append(w_ref, 0.0)
+        ref_loss = loss(w_ref, compute_H(w_ref, ds), ds)
+        # slack: the fit's risk sums add in another order than compute_H's
+        assert model.loss_trace[-1] <= ref_loss + 1e-12 * max(1.0, abs(ref_loss))
 
     def test_random_datasets(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
             n, d = int(rng.integers(20, 400)), int(rng.integers(0, 6))
             ds = random_dataset(rng, n, d)
-            H = compute_H(rng.normal(size=d + 1), ds)
-            self.check(ds, H, rng.normal(size=d + 1))
+            ds.standardization = Standardization.identity(d)
+            self.check(ds)
 
     def test_zero_variance_column(self):
-        # a constant feature standardizes to zeros: singular Hessian, and
-        # its coefficient has zero gradient, so both solvers leave it alone
+        # a constant feature standardizes to zeros: its gradient and its
+        # Hessian row are exactly zero, so its coefficient never moves
         rng = np.random.default_rng(43)
         for _ in range(10):
             ds = random_dataset(rng, int(rng.integers(20, 200)), 3)
-            ds.x[:, 1] = 0.0
-            H = compute_H(rng.normal(size=4), ds)
-            w_init = rng.normal(size=4)
-            self.check(ds, H, w_init)
-            assert abs(optimize_w(ds, H, w_init=w_init)[1] - w_init[1]) < 1e-12
+            ds.x[:, 1] = 7.0
+            model = fit(ds)
+            assert model.w[1] == 0.0
+            assert np.all(np.isfinite(model.w))
 
-    def test_fewer_rows_than_coefficients(self):
-        # n <= d + 1: the minimizers form an affine set; both solvers move
-        # only within the row space of the design, so they agree.  All
-        # rows observed, so the minimum is attained.
+    def test_no_features_gives_nelson_aalen(self):
         rng = np.random.default_rng(47)
-        for _ in range(20):
-            d = int(rng.integers(2, 7))
-            n = int(rng.integers(1, d + 2))
-            ds = make_dataset(np.sort(rng.uniform(0.1, 5.0, size=n)),
-                              np.ones(n, dtype=np.int64), rng.normal(size=(n, d)))
-            H = compute_H(rng.normal(size=d + 1), ds)
-            self.check(ds, H, rng.normal(size=d + 1))
+        for _ in range(10):
+            ds = random_dataset(rng, int(rng.integers(1, 200)), 0)
+            model = fit(ds)
+            assert_array_equal(model.w, [0.0])
+            assert_array_equal(model.H, np.cumsum(ds.y / np.arange(ds.n, 0, -1)))
+            assert model.converged and len(model.loss_trace) == 1
+
+    def test_separable_data_converges(self):
+        # event order follows one feature exactly: the likelihood has no
+        # finite maximizer, and the fit must still stop on the loss change
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            x = rng.normal(size=(200, 3))
+            t = np.argsort(np.argsort(-x[:, 0])) + 1.0
+            y = (rng.uniform(size=200) > 0.3).astype(np.int64)
+            order = np.argsort(t)
+            model = fit(make_dataset(t[order], y[order], x[order]))
+            trace = np.asarray(model.loss_trace)
+            assert model.converged and len(trace) <= 50
+            assert np.all(np.diff(trace) <= 0)
+            assert np.all(np.isfinite(model.w)) and model.w[-1] == 0.0
 
 
 class TestFit:
