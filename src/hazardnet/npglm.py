@@ -123,32 +123,19 @@ def _prepared(dataset: Dataset):
 
 
 # Array-level pieces of the loss.  ``z`` is the clamped linear predictor
-# clip(x @ w) and ``e`` = exp(z).  ``compute_H`` and ``loss`` form z from
-# the augmented design ``xa``, which rounds exactly like the row-major
-# product that the double-loop H oracles use; the fit, whose bias is
-# pinned at 0, forms it from the feature columns alone.
+# clip(xa @ w) over the augmented design ``xa`` and ``e`` = exp(z).  The
+# fit forms z the same way as ``compute_H`` and ``loss``, so the H and the
+# loss it saves are exactly theirs at its w.
 
 def _linear(xa: np.ndarray, w: np.ndarray):
     z = np.clip(xa @ w, -_CLAMP, _CLAMP)
     return z, np.exp(z)
 
 
-def _hazard(e: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _hazard(e: np.ndarray, y: np.ndarray):
+    """Risk-set sums sum_{k>=i} e_k and the Breslow H at every row."""
     risk = np.cumsum(e[::-1])[::-1]
-    return np.cumsum(y / risk)
-
-
-def _breslow(e: np.ndarray, ev: np.ndarray):
-    """Risk-set sums S0 at the event rows ``ev`` and the Breslow H at
-    every row, from segment sums between consecutive events.
-
-    Equals ``_hazard`` up to the order of additions (within ~1e-13
-    relative); all-equal ``e`` gives the Nelson-Aalen H exactly.
-    """
-    S0 = np.cumsum(np.add.reduceat(e, ev)[::-1])[::-1]
-    steps = np.zeros(len(e))
-    steps[ev] = 1.0 / S0
-    return S0, np.cumsum(steps)
+    return risk, np.cumsum(y / risk)
 
 
 def _loss(z, e, H, y, t) -> float:
@@ -175,8 +162,9 @@ def _hessian(xt, e, H, ev, S0) -> np.ndarray:
 
     xt diag(e H) xt.T, accumulated over column blocks that stay in cache,
     minus the sum over events of m m.T, where m = S1 / S0 is the risk-set
-    mean of the features at the event and S1 the risk-set sum of
-    x exp(z), again from segment sums between events.
+    mean of the features at the event.  S1, the risk-set sum of x exp(z),
+    is formed only at the event rows ``ev``: segment sums between
+    consecutive events, then a reverse cumulative sum over events.
     """
     S1 = np.add.reduceat(xt * e, ev, axis=1)[:, ::-1].cumsum(axis=1)[:, ::-1]
     m = S1 / S0
@@ -205,7 +193,7 @@ def compute_H(w: np.ndarray, dataset: Dataset) -> np.ndarray:
     y, _ = _prepared(dataset)
     if y.sum() == 0:
         raise ValueError("all samples censored: H would be identically zero")
-    return _hazard(_linear(augment(dataset.x), np.asarray(w, dtype=float))[1], y)
+    return _hazard(_linear(augment(dataset.x), np.asarray(w, dtype=float))[1], y)[1]
 
 
 def loss(w: np.ndarray, H: np.ndarray, dataset: Dataset) -> float:
@@ -367,8 +355,10 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
     the new P in the loss trace, which therefore never rises.  Stops when
     an iteration changes P by less than the threshold (also when no step
     can lower P by a representable amount), or after ``max_outer``
-    iterations (returned with ``converged=False``).  A dataset without a
-    recorded feature transform is standardized first (unless disabled).
+    iterations (returned with ``converged=False``).  The saved H and loss
+    trace equal ``compute_H`` and ``loss`` at the returned w.  A dataset
+    without a recorded feature transform is standardized first (unless
+    disabled).
     """
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
@@ -377,20 +367,20 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
         dataset = Dataset(x=stats.apply(dataset.x), y=dataset.y, t=dataset.t,
                           pairs=dataset.pairs, standardization=stats)
     y, t = _prepared(dataset)
-    x = dataset.x
-    xt = np.ascontiguousarray(x.T)
+    xa = augment(dataset.x)
+    xt = np.ascontiguousarray(dataset.x.T)
     ev = np.flatnonzero(y)
 
     def profile(w):
-        z, e = _linear(x, w)
-        S0, H = _breslow(e, ev)
+        z, e = _linear(xa, w)
+        risk, H = _hazard(e, y)
         value = _loss(z, e, H, y, t)
         if not np.isfinite(value):
             raise FloatingPointError(
                 "non-finite loss while fitting; are the features standardized?")
-        return e, S0, H, value
+        return e, risk[ev], H, value
 
-    w = np.zeros(dataset.d)
+    w = np.zeros(dataset.d + 1)
     e, S0, H, value = profile(w)
     trace: list[float] = []
     converged = False
@@ -398,6 +388,7 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
         grad = _gradient(xt, e, H, y)
         step = np.linalg.lstsq(_hessian(xt, e, H, ev, S0), -grad, rcond=None)[0]
         slope = float(grad @ step)
+        step = np.append(step, 0.0)  # the bias stays pinned at 0
         prev, alpha = value, 1.0
         # backtrack while the wanted decrease is still representable
         while value + alpha * slope < value:
@@ -414,7 +405,7 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
     knots_t, knots_H = _dedupe_knots(t, H)
     stats = dataset.standardization or Standardization.identity(dataset.d)
     return HazardModel(
-        w=np.append(w, 0.0), standardization=stats, event_times=knots_t, H=knots_H,
+        w=w, standardization=stats, event_times=knots_t, H=knots_H,
         unit=unit, loss_trace=trace, converged=converged,
     )
 

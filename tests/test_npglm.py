@@ -20,7 +20,7 @@ from hazardnet.npglm import (
     resolve_ties,
     sample_time,
 )
-from hazardnet.npglm import _breslow, _gradient, _hazard, _hessian, _w_objective
+from hazardnet.npglm import _gradient, _hazard, _hessian, _w_objective
 from hazardnet.synthetic import SynthConfig, generate
 
 
@@ -286,18 +286,6 @@ class TestOptimizeW:
 class TestProfile:
     """Pieces of the profile loss the Newton fit runs on."""
 
-    def test_breslow_matches_hazard(self):
-        rng = np.random.default_rng(59)
-        for _ in range(50):
-            n = int(rng.integers(1, 300))
-            e = np.exp(rng.normal(scale=2.0, size=n))
-            y = (rng.uniform(size=n) > 0.3).astype(float)
-            y[rng.integers(n)] = 1.0
-            ev = np.flatnonzero(y)
-            S0, H = _breslow(e, ev)
-            assert_allclose(H, _hazard(e, y), rtol=1e-12, atol=0)
-            assert_allclose(S0, np.cumsum(e[::-1])[::-1][ev], rtol=1e-12, atol=0)
-
     def test_hessian_matches_finite_differences(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
@@ -308,8 +296,8 @@ class TestProfile:
 
             def pieces(w):
                 e = np.exp(ds.x @ w)
-                S0, H = _breslow(e, ev)
-                return e, S0, H, _gradient(xt, e, H, y)
+                risk, H = _hazard(e, y)
+                return e, risk[ev], H, _gradient(xt, e, H, y)
 
             w = rng.normal(size=d) * 0.5
             e, S0, H, _ = pieces(w)
@@ -330,9 +318,15 @@ class TestFitMatchesPartialLikelihoodOracle:
         w_ref = fit_partial_likelihood_oracle(ds)
         assert model.w[-1] == 0.0
         assert_allclose(model.w[:-1], w_ref, rtol=0, atol=1e-5)
+        # the saved baseline and loss are compute_H's and loss's at model.w
+        H = compute_H(model.w, ds)
+        knots = np.append(np.diff(resolve_ties(ds.t, ds.y)) > 0, True)
+        assert_array_equal(model.H, H[knots])
+        assert model.loss_trace[-1] == loss(model.w, H, ds)
         w_ref = np.append(w_ref, 0.0)
         ref_loss = loss(w_ref, compute_H(w_ref, ds), ds)
-        # slack: the fit's risk sums add in another order than compute_H's
+        # slack: at the optimum both losses agree to within the rounding
+        # of their n-term sums
         assert model.loss_trace[-1] <= ref_loss + 1e-12 * max(1.0, abs(ref_loss))
 
     def test_random_datasets(self):
