@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from .datasets import Dataset, Standardization
+from .datasets import Dataset
 from .npglm import _CLAMP, PARAMETRIC_FAMILIES, HazardModel, augment
 
 __all__ = ["fit_parametric"]
@@ -38,25 +38,17 @@ def _negative_ll(theta, xa, y, t, log_t, learn_shape):
 
 
 def fit_parametric(dataset: Dataset, family: str = "weibull",
-                   max_steps: int = 500, grad_tol: float = 1e-8,
-                   unit: str = "", standardize: bool = True) -> HazardModel:
+                   unit: str = "") -> HazardModel:
     """Maximum-likelihood fit of one parametric family.
 
-    Starts from zero coefficients and unit shape.  A dataset without a
-    recorded feature transform is standardized first (unless disabled).
+    Starts from zero coefficients and unit shape, on the features of
+    ``Dataset.fit_features``.
     """
     if family not in PARAMETRIC_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
-    stats = dataset.standardization
-    x = dataset.x
-    if stats is None:
-        if standardize:
-            stats = Standardization.fit(x)
-            x = stats.apply(x)
-        else:
-            stats = Standardization.identity(dataset.d)
+    x, stats = dataset.fit_features()
     xa = augment(x)
     y = dataset.y.astype(float)
     t = dataset.t
@@ -66,7 +58,7 @@ def fit_parametric(dataset: Dataset, family: str = "weibull",
     res = minimize(
         _negative_ll, theta0, args=(xa, y, t, log_t, learn_shape),
         jac=True, method="L-BFGS-B",
-        options={"maxiter": max_steps, "gtol": grad_tol, "ftol": 1e-14},
+        options={"maxiter": 500, "gtol": 1e-8, "ftol": 1e-14},
     )
     if not np.isfinite(res.fun):
         raise FloatingPointError("non-finite likelihood while fitting baseline")

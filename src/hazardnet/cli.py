@@ -35,13 +35,7 @@ from .datasets import (
     save_dataset,
 )
 from .graph import GraphError, load_graph_file, load_schema
-from .metapaths import (
-    MetaPathError,
-    PrefixCache,
-    dynamic_series,
-    parse_metapath,
-    read_metapath_file,
-)
+from .metapaths import MetaPathError, dynamic_series, parse_metapath, read_metapath_file
 from .metrics import evaluate
 from .npglm import HazardModel
 from .synthetic import SynthConfig, draw_dataset, generate, save_truth
@@ -53,7 +47,7 @@ _PARAMETRIC_FAMILY = {"expglm": "exponential", "wblglm": "weibull"}
 
 
 def env_threads() -> int | None:
-    """Worker cap from HAZARDNET_THREADS, if set to a positive integer."""
+    """Sweep process cap from HAZARDNET_THREADS, if set to a positive integer."""
     raw = os.environ.get("HAZARDNET_THREADS")
     if not raw:
         return None
@@ -116,17 +110,15 @@ def cmd_features(args) -> int:
             f"feature window ends at {window.feature_end}, beyond the last "
             f"recorded link at {births[-1]}")
 
-    cache = PrefixCache()
-    cands = candidate_pairs(graph, paths, window, cache)
+    cands = candidate_pairs(graph, paths, window)
     if not cands:
         raise DatasetError("no candidate pairs reachable by the feature paths")
-    labels = label_pairs(graph, target, window, cands, cache)
+    labels = label_pairs(graph, target, window, cands)
     log.info("labeled %d pairs (%d observed)", len(labels),
              sum(1 for rec in labels if rec[1] == 1))
 
     series = dynamic_series(graph, paths, window.snapshot_plan(),
-                            [rec[0] for rec in labels], cache=cache,
-                            threads=env_threads() or 1)
+                            [rec[0] for rec in labels])
     if args.aggregator == "stack":
         feats = {s.pair: aggregate_stack(s) for s in series}
     else:

@@ -143,6 +143,17 @@ class Dataset:
     def n_observed(self) -> int:
         return int(self.y.sum())
 
+    def fit_features(self) -> tuple[np.ndarray, Standardization]:
+        """Features a model is fitted on, with the transform they carry.
+
+        A recorded transform is kept and the stored features used as they
+        are; without one, the features are standardized here.
+        """
+        if self.standardization is not None:
+            return self.x, self.standardization
+        stats = Standardization.fit(self.x)
+        return stats.apply(self.x), stats
+
     @property
     def raw_x(self) -> np.ndarray:
         """Features mapped back to raw space (inverts any standardization)."""
@@ -157,19 +168,6 @@ def _sort_order(t, y, pairs):
     return np.asarray(keys, dtype=np.int64)
 
 
-def _eval_point_after(graph: TemporalGraph, link_types: list[str], t: float) -> float:
-    """A timestamp strictly above t but below the next link birth.
-
-    Counts only change at link births, so the strict-inequality snapshot
-    evaluated there sees exactly the links born up to and including t.
-    """
-    births = graph.birth_times(link_types)
-    later = births[births > t]
-    if later.size:
-        return (t + float(later[0])) / 2.0
-    return t + 1.0
-
-
 def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
                 candidates: list[tuple[int, int]],
                 cache: PrefixCache | None = None) -> list[tuple[tuple[int, int], int, float]]:
@@ -179,32 +177,31 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     observation window gets (y=1, t = t_r - feature_end); a pair with no
     instance by the end of observation gets (y=0, t = omega).  Pairs
     already related by the end of the feature window are dropped.
+    ``cache`` is accepted and ignored.
     """
     if not candidates:
         raise DatasetError("empty candidate list")
-    if cache is None:
-        cache = PrefixCache()
     step_types = sorted({name for name, _ in target.steps})
     rows = np.asarray([p[0] for p in candidates], dtype=np.int64)
     cols = np.asarray([p[1] for p in candidates], dtype=np.int64)
 
     t_end = window.feature_end
-    t1 = window.observation_end
+    # Change points: the feature-window end, then the births of the
+    # target's constituent link types inside the observation window.
+    births = graph.birth_times(step_types)
+    points = np.append(t_end, births[(births > t_end) & (births <= window.observation_end)])
+    # Counts only change at link births, so a snapshot strictly between a
+    # change point and the next birth sees exactly the links born up to
+    # and including the change point.
+    later = np.append(births, np.inf)[np.searchsorted(births, points, side="right")]
+    taus = np.where(np.isfinite(later), (points + later) / 2.0, points + 1.0)
 
     # Already related by the end of the feature window (instance born <= t_end).
-    tau0 = _eval_point_after(graph, step_types, t_end)
-    related0 = metapath_matrix(graph, target, tau0, cache=cache).counts_at(rows, cols) > 0
-
-    # Change points inside the observation window: births of the target's
-    # constituent link types.
-    births = graph.birth_times(step_types)
-    births = births[(births > t_end) & (births <= t1)]
-
+    related0 = metapath_matrix(graph, target, float(taus[0])).counts_at(rows, cols) > 0
     formed = related0.copy()
     first_time = np.full(len(candidates), np.nan)
-    for b in births:
-        tau = _eval_point_after(graph, step_types, float(b))
-        counts = metapath_matrix(graph, target, tau, cache=cache).counts_at(rows, cols)
+    for b, tau in zip(points[1:], taus[1:]):
+        counts = metapath_matrix(graph, target, float(tau)).counts_at(rows, cols)
         newly = (~formed) & (counts > 0)
         first_time[newly] = b
         formed |= newly
@@ -223,13 +220,13 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
 def candidate_pairs(graph: TemporalGraph, feature_paths: list[MetaPath],
                     window: WindowConfig,
                     cache: PrefixCache | None = None) -> list[tuple[int, int]]:
-    """Pairs with at least one nonzero feature count at the feature-window end."""
-    if cache is None:
-        cache = PrefixCache()
+    """Pairs with at least one nonzero feature count at the feature-window end.
+
+    ``cache`` is accepted and ignored.
+    """
     seen = set()
     for path in feature_paths:
-        m = metapath_matrix(graph, path, window.feature_end, cache=cache)
-        seen.update(m.nonzero_pairs())
+        seen.update(metapath_matrix(graph, path, window.feature_end).nonzero_pairs())
     return sorted(seen)
 
 
@@ -321,30 +318,64 @@ def save_dataset(path, dataset: Dataset):
         side.unlink()
 
 
+def _parses(convert, raw: str) -> bool:
+    try:
+        convert(raw)
+    except ValueError:
+        return False
+    return True
+
+
 def load_dataset(path) -> Dataset:
-    """Read a labeled dataset CSV (and its standardization sidecar if present)."""
+    """Read a labeled dataset CSV (and its standardization sidecar if present).
+
+    A malformed row raises ``DatasetError`` naming the file and line, and
+    the column where one is at fault: a wrong field count, a field that
+    does not parse, y outside {0, 1}, a t that is not a positive finite
+    time, or a non-finite feature.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:4] != ["src", "dst", "y", "t"]:
             raise DatasetError(f"{path}: expected header src,dst,y,t,x_0..")
         d = len(header) - 4
-        pairs, ys, ts, xs = [], [], [], []
+        pairs, ys, ts, xs, lines = [], [], [], [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != 4 + d:
-                raise DatasetError(f"{path}: row with {len(row)} fields, expected {4 + d}")
-            pairs.append((int(row[0]), int(row[1])))
-            ys.append(int(row[2]))
-            ts.append(float(row[3]))
-            xs.append([float(v) for v in row[4:]])
+                raise DatasetError(f"{path}: line {reader.line_num}: row with "
+                                   f"{len(row)} fields, expected {4 + d}")
+            try:
+                pairs.append((int(row[0]), int(row[1])))
+                ys.append(int(row[2]))
+                ts.append(float(row[3]))
+                xs.append([float(v) for v in row[4:]])
+            except ValueError:
+                j = next(j for j, raw in enumerate(row)
+                         if not _parses(int if j < 3 else float, raw))
+                kind = "an integer" if j < 3 else "a number"
+                raise DatasetError(f"{path}: line {reader.line_num}, column {header[j]}: "
+                                   f"{row[j]!r} is not {kind}") from None
+            lines.append(reader.line_num)
+    y = np.asarray(ys, dtype=np.int64)
+    t = np.asarray(ts, dtype=float)
+    x = np.asarray(xs, dtype=float) if xs else np.empty((0, d))
+    for name, values, ok, rule in (
+            ("y", y, (y == 0) | (y == 1), "is not 0 or 1"),
+            ("t", t, np.isfinite(t) & (t > 0), "is not a positive finite time")):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise DatasetError(
+                f"{path}: line {lines[i]}, column {name}: {values[i].item()!r} {rule}")
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise DatasetError(
+            f"{path}: line {lines[i]}, column {header[4 + j]}: {x[i, j].item()!r} is not finite")
     stats = None
     side = _sidecar_path(path)
     if side.exists():
         with open(side, "r", encoding="utf-8") as fh:
             stats = Standardization.from_dict(json.load(fh))
-    x = np.asarray(xs, dtype=float) if xs else np.empty((0, d))
-    return Dataset(x=x, y=np.asarray(ys, dtype=np.int64), t=np.asarray(ts, dtype=float),
-                   pairs=pairs, standardization=stats)
-
+    return Dataset(x=x, y=y, t=t, pairs=pairs, standardization=stats)

@@ -251,11 +251,6 @@ class SparseCountMatrix:
     def todense(self) -> np.ndarray:
         return self.csr.toarray()
 
-    def binarized(self) -> "SparseCountMatrix":
-        out = self.csr.copy()
-        out.data = np.ones_like(out.data)
-        return SparseCountMatrix(out)
-
     def max_count(self) -> int:
         return int(self.csr.data.max()) if self.csr.nnz else 0
 
@@ -316,22 +311,20 @@ def load_graph_file(schema: Schema, path) -> TemporalGraph:
         return load_graph(schema, fh)
 
 
-def time_aware_adjacency(graph: TemporalGraph, link_type: str, tau: float,
-                         binarize: bool = False) -> SparseCountMatrix:
+def time_aware_adjacency(graph: TemporalGraph, link_type: str,
+                         tau: float) -> SparseCountMatrix:
     """Count matrix of links alive at ``tau``: birth < tau and tau <= death.
 
-    Entry (a, b) counts the parallel links of this type between a and b;
-    with ``binarize`` the counts collapse to 0/1.
+    Entry (a, b) counts the parallel links of this type between a and b.
     """
     lt = graph.schema.link_type(link_type)
     store = graph.links_of(link_type)
     shape = (graph.node_count(lt.src), graph.node_count(lt.dst))
     alive = (store.birth < tau) & (tau <= store.death)
-    m = SparseCountMatrix.from_coo(
+    return SparseCountMatrix.from_coo(
         store.src[alive], store.dst[alive], np.ones(int(alive.sum()), dtype=np.int64),
         shape,
     )
-    return m.binarized() if binarize else m
 
 
 def transpose(m: SparseCountMatrix) -> SparseCountMatrix:

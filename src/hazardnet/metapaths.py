@@ -2,15 +2,14 @@
 
 A meta-path is a typed walk over the schema graph, written as whitespace
 separated steps: ``name>`` follows the link type forward, ``<name``
-backward.  Its count matrix at a timestamp is the ordered product of the
-per-step adjacency matrices; a prefix cache shares products between paths
-with common leading steps, and even-length palindromic paths are folded to
-``X @ X.T`` of their half product.
+backward.  Its count matrix at a timestamp is the left-to-right product
+of the per-step adjacency matrices at that timestamp; even-length
+palindromic paths are folded to ``X @ X.T`` of their half product.  No
+product is kept between calls.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,69 +114,38 @@ def parse_metapath(expr: str, schema: Schema) -> MetaPath:
 
 
 class PrefixCache:
-    """Memo of step-prefix products keyed by (steps, tau).
+    """Accepted as ``cache`` and ignored; holds nothing, so its length is 0.
 
-    Entries are immutable once stored; computing a key twice yields the
-    shared object, so concurrent readers are safe.
+    No count matrix is kept between calls.  The name stays for callers
+    that still create one and pass it on.
     """
 
-    def __init__(self):
-        self._store: dict[tuple, SparseCountMatrix] = {}
-
-    def get(self, key):
-        return self._store.get(key)
-
-    def put(self, key, value: SparseCountMatrix):
-        return self._store.setdefault(key, value)
-
     def __len__(self):
-        return len(self._store)
+        return 0
 
 
-def _step_matrix(graph: TemporalGraph, step, tau, binarize) -> SparseCountMatrix:
+def _step_matrix(graph: TemporalGraph, step, tau) -> SparseCountMatrix:
     name, direction = step
-    m = time_aware_adjacency(graph, name, tau, binarize=binarize)
+    m = time_aware_adjacency(graph, name, tau)
     return m if direction == FORWARD else transpose(m)
 
 
-def _product_of(graph, steps, tau, cache: PrefixCache | None, binarize) -> SparseCountMatrix:
-    acc = None
-    for i, step in enumerate(steps):
-        key = (steps[: i + 1], tau, binarize)
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                acc = hit
-                continue
-        m = _step_matrix(graph, step, tau, binarize)
-        acc = m if acc is None else spmm(acc, m)
-        if cache is not None:
-            acc = cache.put(key, acc)
+def _product_of(graph, steps, tau) -> SparseCountMatrix:
+    acc = _step_matrix(graph, steps[0], tau)
+    for step in steps[1:]:
+        acc = spmm(acc, _step_matrix(graph, step, tau))
     return acc
 
 
-def metapath_matrix(graph: TemporalGraph, path: MetaPath, tau: float,
-                    cache: PrefixCache | None = None,
-                    binarize: bool = False) -> SparseCountMatrix:
+def metapath_matrix(graph: TemporalGraph, path: MetaPath, tau: float) -> SparseCountMatrix:
     """Path-instance count matrix of ``path`` at timestamp ``tau``.
 
-    Palindromic paths are computed as X @ X.T from their half product;
-    prefix products are shared through ``cache`` when one is given.
+    Palindromic paths are computed as X @ X.T from their half product.
     """
-    full_key = (("__path__",) + path.steps, tau, binarize)
-    if cache is not None:
-        hit = cache.get(full_key)
-        if hit is not None:
-            return hit
-    if path.is_palindrome and len(path.steps) >= 2:
-        half_steps = path.steps[: len(path.steps) // 2]
-        x = _product_of(graph, half_steps, tau, cache, binarize)
-        result = spmm(x, transpose(x))
-    else:
-        result = _product_of(graph, path.steps, tau, cache, binarize)
-    if cache is not None:
-        result = cache.put(full_key, result)
-    return result
+    if path.is_palindrome:
+        x = _product_of(graph, path.steps[: len(path.steps) // 2], tau)
+        return spmm(x, transpose(x))
+    return _product_of(graph, path.steps, tau)
 
 
 @dataclass(frozen=True)
@@ -229,14 +197,12 @@ class PairSeries:
 def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPlan,
                    pairs: list[tuple[int, int]],
                    cache: PrefixCache | None = None,
-                   binarize: bool = False,
                    threads: int = 1) -> list[PairSeries]:
     """Per-pair snapshot-difference series over the given meta-paths.
 
     Entry (i, j) of each series is the count of path j instances at
-    ``t0 + (i+1)*delta`` minus the count at ``t0 + i*delta``.  With
-    ``threads`` > 1 the paths are evaluated concurrently; results are
-    identical to the sequential order.
+    ``t0 + (i+1)*delta`` minus the count at ``t0 + i*delta``.  ``cache``
+    and ``threads`` are accepted and ignored.
     """
     if not paths:
         raise MetaPathError("at least one meta-path is required")
@@ -244,28 +210,13 @@ def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPl
     dst_types = {p.target for p in paths}
     if len(src_types) != 1 or len(dst_types) != 1:
         raise MetaPathError("all feature meta-paths must share endpoint node types")
-    if cache is None:
-        cache = PrefixCache()
-    taus = plan.boundaries()
     rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
     cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
-
-    def counts_for(path: MetaPath) -> np.ndarray:
-        # (k+1) x n_pairs raw counts at each boundary timestamp
-        out = np.empty((plan.k + 1, len(pairs)), dtype=np.int64)
-        for i, tau in enumerate(taus):
-            m = metapath_matrix(graph, path, float(tau), cache=cache, binarize=binarize)
-            out[i] = m.counts_at(rows, cols)
-        return out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_path = list(pool.map(counts_for, paths))
-    else:
-        per_path = [counts_for(p) for p in paths]
-
-    # stacked: (k+1) x n_pairs x d
-    stacked = np.stack(per_path, axis=-1)
+    # raw counts at each boundary timestamp: (k+1) x n_pairs x d
+    stacked = np.empty((plan.k + 1, len(pairs), len(paths)), dtype=np.int64)
+    for i, tau in enumerate(plan.boundaries()):
+        for j, path in enumerate(paths):
+            stacked[i, :, j] = metapath_matrix(graph, path, float(tau)).counts_at(rows, cols)
     diffs = np.diff(stacked, axis=0)
     return [
         PairSeries(pair=tuple(pairs[j]), series=diffs[:, j, :], base=stacked[0, j, :])

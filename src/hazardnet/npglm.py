@@ -342,8 +342,7 @@ def _dedupe_knots(t: np.ndarray, H: np.ndarray):
     return t[keep], H[keep]
 
 
-def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
-        standardize: bool = True) -> HazardModel:
+def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> HazardModel:
     """Damped Newton descent on the profile loss P(w) = loss(w, H(w)),
     with H(w) the Breslow estimator.
 
@@ -356,19 +355,15 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
     an iteration changes P by less than the threshold (also when no step
     can lower P by a representable amount), or after ``max_outer``
     iterations (returned with ``converged=False``).  The saved H and loss
-    trace equal ``compute_H`` and ``loss`` at the returned w.  A dataset
-    without a recorded feature transform is standardized first (unless
-    disabled).
+    trace equal ``compute_H`` and ``loss`` at the returned w, on the
+    features of ``Dataset.fit_features``.
     """
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
-    if dataset.standardization is None and standardize and dataset.d > 0:
-        stats = Standardization.fit(dataset.x)
-        dataset = Dataset(x=stats.apply(dataset.x), y=dataset.y, t=dataset.t,
-                          pairs=dataset.pairs, standardization=stats)
+    x, stats = dataset.fit_features()
     y, t = _prepared(dataset)
-    xa = augment(dataset.x)
-    xt = np.ascontiguousarray(dataset.x.T)
+    xa = augment(x)
+    xt = np.ascontiguousarray(x.T)
     ev = np.flatnonzero(y)
 
     def profile(w):
@@ -403,7 +398,6 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "",
             converged = True
             break
     knots_t, knots_H = _dedupe_knots(t, H)
-    stats = dataset.standardization or Standardization.identity(dataset.d)
     return HazardModel(
         w=w, standardization=stats, event_times=knots_t, H=knots_H,
         unit=unit, loss_trace=trace, converged=converged,

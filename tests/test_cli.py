@@ -95,6 +95,25 @@ def synth_dir(tmp_path):
     return out
 
 
+class TestMalformedDataset:
+    GOOD = "src,dst,y,t,x_0\n0,1,1,1.0,0.5\n1,2,0,3.0,-0.5\n"
+
+    @pytest.mark.parametrize("row, column", [
+        ("2,3,1,2.0", None),  # 4 fields
+        ("2,x,1,2.0,0.5", "dst"),
+        ("2,3,1,2.0,abc", "x_0"),
+        ("2,3,1,nan,0.5", "t"),
+        ("2,3,1,2.0,inf", "x_0"),
+    ])
+    def test_fit_names_file_line_and_column(self, tmp_path, caplog, row, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.GOOD + row + "\n")
+        assert run("fit", "--model", "npglm", "--input", path,
+                   "--out", tmp_path / "m.json") == 2
+        where = f"{path}: line 4" + (f", column {column}:" if column else ":")
+        assert where in caplog.text
+
+
 class TestFitPredictQuery:
     @pytest.mark.parametrize("model_name", ["npglm", "expglm", "wblglm"])
     def test_fit_predict_round_trip(self, tmp_path, synth_dir, model_name):

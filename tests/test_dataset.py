@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -16,7 +19,14 @@ from hazardnet.datasets import (
     save_dataset,
     subsample_censored,
 )
-from hazardnet.metapaths import PairSeries, parse_metapath, read_metapath_file, dynamic_series
+from hazardnet.graph import LinkType, Schema, TemporalGraph
+from hazardnet.metapaths import (
+    PairSeries,
+    PrefixCache,
+    dynamic_series,
+    parse_metapath,
+    read_metapath_file,
+)
 
 from conftest import EXPECTED_ROWS, WINDOW
 
@@ -182,6 +192,56 @@ class TestFixturePipeline:
         target = parse_metapath("write> <write", schema)
         with pytest.raises(DatasetError):
             label_pairs(graph, target, WindowConfig(**WINDOW), [])
+
+
+class TestLabelPairsMemory:
+    """``label_pairs`` keeps no count matrix per change point."""
+
+    SCHEMA = Schema(("A", "P"), (LinkType("write", "A", "P"),))
+    N_AUTHORS = 60
+
+    def graph(self, n_change_points):
+        """Co-authorship graph: 120 papers in the feature window [0, 4],
+        then one paper at each of ``n_change_points`` distinct times in
+        the observation window (4, 10]."""
+        rng = np.random.default_rng(7)
+        g = TemporalGraph(self.SCHEMA)
+        for a in range(self.N_AUTHORS):  # fixes author indices 0..59
+            g.add_link("write", f"a{a}", f"solo{a}", 0.5)
+        births = np.concatenate([rng.integers(0, 4, 120).astype(float),
+                                 4.0 + 6.0 * (np.arange(n_change_points) + 0.5)
+                                 / n_change_points])
+        for p, birth in enumerate(births):
+            for a in rng.choice(self.N_AUTHORS, size=2, replace=False):
+                g.add_link("write", f"a{a}", f"p{p}", birth)
+        return g.freeze()
+
+    def held_after_labeling(self, n_change_points):
+        graph = self.graph(n_change_points)
+        window = WindowConfig(t0=0.0, phi=4.0, omega=6.0, delta=2.0, k=2)
+        births = graph.birth_times(["write"])
+        assert np.sum(births > window.feature_end) == n_change_points
+        target = parse_metapath("write> <write", self.SCHEMA)
+        cands = [(a, b) for a in range(self.N_AUTHORS)
+                 for b in range(self.N_AUTHORS) if a != b]
+        cache = PrefixCache()  # passed as the benchmark harness does
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            labels = label_pairs(graph, target, window, cands, cache)
+            assert any(y == 1 for _, y, _ in labels)
+            del labels
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_held_memory_does_not_grow_with_change_points(self):
+        few = self.held_after_labeling(10)
+        many = self.held_after_labeling(300)
+        # A memo of per-time products held about 16 kB per change point here.
+        assert many - few < 64_000, (few, many)
 
 
 class TestSubsample:

@@ -151,7 +151,6 @@ class TestTimeAwareAdjacency:
         g.add_link("write", "a0", "p0", 2.0)
         g.freeze()
         assert time_aware_adjacency(g, "write", 3.0).count(0, 0) == 2
-        assert time_aware_adjacency(g, "write", 3.0, binarize=True).count(0, 0) == 1
 
 
 class TestSparseCountMatrix:
@@ -180,10 +179,6 @@ class TestSparseCountMatrix:
         assert a == b and a != c
         with pytest.raises(TypeError):
             hash(a)
-
-    def test_binarized(self):
-        m = SparseCountMatrix.from_coo([0, 1], [0, 1], [7, 1], (2, 2))
-        assert m.binarized().todense().tolist() == [[1, 0], [0, 1]]
 
     def test_identity_and_zeros(self):
         eye = SparseCountMatrix.identity(3)

@@ -165,15 +165,6 @@ class TestMetapathMatrix:
             assert_array_equal(metapath_matrix(g, p, tau).todense(),
                                dfs_count_oracle(g, p, tau))
 
-    def test_binarize_collapses_multiplicity(self):
-        g = TemporalGraph(SCHEMA)
-        g.add_link("write", "a0", "p0", 1.0)
-        g.add_link("write", "a0", "p0", 1.2)
-        g.freeze()
-        p = parse_metapath("write> <write", SCHEMA)
-        assert metapath_matrix(g, p, 2.0).count(0, 0) == 4
-        assert metapath_matrix(g, p, 2.0, binarize=True).count(0, 0) == 1
-
     def test_random_graphs_match_dfs_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
@@ -181,29 +172,6 @@ class TestMetapathMatrix:
             tau = float(rng.uniform(0, 12))
             assert_array_equal(metapath_matrix(g, p, tau).todense(),
                                dfs_count_oracle(g, p, tau))
-
-
-class TestPrefixCache:
-    def test_shared_prefixes_computed_once(self):
-        g = two_author_graph()
-        cache = PrefixCache()
-        p1 = parse_metapath("write> cite> <write", SCHEMA)
-        p2 = parse_metapath("write> cite> <publish", SCHEMA)
-        a = metapath_matrix(g, p1, 5.0, cache=cache)
-        size_after_first = len(cache)
-        b = metapath_matrix(g, p2, 5.0, cache=cache)
-        assert len(cache) > size_after_first
-        # results identical to the uncached route
-        assert a == metapath_matrix(g, p1, 5.0)
-        assert b == metapath_matrix(g, p2, 5.0)
-
-    def test_cache_keys_include_tau(self):
-        g = two_author_graph()
-        cache = PrefixCache()
-        p = parse_metapath("write> <write", SCHEMA)
-        m1 = metapath_matrix(g, p, 2.0, cache=cache)
-        m2 = metapath_matrix(g, p, 5.0, cache=cache)
-        assert m1 != m2
 
 
 class TestSnapshots:
@@ -235,16 +203,18 @@ class TestSnapshots:
         for s in dynamic_series(g, [p], plan, pairs):
             assert s.base[0] + s.series[:, 0].sum() == final.count(*s.pair)
 
-    def test_threaded_equals_sequential(self):
+    def test_cache_and_threads_are_ignored(self):
         g = two_author_graph()
         paths = [parse_metapath(e, SCHEMA) for e in
                  ("write> <write", "write> cite> <write",
                   "write> <publish publish> <write")]
         plan = SnapshotPlan(t0=0.0, delta=1.0, k=5)
         pairs = [(0, 1), (1, 0), (0, 0)]
-        seq = dynamic_series(g, paths, plan, pairs, threads=1)
-        par = dynamic_series(g, paths, plan, pairs, threads=3)
-        for a, b in zip(seq, par):
+        cache = PrefixCache()
+        plain = dynamic_series(g, paths, plan, pairs)
+        given = dynamic_series(g, paths, plan, pairs, cache=cache, threads=3)
+        assert len(cache) == 0
+        for a, b in zip(plain, given):
             assert a.pair == b.pair
             assert_array_equal(a.series, b.series)
             assert_array_equal(a.base, b.base)
