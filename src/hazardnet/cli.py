@@ -205,21 +205,30 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _read_predictions(path) -> tuple[np.ndarray, np.ndarray]:
+def _read_predictions(path) -> np.ndarray:
+    """The t_pred column; a value that does not parse or is NaN raises
+    ValueError naming the file, line and column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "t_pred" not in reader.fieldnames:
             raise ValueError(f"{path} lacks a t_pred column")
-        times, flags = [], []
+        times = []
         for row in reader:
-            times.append(float(row["t_pred"]))
-            flags.append(int(row.get("horizon_exceeded", 0) or 0))
-    return np.asarray(times), np.asarray(flags)
+            raw = row["t_pred"]
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):  # TypeError: the row ends before t_pred
+                value = float("nan")
+            if np.isnan(value):
+                raise ValueError(f"{path}: line {reader.line_num}, column t_pred: "
+                                 f"{raw!r} is not a number")
+            times.append(value)
+    return np.asarray(times)
 
 
 def cmd_eval(args) -> int:
     truth = load_dataset(args.truth)
-    t_pred, _ = _read_predictions(args.pred)
+    t_pred = _read_predictions(args.pred)
     if len(t_pred) != truth.n:
         raise ValueError(
             f"{len(t_pred)} predictions for {truth.n} truth rows")

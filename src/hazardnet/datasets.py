@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +166,8 @@ class Dataset:
 
 def _sort_order(t, y, pairs):
     # ascending t; observed (y=1) before censored on ties; pair id last
-    keys = sorted(range(len(t)), key=lambda i: (t[i], -y[i], pairs[i]))
-    return np.asarray(keys, dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.lexsort((pairs[:, 1], pairs[:, 0], -y, t))
 
 
 def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
@@ -206,15 +208,11 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
         first_time[newly] = b
         formed |= newly
 
-    labeled = []
-    for i, pair in enumerate(candidates):
-        if related0[i]:
-            continue  # group 1: related within the feature window
-        if np.isfinite(first_time[i]):
-            labeled.append((tuple(pair), 1, float(first_time[i]) - t_end))
-        else:
-            labeled.append((tuple(pair), 0, float(window.omega)))
-    return labeled
+    keep = ~related0  # group 1, related within the feature window, is dropped
+    observed = np.isfinite(first_time[keep])
+    y = observed.astype(np.int64).tolist()
+    t = np.where(observed, first_time[keep] - t_end, float(window.omega)).tolist()
+    return list(zip(map(tuple, compress(candidates, keep.tolist())), y, t))
 
 
 def candidate_pairs(graph: TemporalGraph, feature_paths: list[MetaPath],
@@ -299,23 +297,33 @@ def _sidecar_path(path) -> Path:
     return p.with_suffix(p.suffix + ".standardization.json")
 
 
+# Rows formatted per write in save_dataset: bounds the strings held at once.
+_SAVE_CHUNK = 1024
+
+
 def save_dataset(path, dataset: Dataset):
     """Write the labeled dataset CSV; standardization goes to a JSON sidecar."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "y", "t"] + [f"x_{j}" for j in range(dataset.d)])
-        for i in range(dataset.n):
-            src, dst = dataset.pairs[i]
-            writer.writerow(
-                [src, dst, int(dataset.y[i]), repr(float(dataset.t[i]))]
-                + [repr(float(v)) for v in dataset.x[i]]
-            )
+        csv.writer(fh).writerow(["src", "dst", "y", "t"] + [f"x_{j}" for j in range(dataset.d)])
+        for a in range(0, dataset.n, _SAVE_CHUNK):
+            b = a + _SAVE_CHUNK
+            keys = (f"{src},{dst},{y}," for (src, dst), y
+                    in zip(dataset.pairs[a:b], dataset.y[a:b].tolist()))
+            values = np.column_stack((dataset.t[a:b], dataset.x[a:b])).tolist()
+            fh.writelines(k + ",".join(map(repr, v)) + "\r\n" for k, v in zip(keys, values))
     side = _sidecar_path(path)
     if dataset.standardization is not None:
         with open(side, "w", encoding="utf-8") as fh:
             json.dump(dataset.standardization.to_dict(), fh)
     elif side.exists():
         side.unlink()
+
+
+def _int64(raw: str) -> int:
+    value = int(raw)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{raw!r} overflows int64")
+    return value
 
 
 def _parses(convert, raw: str) -> bool:
@@ -326,21 +334,28 @@ def _parses(convert, raw: str) -> bool:
     return True
 
 
-def load_dataset(path) -> Dataset:
-    """Read a labeled dataset CSV (and its standardization sidecar if present).
+def _first_bad_value(y, t, x, header):
+    """(row index, "column ...: message") of the first rejected y, t or feature, or None."""
+    for name, values, ok, rule in (
+            ("y", y, (y == 0) | (y == 1), "is not 0 or 1"),
+            ("t", t, np.isfinite(t) & (t > 0), "is not a positive finite time")):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            return i, f"column {name}: {values[i].item()!r} {rule}"
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        return int(i), f"column {header[4 + j]}: {x[i, j].item()!r} is not finite"
+    return None
 
-    A malformed row raises ``DatasetError`` naming the file and line, and
-    the column where one is at fault: a wrong field count, a field that
-    does not parse, y outside {0, 1}, a t that is not a positive finite
-    time, or a non-finite feature.
-    """
+
+def _raise_first_fault(path, header):
+    """Re-read a dataset CSV row by row and raise the DatasetError that names
+    the file, line and column of its first fault; return if none is found."""
+    d = len(header) - 4
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != ["src", "dst", "y", "t"]:
-            raise DatasetError(f"{path}: expected header src,dst,y,t,x_0..")
-        d = len(header) - 4
-        pairs, ys, ts, xs, lines = [], [], [], [], []
+        next(reader)
+        ys, ts, xs, lines = [], [], [], []
         for row in reader:
             if not row:
                 continue
@@ -348,34 +363,56 @@ def load_dataset(path) -> Dataset:
                 raise DatasetError(f"{path}: line {reader.line_num}: row with "
                                    f"{len(row)} fields, expected {4 + d}")
             try:
-                pairs.append((int(row[0]), int(row[1])))
-                ys.append(int(row[2]))
+                _int64(row[0]), _int64(row[1])  # src and dst must parse
+                ys.append(_int64(row[2]))
                 ts.append(float(row[3]))
                 xs.append([float(v) for v in row[4:]])
             except ValueError:
                 j = next(j for j, raw in enumerate(row)
-                         if not _parses(int if j < 3 else float, raw))
-                kind = "an integer" if j < 3 else "a number"
+                         if not _parses(_int64 if j < 3 else float, raw))
+                kind = "a 64-bit integer" if j < 3 else "a number"
                 raise DatasetError(f"{path}: line {reader.line_num}, column {header[j]}: "
                                    f"{row[j]!r} is not {kind}") from None
             lines.append(reader.line_num)
-    y = np.asarray(ys, dtype=np.int64)
-    t = np.asarray(ts, dtype=float)
     x = np.asarray(xs, dtype=float) if xs else np.empty((0, d))
-    for name, values, ok, rule in (
-            ("y", y, (y == 0) | (y == 1), "is not 0 or 1"),
-            ("t", t, np.isfinite(t) & (t > 0), "is not a positive finite time")):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise DatasetError(
-                f"{path}: line {lines[i]}, column {name}: {values[i].item()!r} {rule}")
-    if not np.isfinite(x).all():
-        i, j = np.argwhere(~np.isfinite(x))[0]
-        raise DatasetError(
-            f"{path}: line {lines[i]}, column {header[4 + j]}: {x[i, j].item()!r} is not finite")
+    bad = _first_bad_value(np.asarray(ys, dtype=np.int64), np.asarray(ts, dtype=float), x, header)
+    if bad is not None:
+        raise DatasetError(f"{path}: line {lines[bad[0]]}, {bad[1]}")
+
+
+def load_dataset(path) -> Dataset:
+    """Read a labeled dataset CSV (and its standardization sidecar if present).
+
+    The body is parsed in one ``np.loadtxt`` call.  A malformed row raises
+    ``DatasetError`` naming the file and line, and the column where one is
+    at fault: a wrong field count, a field that does not parse, y outside
+    {0, 1}, a t that is not a positive finite time, or a non-finite
+    feature.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if header[:4] != ["src", "dst", "y", "t"]:
+            raise DatasetError(f"{path}: expected header src,dst,y,t,x_0..")
+        dtype = [("src", np.int64), ("dst", np.int64), ("y", np.int64), ("t", float),
+                 ("x", float, (len(header) - 4,))]
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1)
+        except ValueError as exc:
+            fault = str(exc)
+        else:
+            bad = _first_bad_value(body["y"], body["t"], body["x"], header)
+            fault = bad and bad[1]
+    if fault:
+        _raise_first_fault(path, header)
+        raise DatasetError(f"{path}: {fault}")
     stats = None
     side = _sidecar_path(path)
     if side.exists():
         with open(side, "r", encoding="utf-8") as fh:
             stats = Standardization.from_dict(json.load(fh))
-    return Dataset(x=x, y=y, t=t, pairs=pairs, standardization=stats)
+    return Dataset(x=np.ascontiguousarray(body["x"]), y=body["y"].copy(), t=body["t"].copy(),
+                   pairs=list(zip(body["src"].tolist(), body["dst"].tolist())),
+                   standardization=stats)

@@ -81,28 +81,59 @@ def point_metrics(t_true, y, t_pred, thresholds=()) -> EvalReport:
     return report
 
 
+def _count_below(values, start, bound):
+    """For each query k, the number of j >= start[k] with values[j] < bound[k].
+
+    ``values`` are non-negative integers.  A wavelet matrix is built and
+    walked in the same pass, one bit per level from the top: each level
+    stably partitions the sequence by its bit, and a query range follows
+    its bound's bit into the zeros or the ones, first counting the zeros
+    it passes over when that bit is 1.  O((n + q) log max) work, O(n) memory.
+    """
+    n = len(values)
+    lo = start
+    hi = np.full(len(lo), n)
+    below = np.zeros(len(lo), dtype=np.int64)
+    for level in reversed(range(int(max(values.max(), bound.max())).bit_length())):
+        zero = (values >> level) & 1 == 0
+        zeros_before = np.concatenate(([0], np.cumsum(zero)))
+        n_zeros = zeros_before[-1]
+        up = (bound >> level) & 1 == 1
+        lo0, hi0 = zeros_before[lo], zeros_before[hi]
+        below += np.where(up, hi0 - lo0, 0)
+        lo = np.where(up, n_zeros + lo - lo0, lo0)
+        hi = np.where(up, n_zeros + hi - hi0, hi0)
+        values = np.concatenate((values[zero], values[~zero]))
+    return below
+
+
 def concordance_index(t_true, y, t_pred) -> float:
     """Harrell's pairwise concordance over comparable pairs.
 
     (i, j) is comparable when t_i < t_j and sample i is observed;
     concordant when pred_i < pred_j, with half credit for prediction
-    ties.  Censored samples enter only as the later element.
+    ties.  Censored samples enter only as the later element.  The pair
+    counts are exact integers, taken in O(n log n) from dense ranks (see
+    ``_count_below``); a NaN time or prediction raises ``ValueError``.
     """
     t_true, y, t_pred = _check_lengths(t_true, y, t_pred)
-    concordant = 0.0
-    comparable = 0
-    obs_idx = np.flatnonzero(np.asarray(y) == 1)
-    for i in obs_idx:
-        later = t_true > t_true[i]
-        m = int(later.sum())
-        if m == 0:
-            continue
-        comparable += m
-        pj = t_pred[later]
-        concordant += float((t_pred[i] < pj).sum()) + 0.5 * float((t_pred[i] == pj).sum())
+    if np.isnan(t_true).any() or np.isnan(t_pred).any():
+        raise ValueError("concordance index of a NaN time or prediction")
+    order = np.argsort(t_true)
+    t_sorted = t_true[order]
+    rank = np.unique(t_pred[order], return_inverse=True)[1]
+    obs = np.flatnonzero(y[order] == 1)
+    # Rows from start[k] on are strictly later than observed row obs[k].
+    start = np.searchsorted(t_sorted, t_sorted[obs], side="right")
+    comparable = int((len(t_sorted) - start).sum())
     if comparable == 0:
         raise ValueError("no comparable pairs")
-    return concordant / comparable
+    below = _count_below(rank, np.concatenate((start, start)),
+                         np.concatenate((rank[obs], rank[obs] + 1)))
+    lower, not_higher = below[:len(obs)], below[len(obs):]
+    concordant = comparable - int(not_higher.sum())
+    ties = int(not_higher.sum()) - int(lower.sum())
+    return ((2 * concordant + ties) / 2) / comparable
 
 
 def evaluate(t_true, y, t_pred, thresholds=()) -> EvalReport:

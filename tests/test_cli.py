@@ -335,6 +335,14 @@ class TestEval:
         assert len(lines) == 3  # header written once, then one row per run
         assert lines[1] == lines[2]
 
+    @pytest.mark.parametrize("value", ["abc", "nan", ""])
+    def test_bad_prediction_names_line_and_column(self, tmp_path, synth_dir, caplog, value):
+        pred = tmp_path / "bad.csv"
+        pred.write_text(f"src,dst,t_pred\n0,0,1.0\n1,1,{value}\n")
+        assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
+                   "--out", tmp_path / "r.json") == 2
+        assert f"{pred}: line 3, column t_pred: {value!r} is not a number" in caplog.text
+
     def test_length_mismatch_exits_2(self, tmp_path, synth_dir):
         pred = tmp_path / "short.csv"
         pred.write_text("t_pred\n1.0\n")

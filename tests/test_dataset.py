@@ -122,6 +122,7 @@ class TestBuildDataset:
     def test_sort_order(self):
         labels = [
             ((5, 0), 0, 2.0),
+            ((1, 5), 1, 2.0),
             ((1, 0), 1, 2.0),
             ((0, 0), 0, 1.0),
             ((2, 0), 1, 2.0),
@@ -129,9 +130,9 @@ class TestBuildDataset:
         feats = {p: np.array([float(p[0])]) for p, _, _ in labels}
         ds = build_dataset(feats, labels, standardize=False)
         # t ascending, observed before censored on ties, then pair order
-        assert ds.pairs == [(0, 0), (1, 0), (2, 0), (5, 0)]
-        assert_array_equal(ds.y, [0, 1, 1, 0])
-        assert_array_equal(ds.t, [1.0, 2.0, 2.0, 2.0])
+        assert ds.pairs == [(0, 0), (1, 0), (1, 5), (2, 0), (5, 0)]
+        assert_array_equal(ds.y, [0, 1, 1, 1, 0])
+        assert_array_equal(ds.t, [1.0, 2.0, 2.0, 2.0, 2.0])
 
     def test_missing_features_rejected(self):
         with pytest.raises(DatasetError):
@@ -174,6 +175,16 @@ class TestFixturePipeline:
         got = [(src, dst, int(y), float(t)) + tuple(map(float, row))
                for (src, dst), y, t, row in zip(ds.pairs, ds.y, ds.t, ds.x)]
         assert got == EXPECTED_ROWS
+
+    def test_labels_are_python_scalars(self, fixture_graph, fixture_dir):
+        schema, graph = fixture_graph
+        target_expr, exprs = read_metapath_file(fixture_dir / "paths.txt")
+        window = WindowConfig(**WINDOW)
+        cands = candidate_pairs(graph, [parse_metapath(e, schema) for e in exprs], window)
+        labels = label_pairs(graph, parse_metapath(target_expr, schema), window, cands)
+        assert {type(y) for _, y, _ in labels} == {int}
+        assert {type(t) for _, _, t in labels} == {float}
+        assert all(type(p) is tuple for p, _, _ in labels)
 
     def test_group1_pairs_dropped(self, fixture_graph, fixture_dir):
         ds, cands = self.build(fixture_graph, fixture_dir)
@@ -359,3 +370,49 @@ class TestPersistence:
         path.write_text("src,dst,y,t,x_0\n0,1,1,1.0\n")
         with pytest.raises(DatasetError):
             load_dataset(path)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 2500  # spans several save chunks
+        labels = [((int(i), int(i) + 1), int(i % 3 == 0), float(rng.uniform(0.1, 9.0)))
+                  for i in range(n)]
+        feats = {p: rng.normal(size=3) for p, _, _ in labels}
+        feats[labels[7][0]][:] = [-0.0, 1e300, 5e-324]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_dataset(first, build_dataset(feats, labels, standardize=False))
+        save_dataset(second, load_dataset(first))
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes().count(b"\r\n") == n + 1
+
+    def test_quoted_fields_and_blank_lines(self, tmp_path):
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("src,dst,y,t,x_0\n0,1,1,1.5,0.5\n2,3,0,4.0,-1.0\n")
+        quoted.write_text('src,dst,y,t,x_0\n"0",1,1,"1.5",0.5\n\n2,3,0,4.0,"-1.0"\n')
+        a, b = load_dataset(plain), load_dataset(quoted)
+        assert a.pairs == b.pairs == [(0, 1), (2, 3)]
+        assert_array_equal(a.y, b.y)
+        assert_array_equal(a.t, b.t)
+        assert_array_equal(a.x, b.x)
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("src,dst,y,t,x_0,x_1\n")
+        ds = load_dataset(path)
+        assert ds.n == 0 and ds.x.shape == (0, 2)
+
+    @pytest.mark.parametrize("row, where", [
+        ("#2,3,1,2.0,0.5", "line 4, column src: '#2' is not a 64-bit integer"),
+        ("2,3,1.0,2.0,0.5", "line 4, column y: '1.0' is not a 64-bit integer"),
+        ("2,3,99999999999999999999,2.0,0.5",
+         "line 4, column y: '99999999999999999999' is not a 64-bit integer"),
+        ("2,3,2,2.0,0.5", "line 4, column y: 2 is not 0 or 1"),
+        ("2,3,1,-1.0,0.5", "line 4, column t: -1.0 is not a positive finite time"),
+        ("2,3,1,2.0,-inf", "line 4, column x_0: -inf is not finite"),
+        ("   ", "line 4: row with 1 fields, expected 5"),
+    ])
+    def test_bad_row_named_after_blank_line(self, tmp_path, row, where):
+        path = tmp_path / "data.csv"
+        path.write_text(f"src,dst,y,t,x_0\n0,1,1,1.0,0.5\n\n{row}\n5,6,0,3.0,0.0\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: {where}"

@@ -25,6 +25,23 @@ def ci_oracle(t_true, y, t_pred):
     return num / den
 
 
+def ci_row_loop(t_true, y, t_pred):
+    """The former implementation: each observed row against all rows, O(n_obs * n)."""
+    t_true = np.asarray(t_true, dtype=float)
+    t_pred = np.asarray(t_pred, dtype=float)
+    concordant = 0.0
+    comparable = 0
+    for i in np.flatnonzero(np.asarray(y) == 1):
+        later = t_true > t_true[i]
+        m = int(later.sum())
+        if m == 0:
+            continue
+        comparable += m
+        pj = t_pred[later]
+        concordant += float((t_pred[i] < pj).sum()) + 0.5 * float((t_pred[i] == pj).sum())
+    return concordant / comparable
+
+
 class TestPointMetrics:
     def test_two_point_example(self):
         r = point_metrics([1.0, 2.0], [1, 1], [2.0, 4.0])
@@ -127,9 +144,56 @@ class TestConcordance:
         assert concordance_index(t, y, np.exp(p)) == a
         assert concordance_index(t, y, 3.0 * p + 1.0) == a
 
-    def test_no_comparable_pairs_rejected(self):
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_no_comparable_pairs_rejected(self, n):
+        p = np.random.default_rng(n).uniform(size=n)
         with pytest.raises(ValueError):
-            concordance_index([2.0, 2.0], [1, 1], [1.0, 2.0])
+            concordance_index(np.full(n, 2.0), np.ones(n), p)
+
+    @pytest.mark.parametrize("where", ["t_true", "t_pred"])
+    def test_nan_rejected(self, where):
+        t = np.array([1.0, 2.0, 3.0])
+        p = np.array([1.0, 2.0, 3.0])
+        (t if where == "t_true" else p)[1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            concordance_index(t, [1, 1, 1], p)
+
+
+class TestConcordanceTies:
+    """Exact equality with the row loop on tied times and predictions."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [3, 40, 600, 3000])
+    def test_integer_times_rounded_predictions(self, seed, n):
+        rng = np.random.default_rng(1000 * seed + n)
+        t = rng.integers(1, 7, size=n).astype(float)  # integer years, as in dblp-years
+        y = (rng.uniform(size=n) < 0.2).astype(int)
+        y[0], t[0], t[-1] = 1, 1.0, 7.0  # at least one comparable pair
+        p = np.round(rng.normal(3.0, 1.0, size=n), 1)
+        assert concordance_index(t, y, p) == ci_row_loop(t, y, p)
+
+    def test_signed_zeros_and_infinities(self):
+        rng = np.random.default_rng(7)
+        t = rng.integers(0, 4, size=200).astype(float)
+        y = (rng.uniform(size=200) < 0.5).astype(int)
+        y[t.argmin()] = 1
+        p = rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf], size=200)
+        got = concordance_index(t, y, p)
+        assert got == ci_row_loop(t, y, p) == ci_oracle(t, y, p)
+        assert concordance_index(t, y, np.where(p == 0, 0.0, p)) == got
+
+    def test_observed_row_at_latest_time(self):
+        t = np.array([1.0, 2.0, 2.0, 3.0, 3.0])
+        y = np.array([1, 0, 1, 1, 1])  # the rows at t = 3 have no later row
+        p = np.array([2.0, 1.0, 1.0, 5.0, 0.5])
+        assert concordance_index(t, y, p) == ci_row_loop(t, y, p) == ci_oracle(t, y, p)
+
+    def test_untied_large(self):
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0.1, 5.0, size=2500)
+        y = (rng.uniform(size=2500) < 0.5).astype(int)
+        p = t + rng.normal(size=2500)
+        assert concordance_index(t, y, p) == ci_row_loop(t, y, p)
 
 
 class TestEvaluateAndReport:
