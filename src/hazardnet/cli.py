@@ -307,14 +307,13 @@ def _run_cell(job: dict) -> dict:
         out["fit_seconds"] = time.perf_counter() - start
         w_hat, _ = model.raw_coefficients()
         out["w_mae"] = float(np.abs(w_hat - drawn.true_w).mean())
-        if model.loss_trace:  # only the NP-GLM fit records one
-            out["iterations"] = len(model.loss_trace)
-            out["final_loss"] = model.loss_trace[-1]
-            out["converged"] = int(model.converged)
-            if job["save_traces"]:
-                out["loss_trace"] = list(model.loss_trace)
-                # per-sample average log-likelihood, the usual convergence plot
-                out["avg_log_likelihood"] = [-v / n for v in model.loss_trace]
+        out["iterations"] = len(model.loss_trace)
+        out["final_loss"] = model.loss_trace[-1]
+        out["converged"] = int(model.converged)
+        if job["save_traces"]:
+            out["loss_trace"] = list(model.loss_trace)
+            # per-sample average log-likelihood, the usual convergence plot
+            out["avg_log_likelihood"] = [-v / n for v in model.loss_trace]
         if job["test_n"]:
             test_cfg = SynthConfig(n_observed=job["test_n"], n_censored=0,
                                    d=job["dim"], dist=job["dist"],

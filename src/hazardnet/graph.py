@@ -338,8 +338,7 @@ def spmm(a: SparseCountMatrix, b: SparseCountMatrix) -> SparseCountMatrix:
     # Cheap a-priori bound: C[i,j] <= rowsum_max(a) * max(b).  Counts large
     # enough to trip this are far outside any realistic path census.
     if a.nnz and b.nnz:
-        af = a.csr.astype(np.float64)
-        row_sums = np.asarray(af.sum(axis=1)).ravel()
+        row_sums = np.asarray(a.csr.sum(axis=1, dtype=np.float64)).ravel()
         bound = row_sums.max() * float(b.max_count())
         if bound >= _COUNT_LIMIT:
             raise OverflowError(

@@ -3,14 +3,14 @@ queries shared by every fitted model.
 
 The conditional event intensity factorizes as g(w.x) * h(t) with
 g = exp.  The NP-GLM tabulates the cumulative baseline hazard H
-non-parametrically at the sorted training times.  At fixed w the H that
-minimizes the loss is the Breslow estimator; the loss at that H, the
-profile loss, is the negative Cox partial log-likelihood plus a
-constant, and the fit runs damped Newton steps on it over w.  The
-Exponential and Weibull baselines (``baselines.py``) are the same model
-with H0(t) = t**shape.  Inference (interval probabilities, quantiles,
-sampling) runs off H0 and its inverse only, so one implementation serves
-all three families.
+non-parametrically at the sorted training times.  At fixed w the loss
+is least at the Breslow estimator of H; the loss there, the profile
+loss, is the negative Cox partial log-likelihood plus a constant, and
+the fit runs damped Newton steps on it over w.  The Exponential and
+Weibull baselines (``baselines.py``) are the same model with H0(t) =
+t**shape, fit by the same Newton loop.  Inference (interval
+probabilities, quantiles, sampling) runs off H0 and its inverse only, so
+one implementation serves all three families.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def link_g(z):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the Newton fit.
+    """Knobs of the damped Newton fit, which fits every family.
 
     ``threshold`` stops the fit once a Newton iteration changes the loss
     by less; ``max_outer`` caps Newton iterations, one loss-trace entry
@@ -168,12 +168,15 @@ def _hessian(xt, e, H, ev, S0) -> np.ndarray:
     """
     S1 = np.add.reduceat(xt * e, ev, axis=1)[:, ::-1].cumsum(axis=1)[:, ::-1]
     m = S1 / S0
-    hess = -(m @ m.T)
-    s = e * H
+    return _gram(xt, e * H, -(m @ m.T))
+
+
+def _gram(xt, s, out):
+    """Add xt diag(s) xt.T to ``out``, over column blocks that stay in cache."""
     for lo in range(0, len(s), _HESSIAN_BLOCK):
         block = xt[:, lo:lo + _HESSIAN_BLOCK]
-        hess += (block * s[lo:lo + _HESSIAN_BLOCK]) @ block.T
-    return hess
+        out += (block * s[lo:lo + _HESSIAN_BLOCK]) @ block.T
+    return out
 
 
 def _w_objective(w, xa, y, H):
@@ -222,7 +225,7 @@ class HazardModel:
     knots, starts at (0, 0), and is flat past the last knot, the training
     horizon.  For "exponential" (shape 1) and "weibull" it is t**shape.
     Queries take raw-space feature vectors; the stored standardization is
-    applied internally.
+    applied internally.  ``loss_trace`` and ``converged`` report the fit.
     """
 
     w: np.ndarray
@@ -297,22 +300,18 @@ class HazardModel:
             "unit": self.unit,
         }
         if self.family == "npglm":
-            doc.update(event_times=self.event_times.tolist(), H=self.H.tolist(),
-                       loss_trace=list(self.loss_trace), converged=bool(self.converged))
+            doc.update(event_times=self.event_times.tolist(), H=self.H.tolist())
         else:
             doc["shape"] = float(self.shape)
+        if self.loss_trace:  # every fit records one; older model files have none
+            doc.update(loss_trace=list(self.loss_trace), converged=bool(self.converged))
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "HazardModel":
         family = doc.get("family")
         if family == "npglm":
-            family_fields = {
-                "event_times": doc["event_times"],
-                "H": doc["H"],
-                "loss_trace": [float(v) for v in doc.get("loss_trace", [])],
-                "converged": bool(doc.get("converged", True)),
-            }
+            family_fields = {"event_times": doc["event_times"], "H": doc["H"]}
         elif family in PARAMETRIC_FAMILIES:
             family_fields = {"shape": float(doc["shape"])}
         else:
@@ -322,6 +321,8 @@ class HazardModel:
             standardization=Standardization.from_dict(doc["standardization"]),
             family=family,
             unit=doc.get("unit", ""),
+            loss_trace=[float(v) for v in doc.get("loss_trace", [])],
+            converged=bool(doc.get("converged", True)),
             **family_fields,
         )
 
@@ -342,21 +343,52 @@ def _dedupe_knots(t: np.ndarray, H: np.ndarray):
     return t[keep], H[keep]
 
 
+def _descend(theta, evaluate, derivatives, config: FitConfig):
+    """Damped Newton descent from ``theta``: (theta, state, trace, converged).
+
+    ``evaluate(theta)`` gives (loss, state), ``derivatives(state)`` the
+    gradient and Hessian.  Each iteration takes the least-squares Newton
+    step, or the negative gradient if that does not descend, and halves
+    it until the loss drops by 1e-4 of the predicted decrease (a
+    non-finite trial fails).  The trace, one loss per iteration, never
+    rises.  Stops when an iteration changes the loss by less than the
+    threshold (also when no step can lower it by a representable amount),
+    or unconverged after ``max_outer`` iterations.
+    """
+    value, state = evaluate(theta)
+    if not np.isfinite(value):
+        raise FloatingPointError(
+            "non-finite loss while fitting; are the features standardized?")
+    trace: list[float] = []
+    for _ in range(config.max_outer):
+        grad, hess = derivatives(state)
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        slope = float(grad @ step)
+        if slope >= 0:
+            step, slope = -grad, -float(grad @ grad)
+        prev, alpha = value, 1.0
+        # backtrack while the wanted decrease is still representable
+        while value + alpha * slope < value:
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = evaluate(theta + alpha * step)
+            if trial[0] <= value + 1e-4 * alpha * slope:
+                theta, (value, state) = theta + alpha * step, trial
+                break
+            alpha *= 0.5
+        trace.append(value)
+        if prev - value < config.threshold:
+            return theta, state, trace, True
+    return theta, state, trace, False
+
+
 def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> HazardModel:
-    """Damped Newton descent on the profile loss P(w) = loss(w, H(w)),
-    with H(w) the Breslow estimator.
+    """Damped Newton descent (``_descend``) on the profile loss
+    P(w) = loss(w, H(w)), with H(w) the Breslow estimator.
 
     Starts from w = 0.  The bias is pinned at 0 and left out of the
-    Newton system: it cancels out of P, and H absorbs exp(bias).  Each
-    iteration takes a least-squares Newton step (a Hessian singular along
-    a zero-variance column gets the minimum-norm step), halves it until P
-    drops by at least 1e-4 of the predicted linear decrease, and records
-    the new P in the loss trace, which therefore never rises.  Stops when
-    an iteration changes P by less than the threshold (also when no step
-    can lower P by a representable amount), or after ``max_outer``
-    iterations (returned with ``converged=False``).  The saved H and loss
-    trace equal ``compute_H`` and ``loss`` at the returned w, on the
-    features of ``Dataset.fit_features``.
+    Newton system: it cancels out of P, and H absorbs exp(bias).  The
+    saved H and loss trace equal ``compute_H`` and ``loss`` at the
+    returned w, on the features of ``Dataset.fit_features``.
     """
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
@@ -366,40 +398,20 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
     xt = np.ascontiguousarray(x.T)
     ev = np.flatnonzero(y)
 
-    def profile(w):
-        z, e = _linear(xa, w)
+    def profile(v):
+        z, e = _linear(xa, np.append(v, 0.0))
         risk, H = _hazard(e, y)
-        value = _loss(z, e, H, y, t)
-        if not np.isfinite(value):
-            raise FloatingPointError(
-                "non-finite loss while fitting; are the features standardized?")
-        return e, risk[ev], H, value
+        return _loss(z, e, H, y, t), (e, risk[ev], H)
 
-    w = np.zeros(dataset.d + 1)
-    e, S0, H, value = profile(w)
-    trace: list[float] = []
-    converged = False
-    for _ in range(config.max_outer):
-        grad = _gradient(xt, e, H, y)
-        step = np.linalg.lstsq(_hessian(xt, e, H, ev, S0), -grad, rcond=None)[0]
-        slope = float(grad @ step)
-        step = np.append(step, 0.0)  # the bias stays pinned at 0
-        prev, alpha = value, 1.0
-        # backtrack while the wanted decrease is still representable
-        while value + alpha * slope < value:
-            trial = profile(w + alpha * step)
-            if trial[-1] <= value + 1e-4 * alpha * slope:
-                w = w + alpha * step
-                e, S0, H, value = trial
-                break
-            alpha *= 0.5
-        trace.append(value)
-        if prev - value < config.threshold:
-            converged = True
-            break
+    def derivatives(state):
+        e, S0, H = state
+        return _gradient(xt, e, H, y), _hessian(xt, e, H, ev, S0)
+
+    v, (_, _, H), trace, converged = _descend(np.zeros(dataset.d), profile,
+                                              derivatives, config)
     knots_t, knots_H = _dedupe_knots(t, H)
     return HazardModel(
-        w=w, standardization=stats, event_times=knots_t, H=knots_H,
+        w=np.append(v, 0.0), standardization=stats, event_times=knots_t, H=knots_H,
         unit=unit, loss_trace=trace, converged=converged,
     )
 

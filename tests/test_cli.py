@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hazardnet
-from hazardnet import npglm
+from hazardnet import baselines, npglm
 from hazardnet.cli import ExperimentConfig, _run_cell, env_threads, main
 from hazardnet.datasets import load_dataset
 from hazardnet.npglm import HazardModel
@@ -129,6 +129,17 @@ class TestFitPredictQuery:
         assert all(float(r["t_pred"]) > 0 for r in rows)
         if model_name != "npglm":
             assert all(r["horizon_exceeded"] == "0" for r in rows)
+
+    @pytest.mark.parametrize("model_name", ["expglm", "wblglm"])
+    def test_parametric_fit_at_iteration_cap_warns(self, tmp_path, synth_dir, caplog,
+                                                   monkeypatch, model_name):
+        monkeypatch.setattr(baselines, "FitConfig", lambda: npglm.FitConfig(max_outer=1))
+        model_file = tmp_path / f"{model_name}.json"
+        assert run("fit", "--model", model_name, "--input",
+                   synth_dir / "dataset.csv", "--out", model_file) == 0
+        assert "without converging" in caplog.text
+        doc = json.loads(model_file.read_text())
+        assert doc["converged"] is False and len(doc["loss_trace"]) == 1
 
     def test_query_quantile_matches_predictions(self, tmp_path, synth_dir, capsys):
         model_file = tmp_path / "m.json"
@@ -380,9 +391,11 @@ class TestSweep:
         assert all(float(r["w_mae_mean"]) < 1.0 for r in rows)
         assert all(r["repetitions"] == "2" for r in rows)
         assert "test_mae_mean" in rows[0]
+        assert all(float(r["iterations_mean"]) >= 1 for r in rows)
         traces = json.loads((tmp_path / "sweep-out" / "traces.json").read_text())
-        assert traces and all("avg_log_likelihood" in t for t in traces)
-        assert all(t["model"] == "npglm" for t in traces)
+        assert len(traces) == 8  # every cell of every model records its fit
+        assert all(t["loss_trace"] and "avg_log_likelihood" in t for t in traces)
+        assert sorted(t["model"] for t in traces) == ["expglm"] * 4 + ["npglm"] * 4
 
     def test_repetition_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HAZARDNET_THREADS", "1")
@@ -457,3 +470,17 @@ class TestConsoleScript:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "synth" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # every fit runs the shared Newton loop, so no command needs scipy's
+    # optimizers, whose import alone costs about 0.2 s and 27 MB
+    code = ("import sys, hazardnet, hazardnet.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(hazardnet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

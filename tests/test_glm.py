@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats as sps
+from scipy.optimize import minimize
 
 from hazardnet.baselines import _negative_ll, fit_parametric
 from hazardnet.datasets import Dataset, Standardization
 from hazardnet.npglm import (
+    FitConfig,
     HazardModel,
+    _descend,
     TimeEstimate,
     predict_median,
     quantile,
@@ -95,6 +100,106 @@ class TestRecovery:
         assert m1.shape == m2.shape
 
 
+def lbfgs_reference(dataset, family):
+    """Minimum of ``_negative_ll`` found by scipy's L-BFGS-B, the optimizer
+    the parametric fit used before it shared the Newton loop."""
+    x, _ = dataset.fit_features()
+    xa = np.hstack([x, np.ones((len(x), 1))])
+    learn_shape = family == "weibull"
+    args = (xa, dataset.y.astype(float), dataset.t, np.log(dataset.t), learn_shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(_negative_ll, np.zeros(xa.shape[1] + learn_shape), args=args,
+                       jac=True, method="L-BFGS-B",
+                       options={"maxiter": 500, "gtol": 1e-8, "ftol": 1e-14})
+    return float(res.fun), args
+
+
+def oracle_cases():
+    """Seeded (n_observed, n_censored, d, dist, seed, policy) draws over
+    n = 30..4000, d = 1..7, both laws and both censoring policies."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for seed in range(16):
+        n = int(rng.choice([30, 100, 300, 1000, 4000]))
+        n_censored = int(n * rng.choice([0.0, 0.2, 0.5]))
+        cases.append((n - n_censored, n_censored, int(rng.integers(1, 8)),
+                      ("rayleigh", "gompertz")[seed % 2], 500 + seed,
+                      ("tail", "random")[seed // 2 % 2]))
+    return cases
+
+
+# 30-row Weibull fits on which Newton in log-shape stalls at a point where
+# the least-squares step is not a descent direction; L-BFGS-B finds
+# shapes 1.79, 1.16, 2.46 and 1.80.
+STALL_CASES = [(30, 0, 3, "gompertz", 101, "tail"), (30, 0, 7, "gompertz", 350, "tail"),
+               (30, 0, 7, "rayleigh", 392, "tail"), (30, 0, 5, "gompertz", 411, "tail")]
+
+
+class TestNewtonMatchesLBFGSB:
+    """The shared Newton loop reaches L-BFGS-B's minimum (or a lower one),
+    reports convergence and raises no floating-point warning."""
+
+    @pytest.mark.parametrize("family", ["exponential", "weibull"])
+    @pytest.mark.parametrize(
+        "case", oracle_cases() + STALL_CASES,
+        ids=lambda c: f"{c[3]}-n{c[0] + c[1]}-d{c[2]}-s{c[4]}-{c[5]}")
+    def test_loss_at_least_as_low(self, case, family):
+        n_observed, n_censored, d, dist, seed, policy = case
+        ds = generate(SynthConfig(n_observed=n_observed, n_censored=n_censored,
+                                  d=d, dist=dist, seed=seed), policy=policy).dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_parametric(ds, family=family)
+        want, args = lbfgs_reference(ds, family)
+        theta = model.w
+        if family == "weibull":
+            theta = np.append(theta, np.log(model.shape))
+        got = _negative_ll(theta, *args)[0]
+        assert model.converged
+        assert got - want <= 1e-9 * abs(want)
+        assert model.loss_trace[-1] == pytest.approx(got, rel=1e-12)
+
+
+def exp_minus_2x(theta):
+    """sum(exp(theta) - 2 theta): minimum at log 2, Newton needs several steps."""
+    return float(np.sum(np.exp(theta) - 2.0 * theta)), theta
+
+
+def exp_minus_2x_derivatives(theta):
+    return np.exp(theta) - 2.0, np.diag(np.exp(theta))
+
+
+class TestDescend:
+    def test_iteration_cap_reports_unconverged(self):
+        _, _, trace, converged = _descend(np.zeros(2), exp_minus_2x,
+                                          exp_minus_2x_derivatives, FitConfig(max_outer=1))
+        assert not converged and len(trace) == 1
+
+    def test_converges_without_cap(self):
+        theta, _, trace, converged = _descend(np.zeros(2), exp_minus_2x,
+                                              exp_minus_2x_derivatives, FitConfig())
+        assert converged and 1 < len(trace) < 10
+        assert_allclose(theta, np.log(2.0), atol=1e-4)
+
+    def test_ascent_step_replaced_by_negative_gradient(self):
+        # cos has negative curvature near 0, so Newton would climb to the
+        # maximum at 0; the negative gradient leads to the minimum at pi
+        theta, _, trace, converged = _descend(
+            np.array([0.3]), lambda v: (float(np.cos(v[0])), v),
+            lambda v: (-np.sin(v), -np.cos(v).reshape(1, 1)), FitConfig(threshold=1e-12))
+        assert converged and trace[-1] < trace[0]
+        assert_allclose(theta, [np.pi], atol=1e-4)
+
+    def test_nonfinite_trial_fails_the_step(self):
+        # a Hessian 1e6 times too small sends the first trial to exp(1e6),
+        # which overflows; backtracking must reject it without a warning
+        theta, _, _, converged = _descend(
+            np.zeros(1), exp_minus_2x,
+            lambda v: (np.exp(v) - 2.0, np.diag(1e-6 * np.exp(v))), FitConfig())
+        assert converged
+        assert_allclose(theta, np.log(2.0), atol=1e-2)
+
+
 class TestQueries:
     """Parametric models answer through the shared npglm query functions;
     a parametric baseline has no horizon, so nothing is ever flagged."""
@@ -172,6 +277,15 @@ class TestValidationAndSerialization:
         assert back.family == "weibull" and back.unit == "weeks"
         assert_array_equal(back.w, model.w)
         assert back.shape == model.shape
+
+    @pytest.mark.parametrize("family", ["exponential", "weibull"])
+    def test_fit_report_round_trip(self, family):
+        ds, _, _ = exponential_dataset(100, 2, seed=7)
+        model = fit_parametric(ds, family=family)
+        doc = model.to_json()
+        assert doc["loss_trace"] == model.loss_trace and doc["converged"] is True
+        back = HazardModel.from_json(doc)
+        assert back.loss_trace == model.loss_trace and back.converged
 
     def test_file_round_trip(self, tmp_path):
         ds, _, _ = exponential_dataset(80, 1, seed=8)
