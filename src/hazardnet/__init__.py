@@ -10,14 +10,12 @@ from .graph import (
     GraphError,
     LinkType,
     Schema,
-    SparseCountMatrix,
     TemporalGraph,
     load_graph,
     load_graph_file,
     load_schema,
     spmm,
     time_aware_adjacency,
-    transpose,
 )
 from .metapaths import (
     MetaPath,
@@ -26,6 +24,7 @@ from .metapaths import (
     PrefixCache,
     SnapshotPlan,
     dynamic_series,
+    endpoint_types,
     metapath_matrix,
     parse_metapath,
     read_metapath_file,
@@ -66,11 +65,10 @@ from .metrics import EvalReport, concordance_index, evaluate, point_metrics
 __version__ = "0.1.0"
 
 __all__ = [
-    "GraphError", "LinkType", "Schema", "SparseCountMatrix", "TemporalGraph",
-    "load_graph", "load_graph_file", "load_schema", "spmm",
-    "time_aware_adjacency", "transpose",
+    "GraphError", "LinkType", "Schema", "TemporalGraph",
+    "load_graph", "load_graph_file", "load_schema", "spmm", "time_aware_adjacency",
     "MetaPath", "MetaPathError", "PairSeries", "PrefixCache", "SnapshotPlan",
-    "dynamic_series", "metapath_matrix", "parse_metapath", "read_metapath_file",
+    "dynamic_series", "endpoint_types", "metapath_matrix", "parse_metapath", "read_metapath_file",
     "Dataset", "DatasetError", "Standardization",
     "WindowConfig", "aggregate_expsmooth", "aggregate_stack", "build_dataset",
     "candidate_pairs", "label_pairs", "load_dataset", "save_dataset",

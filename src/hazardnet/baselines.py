@@ -12,24 +12,30 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import Dataset
-from .npglm import (PARAMETRIC_FAMILIES, FitConfig, HazardModel, _descend, _gram,
-                    _linear, _w_objective, augment)
+from .npglm import PARAMETRIC_FAMILIES, FitConfig, HazardModel, _descend, _gram, _linear, augment
 
 __all__ = ["fit_parametric"]
+
+
+def _terms(theta, xa, y, t, log_t, learn_shape):
+    """Negative log-likelihood over theta = (w[, log shape]), its gradient,
+    and s = exp(z) t**shape, each power and exponential taken once."""
+    w, log_a = (theta[:-1], theta[-1]) if learn_shape else (theta, 0.0)
+    a = np.exp(log_a)
+    z, e = _linear(xa, w)
+    s = e * t ** a
+    value = float(np.sum(s - y * z)) - float(np.sum(y * (log_a + (a - 1.0) * log_t)))
+    grad = xa.T @ (s - y)
+    if learn_shape:
+        r = a * log_t  # d log(t**a) / d log a
+        grad = np.append(grad, np.sum((s - y) * r) - np.sum(y))
+    return value, grad, s
 
 
 def _negative_ll(theta, xa, y, t, log_t, learn_shape):
     """Negative log-likelihood over theta = (w[, log shape]) and its
     gradient: the loss over w at H = t**shape, minus the shape terms."""
-    w, log_a = (theta[:-1], theta[-1]) if learn_shape else (theta, 0.0)
-    a = np.exp(log_a)
-    ta = t ** a
-    value, grad = _w_objective(w, xa, y, ta)
-    value -= float(np.sum(y * (log_a + (a - 1.0) * log_t)))
-    if learn_shape:
-        r = a * log_t  # d log(t**a) / d log a
-        grad = np.append(grad, np.sum((_linear(xa, w)[1] * ta - y) * r) - np.sum(y))
-    return value, grad
+    return _terms(theta, xa, y, t, log_t, learn_shape)[:2]
 
 
 def fit_parametric(dataset: Dataset, family: str = "weibull",
@@ -53,17 +59,16 @@ def fit_parametric(dataset: Dataset, family: str = "weibull",
     learn_shape = family == "weibull"
 
     def evaluate(theta):
-        value, grad = _negative_ll(theta, xa, y, t, log_t, learn_shape)
-        return value, (theta, grad)
+        value, grad, s = _terms(theta, xa, y, t, log_t, learn_shape)
+        return value, (theta, grad, s)
 
     def derivatives(state):
-        theta, grad = state
-        w, a = theta[:xa.shape[1]], (np.exp(theta[-1]) if learn_shape else 1.0)
-        s = _linear(xa, w)[1] * t ** a  # exp(z) t**a weighs the w block
+        theta, grad, s = state  # s = exp(z) t**a weighs the w block
+        d = xa.shape[1]
         hess = np.zeros((len(theta), len(theta)))
-        _gram(xat, s, hess[:len(w), :len(w)])
+        _gram(xat, s, hess[:d, :d])
         if learn_shape:
-            r = a * log_t
+            r = np.exp(theta[-1]) * log_t
             hess[-1, :-1] = hess[:-1, -1] = xat @ (s * r)
             hess[-1, -1] = np.sum(s * r * (1.0 + r) - y * r)
         return grad, hess

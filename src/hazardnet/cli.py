@@ -35,10 +35,11 @@ from .datasets import (
     save_dataset,
 )
 from .graph import GraphError, load_graph_file, load_schema
-from .metapaths import MetaPathError, dynamic_series, parse_metapath, read_metapath_file
+from .metapaths import (MetaPathError, dynamic_series, endpoint_types, parse_metapath,
+                        read_metapath_file)
 from .metrics import evaluate
 from .npglm import HazardModel
-from .synthetic import SynthConfig, draw_dataset, generate, save_truth
+from .synthetic import DISTRIBUTIONS, SynthConfig, draw_dataset, generate, save_truth
 
 log = logging.getLogger("hazardnet")
 
@@ -100,6 +101,11 @@ def cmd_features(args) -> int:
         raise MetaPathError("the meta-path file lists no feature paths")
     target = parse_metapath(target_expr, schema)
     paths = [parse_metapath(expr, schema) for expr in feature_exprs]
+    ends = endpoint_types(paths)
+    if (target.source, target.target) != ends:
+        raise MetaPathError(
+            f"target {target} joins {target.source}->{target.target}, but the "
+            f"feature paths join {ends[0]}->{ends[1]}")
     window = WindowConfig(t0=args.t0, phi=args.snapshots * args.delta,
                           omega=args.omega, delta=args.delta, k=args.snapshots)
     births = graph.birth_times()
@@ -263,10 +269,18 @@ class ExperimentConfig:
     save_traces: bool = False
 
     def __post_init__(self):
+        if self.dist not in DISTRIBUTIONS:
+            raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.test_n < 0:
+            raise ValueError("test_n must be >= 0")
         if not self.models or not self.n_grid or not self.censoring_grid:
             raise ValueError("model, N, and censoring grids must be non-empty")
+        if min(self.n_grid) < 1:
+            raise ValueError("every N in n_grid must be >= 1")
         bad = [m for m in self.models if m not in MODEL_NAMES]
         if bad:
             raise ValueError(f"unknown models in config: {bad}")
@@ -278,6 +292,9 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        missing = [key for key in ("dist", "n_grid", "censoring_grid") if key not in doc]
+        if missing:
+            raise ValueError(f"{path}: missing required key {missing[0]!r}")
         return cls(
             dist=doc["dist"],
             models=tuple(doc.get("models", ["npglm"])),

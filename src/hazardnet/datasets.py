@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import TemporalGraph
-from .metapaths import MetaPath, PairSeries, PrefixCache, SnapshotPlan, metapath_matrix
+from .metapaths import (MetaPath, PairSeries, PrefixCache, SnapshotPlan, endpoint_types,
+                        metapath_matrix)
 
 __all__ = [
     "WindowConfig",
@@ -199,11 +200,11 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     taus = np.where(np.isfinite(later), (points + later) / 2.0, points + 1.0)
 
     # Already related by the end of the feature window (instance born <= t_end).
-    related0 = metapath_matrix(graph, target, float(taus[0])).counts_at(rows, cols) > 0
+    related0 = metapath_matrix(graph, target, float(taus[0]))[rows, cols] > 0
     formed = related0.copy()
     first_time = np.full(len(candidates), np.nan)
     for b, tau in zip(points[1:], taus[1:]):
-        counts = metapath_matrix(graph, target, float(tau)).counts_at(rows, cols)
+        counts = metapath_matrix(graph, target, float(tau))[rows, cols]
         newly = (~formed) & (counts > 0)
         first_time[newly] = b
         formed |= newly
@@ -218,14 +219,17 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
 def candidate_pairs(graph: TemporalGraph, feature_paths: list[MetaPath],
                     window: WindowConfig,
                     cache: PrefixCache | None = None) -> list[tuple[int, int]]:
-    """Pairs with at least one nonzero feature count at the feature-window end.
-
-    ``cache`` is accepted and ignored.
+    """Pairs with at least one nonzero feature count at the feature-window end,
+    sorted.  The paths must share endpoint types; ``cache`` is accepted and
+    ignored.
     """
-    seen = set()
-    for path in feature_paths:
-        seen.update(metapath_matrix(graph, path, window.feature_end).nonzero_pairs())
-    return sorted(seen)
+    if not feature_paths:
+        return []
+    endpoint_types(feature_paths)
+    total = sum(metapath_matrix(graph, path, window.feature_end) for path in feature_paths)
+    total.sort_indices()
+    rows, cols = total.nonzero()
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def subsample_censored(labels, ratio: float, rng: np.random.Generator):

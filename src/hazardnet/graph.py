@@ -2,8 +2,9 @@
 
 A network is described by a schema (node types plus typed, directed link
 types) and a list of timestamped links.  Snapshots of the link structure at
-any timestamp are materialized as sparse non-negative integer count
-matrices, which downstream code multiplies into composite-relation counts.
+any timestamp are materialized as ``scipy.sparse.csr_array`` matrices of
+int64 link counts, which downstream code multiplies into composite-relation
+counts.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ __all__ = [
     "Schema",
     "LinkType",
     "TemporalGraph",
-    "SparseCountMatrix",
     "GraphError",
     "load_schema",
     "load_graph",
     "time_aware_adjacency",
-    "transpose",
     "spmm",
 ]
 
@@ -193,79 +192,6 @@ class TemporalGraph:
         return np.unique(np.concatenate(parts))
 
 
-class SparseCountMatrix:
-    """Sparse matrix of non-negative 64-bit integer counts.
-
-    Thin wrapper over a canonical-form CSR matrix: duplicate entries summed,
-    explicit zeros pruned, column indices sorted within rows.
-    """
-
-    __slots__ = ("csr",)
-
-    def __init__(self, csr: sp.csr_matrix):
-        if csr.dtype != np.int64:
-            csr = csr.astype(np.int64)
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        if csr.nnz and csr.data.min() < 0:
-            raise GraphError("negative count in sparse count matrix")
-        self.csr = csr
-
-    @classmethod
-    def from_coo(cls, rows, cols, counts, shape) -> "SparseCountMatrix":
-        m = sp.coo_matrix((counts, (rows, cols)), shape=shape, dtype=np.int64)
-        return cls(m.tocsr())
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "SparseCountMatrix":
-        return cls(sp.csr_matrix((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseCountMatrix":
-        return cls(sp.identity(n, dtype=np.int64, format="csr"))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    def count(self, row: int, col: int) -> int:
-        return int(self.csr[row, col])
-
-    def counts_at(self, rows, cols) -> np.ndarray:
-        """Entries at the given (row, col) positions as an int64 vector."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(self.csr[rows, cols]).ravel().astype(np.int64)
-
-    def nonzero_pairs(self) -> list[tuple[int, int]]:
-        coo = self.csr.tocoo()
-        return list(zip(coo.row.tolist(), coo.col.tolist()))
-
-    def todense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def max_count(self) -> int:
-        return int(self.csr.data.max()) if self.csr.nnz else 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseCountMatrix):
-            return NotImplemented
-        return self.shape == other.shape and (self.csr != other.csr).nnz == 0
-
-    def __hash__(self):
-        raise TypeError("SparseCountMatrix is not hashable")
-
-    def __repr__(self):
-        return f"SparseCountMatrix(shape={self.shape}, nnz={self.nnz})"
-
-
 def load_schema(path) -> Schema:
     with open(path, "r", encoding="utf-8") as fh:
         return Schema.from_json(fh.read())
@@ -312,36 +238,36 @@ def load_graph_file(schema: Schema, path) -> TemporalGraph:
 
 
 def time_aware_adjacency(graph: TemporalGraph, link_type: str,
-                         tau: float) -> SparseCountMatrix:
+                         tau: float) -> sp.csr_array:
     """Count matrix of links alive at ``tau``: birth < tau and tau <= death.
 
-    Entry (a, b) counts the parallel links of this type between a and b.
+    Entry (a, b) counts the parallel links of this type between a and b;
+    the int64 CSR comes out with duplicates summed and indices sorted.
     """
     lt = graph.schema.link_type(link_type)
     store = graph.links_of(link_type)
     shape = (graph.node_count(lt.src), graph.node_count(lt.dst))
     alive = (store.birth < tau) & (tau <= store.death)
-    return SparseCountMatrix.from_coo(
-        store.src[alive], store.dst[alive], np.ones(int(alive.sum()), dtype=np.int64),
-        shape,
-    )
+    ones = np.ones(int(alive.sum()), dtype=np.int64)
+    return sp.coo_array((ones, (store.src[alive], store.dst[alive])), shape=shape).tocsr()
 
 
-def transpose(m: SparseCountMatrix) -> SparseCountMatrix:
-    return SparseCountMatrix(m.csr.T.tocsr())
+def spmm(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:
+    """Exact integer sparse product; raises on dimension mismatch or overflow risk.
 
-
-def spmm(a: SparseCountMatrix, b: SparseCountMatrix) -> SparseCountMatrix:
-    """Exact integer sparse product; raises on dimension mismatch or overflow risk."""
+    Column indices of the product are sorted, so sampling it at
+    ``m[rows, cols]`` is a binary search per row.
+    """
     if a.shape[1] != b.shape[0]:
         raise GraphError(f"dimension mismatch: {a.shape} x {b.shape}")
     # Cheap a-priori bound: C[i,j] <= rowsum_max(a) * max(b).  Counts large
     # enough to trip this are far outside any realistic path census.
     if a.nnz and b.nnz:
-        row_sums = np.asarray(a.csr.sum(axis=1, dtype=np.float64)).ravel()
-        bound = row_sums.max() * float(b.max_count())
+        bound = a.sum(axis=1, dtype=np.float64).max() * float(b.data.max())
         if bound >= _COUNT_LIMIT:
             raise OverflowError(
                 f"path count product may exceed 64-bit range (bound {bound:.3g})"
             )
-    return SparseCountMatrix((a.csr @ b.csr).tocsr())
+    product = (a @ b).tocsr()
+    product.sort_indices()
+    return product

@@ -13,16 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import (
-    GraphError,
-    Schema,
-    SparseCountMatrix,
-    TemporalGraph,
-    spmm,
-    time_aware_adjacency,
-    transpose,
-)
+from .graph import GraphError, Schema, TemporalGraph, spmm, time_aware_adjacency
 
 __all__ = [
     "MetaPath",
@@ -30,6 +23,7 @@ __all__ = [
     "SnapshotPlan",
     "PairSeries",
     "parse_metapath",
+    "endpoint_types",
     "metapath_matrix",
     "dynamic_series",
     "read_metapath_file",
@@ -124,27 +118,38 @@ class PrefixCache:
         return 0
 
 
-def _step_matrix(graph: TemporalGraph, step, tau) -> SparseCountMatrix:
+def endpoint_types(paths: list[MetaPath]) -> tuple[str, str]:
+    """The (source, target) node types that every path in ``paths`` shares."""
+    if not paths:
+        raise MetaPathError("at least one meta-path is required")
+    ends = {(p.source, p.target) for p in paths}
+    if len(ends) != 1:
+        raise MetaPathError("all feature meta-paths must share endpoint node types, "
+                            f"got {' and '.join(sorted(f'{a}->{b}' for a, b in ends))}")
+    return ends.pop()
+
+
+def _step_matrix(graph: TemporalGraph, step, tau) -> sp.csr_array:
     name, direction = step
     m = time_aware_adjacency(graph, name, tau)
-    return m if direction == FORWARD else transpose(m)
+    return m if direction == FORWARD else m.T.tocsr()
 
 
-def _product_of(graph, steps, tau) -> SparseCountMatrix:
+def _product_of(graph, steps, tau) -> sp.csr_array:
     acc = _step_matrix(graph, steps[0], tau)
     for step in steps[1:]:
         acc = spmm(acc, _step_matrix(graph, step, tau))
     return acc
 
 
-def metapath_matrix(graph: TemporalGraph, path: MetaPath, tau: float) -> SparseCountMatrix:
-    """Path-instance count matrix of ``path`` at timestamp ``tau``.
+def metapath_matrix(graph: TemporalGraph, path: MetaPath, tau: float) -> sp.csr_array:
+    """Path-instance count matrix of ``path`` at timestamp ``tau`` (int64 CSR).
 
     Palindromic paths are computed as X @ X.T from their half product.
     """
     if path.is_palindrome:
         x = _product_of(graph, path.steps[: len(path.steps) // 2], tau)
-        return spmm(x, transpose(x))
+        return spmm(x, x.T.tocsr())
     return _product_of(graph, path.steps, tau)
 
 
@@ -204,19 +209,16 @@ def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPl
     ``t0 + (i+1)*delta`` minus the count at ``t0 + i*delta``.  ``cache``
     and ``threads`` are accepted and ignored.
     """
-    if not paths:
-        raise MetaPathError("at least one meta-path is required")
-    src_types = {p.source for p in paths}
-    dst_types = {p.target for p in paths}
-    if len(src_types) != 1 or len(dst_types) != 1:
-        raise MetaPathError("all feature meta-paths must share endpoint node types")
+    endpoint_types(paths)
+    if len(pairs) == 0:  # scipy gives a sparse result, not an array, for empty indices
+        return []
     rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
     cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
     # raw counts at each boundary timestamp: (k+1) x n_pairs x d
     stacked = np.empty((plan.k + 1, len(pairs), len(paths)), dtype=np.int64)
     for i, tau in enumerate(plan.boundaries()):
         for j, path in enumerate(paths):
-            stacked[i, :, j] = metapath_matrix(graph, path, float(tau)).counts_at(rows, cols)
+            stacked[i, :, j] = metapath_matrix(graph, path, float(tau))[rows, cols]
     diffs = np.diff(stacked, axis=0)
     return [
         PairSeries(pair=tuple(pairs[j]), series=diffs[:, j, :], base=stacked[0, j, :])

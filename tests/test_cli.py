@@ -81,6 +81,15 @@ class TestFeatures:
         args[args.index("--metapaths") + 1] = naked
         assert run(*args) == 2
 
+    @pytest.mark.parametrize("target, joins", [("write> cite>", "A->P"),
+                                               ("write> <publish", "A->V")])
+    def test_target_endpoint_types_must_match_features(self, fixture_dir, tmp_path,
+                                                       caplog, target, joins):
+        out = tmp_path / "f.csv"
+        assert run(*self.feature_args(fixture_dir, out), "--target", target) == 2
+        assert f"joins {joins}, but the feature paths join A->A" in caplog.text
+        assert not out.exists()
+
     def test_window_beyond_history_exits_2(self, fixture_dir, tmp_path):
         args = list(self.feature_args(fixture_dir, tmp_path / "f.csv"))
         args[args.index("--t0") + 1] = 100.0
@@ -409,6 +418,27 @@ class TestSweep:
     def test_invalid_config_exits_2(self, tmp_path):
         config = self.config_doc(tmp_path, models=["mlp"])
         assert run("sweep", "--config", config) == 2
+
+    @pytest.mark.parametrize("over, message", [
+        ({"dist": "raylegh"}, "dist must be one of"),
+        ({"dim": 0}, "dim must be >= 1"),
+        ({"n_grid": [60, 0]}, "n_grid must be >= 1"),
+        ({"test_n": -1}, "test_n must be >= 0"),
+    ])
+    def test_bad_field_exits_2_before_any_cell(self, tmp_path, caplog, over, message):
+        config = self.config_doc(tmp_path, **over)
+        assert run("sweep", "--config", config) == 2
+        assert message in caplog.text
+        assert not (tmp_path / "sweep-out").exists()
+
+    @pytest.mark.parametrize("key", ["dist", "n_grid", "censoring_grid"])
+    def test_missing_required_key_names_file_and_key(self, tmp_path, caplog, key):
+        config = self.config_doc(tmp_path)
+        doc = json.loads(config.read_text())
+        del doc[key]
+        config.write_text(json.dumps(doc))
+        assert run("sweep", "--config", config) == 2
+        assert f"{config}: missing required key {key!r}" in caplog.text
 
     def test_failed_cell_is_marked_not_fatal(self):
         job = {"model": "npglm", "n": 1, "censoring": 0.9, "rep": 0,

@@ -21,9 +21,11 @@ from hazardnet.datasets import (
 )
 from hazardnet.graph import LinkType, Schema, TemporalGraph
 from hazardnet.metapaths import (
+    MetaPathError,
     PairSeries,
     PrefixCache,
     dynamic_series,
+    metapath_matrix,
     parse_metapath,
     read_metapath_file,
 )
@@ -205,6 +207,60 @@ class TestFixturePipeline:
             label_pairs(graph, target, WindowConfig(**WINDOW), [])
 
 
+GRAPH_SCHEMA = Schema(
+    node_types=("A", "P", "V"),
+    link_types=(LinkType("write", "A", "P"), LinkType("cite", "P", "P"),
+                LinkType("publish", "V", "P")),
+)
+AUTHOR_PATHS = ("write> <write", "write> cite> <write", "write> <cite <write",
+                "write> <publish publish> <write", "write> cite> cite> <write")
+
+
+def random_graph(rng):
+    """Small random graph with parallel links and link deaths."""
+    sizes = {"A": int(rng.integers(2, 9)), "P": int(rng.integers(2, 9)),
+             "V": int(rng.integers(1, 4))}
+    g = TemporalGraph(GRAPH_SCHEMA)
+    for lt in GRAPH_SCHEMA.link_types:
+        for _ in range(int(rng.integers(0, 16))):
+            src = f"{lt.src}{rng.integers(sizes[lt.src])}"
+            dst = f"{lt.dst}{rng.integers(sizes[lt.dst])}"
+            birth = float(rng.uniform(0, 10))
+            death = birth + float(rng.uniform(0.1, 5)) if rng.uniform() < 0.3 else None
+            for _ in range(int(rng.choice([1, 1, 2, 3]))):  # parallel copies
+                g.add_link(lt.name, src, dst, birth, death)
+    for node_type, n in sizes.items():
+        for i in range(n):
+            g.node_index(node_type, f"{node_type}{i}")
+    return g.freeze()
+
+
+class TestCandidatePairs:
+    def test_equals_set_union_of_nonzeros(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            g = random_graph(rng)
+            exprs = rng.choice(AUTHOR_PATHS, size=int(rng.integers(1, 4)), replace=False)
+            paths = [parse_metapath(e, GRAPH_SCHEMA) for e in exprs]
+            window = WindowConfig(t0=float(rng.uniform(0, 4)), phi=4.0, omega=2.0,
+                                  delta=2.0, k=2)
+            seen = set()
+            for path in paths:
+                rows, cols = metapath_matrix(g, path, window.feature_end).nonzero()
+                seen.update(zip(rows.tolist(), cols.tolist()))
+            got = candidate_pairs(g, paths, window)
+            assert got == sorted(seen)
+            assert all(type(a) is int and type(b) is int for a, b in got)
+
+    def test_mixed_endpoint_types_rejected(self):
+        g = random_graph(np.random.default_rng(0))
+        paths = [parse_metapath("write> <write", GRAPH_SCHEMA),
+                 parse_metapath("write> cite>", GRAPH_SCHEMA)]
+        with pytest.raises(MetaPathError, match="A->A and A->P"):
+            candidate_pairs(g, paths, WindowConfig(t0=0.0, phi=4.0, omega=2.0,
+                                                   delta=2.0, k=2))
+
+
 class TestLabelPairsMemory:
     """``label_pairs`` keeps no count matrix per change point."""
 
@@ -316,7 +372,6 @@ class TestAggregation:
 
     def test_stack_matches_final_snapshot(self, fixture_graph, fixture_dir):
         schema, graph = fixture_graph
-        from hazardnet.metapaths import metapath_matrix
         _, exprs = read_metapath_file(fixture_dir / "paths.txt")
         paths = [parse_metapath(e, schema) for e in exprs]
         window = WindowConfig(**WINDOW)
@@ -324,7 +379,7 @@ class TestAggregation:
         series = dynamic_series(graph, paths, window.snapshot_plan(), pairs)
         finals = [metapath_matrix(graph, p, window.feature_end) for p in paths]
         for s in series:
-            want = [m.count(*s.pair) for m in finals]
+            want = [m[s.pair] for m in finals]
             assert_array_equal(aggregate_stack(s), want)
 
 

@@ -9,14 +9,13 @@ from hazardnet.graph import (
     GraphError,
     LinkType,
     Schema,
-    SparseCountMatrix,
     TemporalGraph,
     load_graph,
     load_schema,
     spmm,
     time_aware_adjacency,
-    transpose,
 )
+from hazardnet.metapaths import metapath_matrix, parse_metapath
 
 SCHEMA = Schema(
     node_types=("A", "P"),
@@ -133,12 +132,12 @@ class TestTimeAwareAdjacency:
         g = small_graph()
         # birth < tau: the 2.0 edge is invisible at tau=2.0
         m1 = time_aware_adjacency(g, "write", 2.0)
-        assert m1.count(0, 0) == 1 and m1.count(1, 0) == 0
+        assert m1[0, 0] == 1 and m1[1, 0] == 0
         # death >= tau keeps the edge: the (a1, p1) edge dies at 5.0
         alive = time_aware_adjacency(g, "write", 5.0)
-        assert alive.count(1, 1) == 1
+        assert alive[1, 1] == 1
         gone = time_aware_adjacency(g, "write", 5.1)
-        assert gone.count(1, 1) == 0
+        assert gone[1, 1] == 0
 
     def test_shape_is_type_counts(self):
         g = small_graph()
@@ -150,64 +149,66 @@ class TestTimeAwareAdjacency:
         g.add_link("write", "a0", "p0", 1.0)
         g.add_link("write", "a0", "p0", 2.0)
         g.freeze()
-        assert time_aware_adjacency(g, "write", 3.0).count(0, 0) == 2
+        assert time_aware_adjacency(g, "write", 3.0)[0, 0] == 2
+
+
+def csr(dense):
+    return sp.csr_array(np.asarray(dense, dtype=np.int64))
 
 
 class TestSparseCountMatrix:
-    def test_from_coo_merges_duplicates(self):
-        m = SparseCountMatrix.from_coo([0, 0], [1, 1], [1, 2], (2, 2))
-        assert m.count(0, 1) == 3
-        assert m.nnz == 1
+    """Count matrices are plain int64 ``scipy.sparse.csr_array``."""
 
-    def test_negative_counts_rejected(self):
-        with pytest.raises(GraphError):
-            SparseCountMatrix.from_coo([0], [0], [-1], (1, 1))
+    def test_from_coo_merges_duplicates(self):
+        g = TemporalGraph(SCHEMA)
+        g.add_link("write", "a0", "p0", 1.0)
+        for birth in (1.0, 2.0, 2.5):
+            g.add_link("write", "a0", "p1", birth)
+        g.freeze()
+        m = time_aware_adjacency(g, "write", 3.0)
+        assert isinstance(m, sp.csr_array) and m.dtype == np.int64
+        assert m[0, 1] == 3
+        assert m.nnz == 2 and m.has_canonical_format
 
     def test_counts_at_vectorized(self):
-        m = SparseCountMatrix.from_coo([0, 1], [1, 2], [4, 5], (3, 3))
-        assert_array_equal(m.counts_at(np.array([0, 1, 2]), np.array([1, 2, 0])),
-                           [4, 5, 0])
+        m = time_aware_adjacency(small_graph(), "write", 10.0)
+        got = m[np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])]
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert_array_equal(got, [1, 1, 0, 0])  # the (a1, p1) link died at 5.0
 
     def test_nonzero_pairs(self):
-        m = SparseCountMatrix.from_coo([2, 0], [0, 1], [1, 1], (3, 3))
-        assert m.nonzero_pairs() == [(0, 1), (2, 0)]
-
-    def test_equality_and_hash(self):
-        a = SparseCountMatrix.from_coo([0], [1], [2], (2, 2))
-        b = SparseCountMatrix.from_coo([0], [1], [2], (2, 2))
-        c = SparseCountMatrix.from_coo([0], [1], [3], (2, 2))
-        assert a == b and a != c
-        with pytest.raises(TypeError):
-            hash(a)
-
-    def test_identity_and_zeros(self):
-        eye = SparseCountMatrix.identity(3)
-        assert eye.todense().tolist() == np.eye(3, dtype=int).tolist()
-        assert SparseCountMatrix.zeros(2, 3).nnz == 0
+        m = spmm(csr([[0, 1], [1, 0], [1, 1]]), csr([[1, 0, 1], [0, 1, 0]]))
+        assert m.has_sorted_indices
+        rows, cols = m.nonzero()
+        assert list(zip(rows.tolist(), cols.tolist())) == [
+            (0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
 class TestSpmm:
     def test_counts_compose(self):
         # two walks a->b->c when both a->b edges join the single b->c edge
-        ab = SparseCountMatrix.from_coo([0], [0], [2], (1, 2))
-        bc = SparseCountMatrix.from_coo([0], [0], [3], (2, 1))
-        assert spmm(ab, bc).count(0, 0) == 6
+        ab = csr([[2, 0]])
+        bc = csr([[3], [0]])
+        product = spmm(ab, bc)
+        assert product[0, 0] == 6
+        assert isinstance(product, sp.csr_array) and product.dtype == np.int64
 
     def test_dimension_mismatch(self):
-        a = SparseCountMatrix.zeros(2, 3)
-        b = SparseCountMatrix.zeros(2, 3)
+        a = sp.csr_array((2, 3), dtype=np.int64)
+        b = sp.csr_array((2, 3), dtype=np.int64)
         with pytest.raises(GraphError):
             spmm(a, b)
 
     def test_transpose(self):
-        m = SparseCountMatrix.from_coo([0, 1], [2, 0], [1, 4], (2, 3))
-        t = transpose(m)
-        assert t.shape == (3, 2)
-        assert t.count(2, 0) == 1 and t.count(0, 1) == 4
+        # a backward step is the forward adjacency transposed
+        g = small_graph()
+        backward = metapath_matrix(g, parse_metapath("<write", SCHEMA), 10.0)
+        forward = time_aware_adjacency(g, "write", 10.0)
+        assert isinstance(backward, sp.csr_array)
+        assert_array_equal(backward.todense(), forward.todense().T)
 
     def test_overflow_guard(self):
-        big = int(2**40)
-        a = SparseCountMatrix.from_coo([0], [0], [big], (1, 1))
+        a = csr([[2**40]])
         with pytest.raises(OverflowError):
             spmm(a, a)
 
@@ -217,6 +218,6 @@ class TestSpmm:
             n, m, k = rng.integers(1, 8, size=3)
             da = rng.integers(0, 3, size=(n, m))
             db = rng.integers(0, 3, size=(m, k))
-            a = SparseCountMatrix(sp.csr_matrix(da))
-            b = SparseCountMatrix(sp.csr_matrix(db))
-            assert_array_equal(spmm(a, b).todense(), da @ db)
+            product = spmm(csr(da), csr(db))
+            assert product.dtype == np.int64 and product.has_sorted_indices
+            assert_array_equal(product.todense(), da @ db)

@@ -149,14 +149,14 @@ class TestMetapathMatrix:
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
         m = metapath_matrix(g, p, 5.0)
-        assert m.count(0, 1) == 1 and m.count(1, 0) == 1
-        assert m.count(0, 0) == 1 and m.count(1, 1) == 2
+        assert m[0, 1] == 1 and m[1, 0] == 1
+        assert m[0, 0] == 1 and m[1, 1] == 2
 
     def test_time_slicing(self):
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
-        assert metapath_matrix(g, p, 2.0).count(0, 1) == 0
-        assert metapath_matrix(g, p, 2.5).count(0, 1) == 1
+        assert metapath_matrix(g, p, 2.0)[0, 1] == 0
+        assert metapath_matrix(g, p, 2.5)[0, 1] == 1
 
     def test_palindrome_equals_general_route(self):
         g = two_author_graph()
@@ -201,7 +201,7 @@ class TestSnapshots:
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
         final = metapath_matrix(g, p, 5.0)
         for s in dynamic_series(g, [p], plan, pairs):
-            assert s.base[0] + s.series[:, 0].sum() == final.count(*s.pair)
+            assert s.base[0] + s.series[:, 0].sum() == final[s.pair]
 
     def test_cache_and_threads_are_ignored(self):
         g = two_author_graph()
@@ -218,6 +218,11 @@ class TestSnapshots:
             assert a.pair == b.pair
             assert_array_equal(a.series, b.series)
             assert_array_equal(a.base, b.base)
+
+    def test_empty_pair_list_gives_no_series(self):
+        g = two_author_graph()
+        p = parse_metapath("write> <write", SCHEMA)
+        assert dynamic_series(g, [p], SnapshotPlan(0.0, 1.0, 2), []) == []
 
     def test_mixed_endpoint_types_rejected(self):
         g = two_author_graph()
