@@ -30,6 +30,7 @@ from .datasets import (
     aggregate_stack,
     build_dataset,
     candidate_pairs,
+    check_alpha,
     label_pairs,
     load_dataset,
     save_dataset,
@@ -72,7 +73,7 @@ def _predict_medians(model, dataset):
         raise DatasetError(
             f"model expects {model.d} features, dataset has {dataset.d}"
         )
-    return npglm.quantile_times(model, dataset.raw_x, 0.5)
+    return npglm.quantile_times(model, dataset.x, 0.5)
 
 
 def cmd_synth(args) -> int:
@@ -89,6 +90,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
+    if args.aggregator == "expsmooth":
+        check_alpha(args.alpha)
     schema = load_schema(args.schema)
     graph = load_graph_file(schema, args.graph)
     target_expr, feature_exprs = read_metapath_file(args.metapaths)
@@ -129,7 +132,7 @@ def cmd_features(args) -> int:
         feats = {s.pair: aggregate_stack(s) for s in series}
     else:
         feats = {s.pair: aggregate_expsmooth(s, args.alpha) for s in series}
-    dataset = build_dataset(feats, labels, standardize=False)
+    dataset = build_dataset(feats, labels)
     save_dataset(args.out, dataset)
     log.info("wrote %d samples x %d features to %s", dataset.n, dataset.d, args.out)
     return 0
@@ -168,7 +171,7 @@ def _parse_query_x(args, d: int) -> np.ndarray:
         dataset = load_dataset(args.input)
         if not 0 <= index < dataset.n:
             raise ValueError(f"row {index} outside dataset of {dataset.n} rows")
-        x = dataset.raw_x[index]
+        x = dataset.x[index]
     else:
         x = np.asarray([float(v) for v in raw.split(",")], dtype=float)
     if len(x) != d:
@@ -295,6 +298,9 @@ class ExperimentConfig:
         missing = [key for key in ("dist", "n_grid", "censoring_grid") if key not in doc]
         if missing:
             raise ValueError(f"{path}: missing required key {missing[0]!r}")
+        for key in ("models", "n_grid", "censoring_grid"):
+            if not isinstance(doc.get(key, []), list):
+                raise ValueError(f"{path}: {key!r} must be a JSON list, got {doc[key]!r}")
         return cls(
             dist=doc["dist"],
             models=tuple(doc.get("models", ["npglm"])),

@@ -12,11 +12,9 @@ smoothing.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +32,7 @@ __all__ = [
     "subsample_censored",
     "aggregate_stack",
     "aggregate_expsmooth",
+    "check_alpha",
     "build_dataset",
     "save_dataset",
     "load_dataset",
@@ -111,16 +110,13 @@ class Standardization:
 class Dataset:
     """Samples sorted ascending by t; observed before censored on ties, then by pair.
 
-    ``x`` is N x d, ``y`` in {0,1}, ``t`` positive.  When built with
-    standardization the stored features are already shifted/scaled and
-    ``standardization`` holds the training statistics.
+    ``x`` is N x d raw features, ``y`` in {0,1}, ``t`` positive.
     """
 
     x: np.ndarray
     y: np.ndarray
     t: np.ndarray
     pairs: list[tuple[int, int]]
-    standardization: Standardization | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -147,22 +143,15 @@ class Dataset:
         return int(self.y.sum())
 
     def fit_features(self) -> tuple[np.ndarray, Standardization]:
-        """Features a model is fitted on, with the transform they carry.
-
-        A recorded transform is kept and the stored features used as they
-        are; without one, the features are standardized here.
-        """
-        if self.standardization is not None:
-            return self.x, self.standardization
+        """The standardized features a model is fitted on, with the transform
+        the model carries to apply to raw query rows."""
         stats = Standardization.fit(self.x)
         return stats.apply(self.x), stats
 
     @property
     def raw_x(self) -> np.ndarray:
-        """Features mapped back to raw space (inverts any standardization)."""
-        if self.standardization is None:
-            return self.x
-        return self.x * self.standardization.std + self.standardization.mean
+        """Alias of ``x``, which always holds raw features."""
+        return self.x
 
 
 def _sort_order(t, y, pairs):
@@ -255,13 +244,18 @@ def aggregate_stack(series: PairSeries) -> np.ndarray:
     return (series.base + series.series.sum(axis=0)).astype(float)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise DatasetError unless ``alpha`` is a smoothing factor in (0, 1)."""
+    if not 0 < alpha < 1:
+        raise DatasetError(f"smoothing factor alpha must be in (0, 1), got {alpha!r}")
+
+
 def aggregate_expsmooth(series: PairSeries, alpha: float) -> np.ndarray:
     """Exponentially weighted moving average over the snapshot increments.
 
     f_1 = x_1 and f_i = alpha * x_i + (1 - alpha) * f_{i-1}; returns f_k.
     """
-    if not 0 < alpha < 1:
-        raise DatasetError("smoothing factor alpha must be in (0, 1)")
+    check_alpha(alpha)
     x = series.series.astype(float)
     f = x[0]
     for i in range(1, x.shape[0]):
@@ -271,8 +265,10 @@ def aggregate_expsmooth(series: PairSeries, alpha: float) -> np.ndarray:
 
 def build_dataset(features: dict[tuple[int, int], np.ndarray],
                   labels: list[tuple[tuple[int, int], int, float]],
-                  standardize: bool = True) -> Dataset:
-    """Assemble a sorted Dataset from per-pair features and labels."""
+                  standardize: bool = False) -> Dataset:
+    """Assemble a sorted Dataset of raw features from per-pair features and
+    labels.  ``standardize`` is accepted and ignored: the fit standardizes.
+    """
     if not labels:
         raise DatasetError("no labeled pairs")
     pairs = [rec[0] for rec in labels]
@@ -288,17 +284,7 @@ def build_dataset(features: dict[tuple[int, int], np.ndarray],
         raise DatasetError("dataset has no observed samples")
     order = _sort_order(t, y, pairs)
     x, y, t = x[order], y[order], t[order]
-    pairs = [pairs[i] for i in order]
-    stats = None
-    if standardize:
-        stats = Standardization.fit(x)
-        x = stats.apply(x)
-    return Dataset(x=x, y=y, t=t, pairs=pairs, standardization=stats)
-
-
-def _sidecar_path(path) -> Path:
-    p = Path(path)
-    return p.with_suffix(p.suffix + ".standardization.json")
+    return Dataset(x=x, y=y, t=t, pairs=[pairs[i] for i in order])
 
 
 # Rows formatted per write in save_dataset: bounds the strings held at once.
@@ -306,7 +292,7 @@ _SAVE_CHUNK = 1024
 
 
 def save_dataset(path, dataset: Dataset):
-    """Write the labeled dataset CSV; standardization goes to a JSON sidecar."""
+    """Write the labeled dataset CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["src", "dst", "y", "t"] + [f"x_{j}" for j in range(dataset.d)])
         for a in range(0, dataset.n, _SAVE_CHUNK):
@@ -315,12 +301,6 @@ def save_dataset(path, dataset: Dataset):
                     in zip(dataset.pairs[a:b], dataset.y[a:b].tolist()))
             values = np.column_stack((dataset.t[a:b], dataset.x[a:b])).tolist()
             fh.writelines(k + ",".join(map(repr, v)) + "\r\n" for k, v in zip(keys, values))
-    side = _sidecar_path(path)
-    if dataset.standardization is not None:
-        with open(side, "w", encoding="utf-8") as fh:
-            json.dump(dataset.standardization.to_dict(), fh)
-    elif side.exists():
-        side.unlink()
 
 
 def _int64(raw: str) -> int:
@@ -385,7 +365,7 @@ def _raise_first_fault(path, header):
 
 
 def load_dataset(path) -> Dataset:
-    """Read a labeled dataset CSV (and its standardization sidecar if present).
+    """Read a labeled dataset CSV.
 
     The body is parsed in one ``np.loadtxt`` call.  A malformed row raises
     ``DatasetError`` naming the file and line, and the column where one is
@@ -412,11 +392,5 @@ def load_dataset(path) -> Dataset:
     if fault:
         _raise_first_fault(path, header)
         raise DatasetError(f"{path}: {fault}")
-    stats = None
-    side = _sidecar_path(path)
-    if side.exists():
-        with open(side, "r", encoding="utf-8") as fh:
-            stats = Standardization.from_dict(json.load(fh))
     return Dataset(x=np.ascontiguousarray(body["x"]), y=body["y"].copy(), t=body["t"].copy(),
-                   pairs=list(zip(body["src"].tolist(), body["dst"].tolist())),
-                   standardization=stats)
+                   pairs=list(zip(body["src"].tolist(), body["dst"].tolist())))

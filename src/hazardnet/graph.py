@@ -78,11 +78,14 @@ class Schema:
         if not isinstance(doc, dict) or "node_types" not in doc or "link_types" not in doc:
             raise GraphError("schema document must have node_types and link_types keys")
         node_types = tuple(str(n) for n in doc["node_types"])
-        link_types = tuple(
-            LinkType(str(lt["name"]), str(lt["src"]), str(lt["dst"]))
-            for lt in doc["link_types"]
-        )
-        return cls(node_types, link_types)
+        fields = ("name", "src", "dst")
+        link_types = []
+        for i, lt in enumerate(doc["link_types"]):
+            missing = [key for key in fields if not isinstance(lt, dict) or key not in lt]
+            if missing:
+                raise GraphError(f"schema link type #{i} lacks key {missing[0]!r}")
+            link_types.append(LinkType(*(str(lt[key]) for key in fields)))
+        return cls(node_types, tuple(link_types))
 
 
 @dataclass

@@ -310,12 +310,16 @@ class HazardModel:
     @classmethod
     def from_json(cls, doc: dict) -> "HazardModel":
         family = doc.get("family")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        keys = ("event_times", "H") if family == "npglm" else ("shape",)
+        missing = [key for key in ("w", "standardization") + keys if key not in doc]
+        if missing:
+            raise ValueError(f"model lacks key {missing[0]!r}")
         if family == "npglm":
             family_fields = {"event_times": doc["event_times"], "H": doc["H"]}
-        elif family in PARAMETRIC_FAMILIES:
-            family_fields = {"shape": float(doc["shape"])}
         else:
-            raise ValueError(f"unknown family {family!r}")
+            family_fields = {"shape": float(doc["shape"])}
         return cls(
             w=doc["w"],
             standardization=Standardization.from_dict(doc["standardization"]),
@@ -332,8 +336,12 @@ class HazardModel:
 
     @classmethod
     def load(cls, path) -> "HazardModel":
+        """Read a model file; a ValueError it raises names the path."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
 
 
 def _dedupe_knots(t: np.ndarray, H: np.ndarray):

@@ -70,9 +70,19 @@ class TestFeatures:
                for (src, dst), y, t, row in zip(ds.pairs, ds.y, ds.t, ds.x)]
         assert got == EXPECTED_ROWS
 
-    def test_expsmooth_alpha_out_of_range_exits_2(self, fixture_dir, tmp_path):
-        args = self.feature_args(fixture_dir, tmp_path / "f.csv")
+    def test_expsmooth_alpha_out_of_range_exits_2(self, fixture_dir, tmp_path, caplog):
+        # checked before any graph work: the graph file does not exist
+        args = list(self.feature_args(fixture_dir, tmp_path / "f.csv"))
+        args[args.index("--graph") + 1] = tmp_path / "absent.tsv"
         assert run(*args, "--aggregator", "expsmooth", "--alpha", 1.5) == 2
+        assert "smoothing factor alpha must be in (0, 1), got 1.5" in caplog.text
+
+    def test_schema_entry_missing_key_exits_2(self, fixture_dir, tmp_path, caplog):
+        schema = json.loads((fixture_dir / "schema.json").read_text())
+        del schema["link_types"][1]["src"]
+        (fixture_dir / "schema.json").write_text(json.dumps(schema))
+        assert run(*self.feature_args(fixture_dir, tmp_path / "f.csv")) == 2
+        assert "schema link type #1 lacks key 'src'" in caplog.text
 
     def test_missing_target_exits_2(self, fixture_dir, tmp_path):
         naked = fixture_dir / "no-target.txt"
@@ -326,6 +336,21 @@ class TestParentFormatModels:
         assert_allclose(answer["times"], want, rtol=1e-12)
         assert answer["horizon_exceeded"] == [False] * 50
 
+    @pytest.mark.parametrize("family, key", [("npglm", "w"), ("npglm", "standardization"),
+                                             ("npglm", "event_times"), ("npglm", "H"),
+                                             ("weibull", "shape")])
+    def test_missing_key_names_file_and_key(self, tmp_path, caplog, family, key):
+        path = tmp_path / "model.json"
+        doc = dict(PARENT_DOCS[family])
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        data = tmp_path / "data.csv"
+        data.write_text("src,dst,y,t,x_0,x_1\n0,1,1,1.5,1.0,2.0\n")
+        assert run("query", "--model-file", path, "--x", X, "--op", "quantile", 0.5) == 2
+        assert run("predict", "--model-file", path, "--input", data,
+                   "--out", tmp_path / "p.csv") == 2
+        assert caplog.text.count(f"{path}: model lacks key {key!r}") == 2
+
     def test_unknown_family_exits_2(self, tmp_path):
         path = tmp_path / "gamma.json"
         path.write_text(json.dumps(dict(PARENT_DOCS["weibull"], family="gamma")))
@@ -429,6 +454,14 @@ class TestSweep:
         config = self.config_doc(tmp_path, **over)
         assert run("sweep", "--config", config) == 2
         assert message in caplog.text
+        assert not (tmp_path / "sweep-out").exists()
+
+    @pytest.mark.parametrize("key, value", [("n_grid", 60), ("censoring_grid", 0.2),
+                                            ("models", "npglm")])
+    def test_non_list_grid_names_file_and_key(self, tmp_path, caplog, key, value):
+        config = self.config_doc(tmp_path, **{key: value})
+        assert run("sweep", "--config", config) == 2
+        assert f"{config}: {key!r} must be a JSON list, got {value!r}" in caplog.text
         assert not (tmp_path / "sweep-out").exists()
 
     @pytest.mark.parametrize("key", ["dist", "n_grid", "censoring_grid"])

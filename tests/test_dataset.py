@@ -106,15 +106,6 @@ class TestDataset:
         with pytest.raises(DatasetError):
             self.make(t=np.array([0.0, 1.0, 2.0]))
 
-    def test_raw_x_inverts_standardization(self):
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=(5, 2)) * 3 + 1
-        stats = Standardization.fit(raw)
-        ds = self.make(x=stats.apply(raw), y=np.array([1, 1, 0, 0, 1]),
-                       t=np.arange(1.0, 6.0), pairs=[(i, i + 1) for i in range(5)],
-                       standardization=stats)
-        assert_allclose(ds.raw_x, raw, rtol=1e-12)
-
     def test_raw_x_passthrough(self):
         ds = self.make()
         assert ds.raw_x is ds.x
@@ -130,7 +121,7 @@ class TestBuildDataset:
             ((2, 0), 1, 2.0),
         ]
         feats = {p: np.array([float(p[0])]) for p, _, _ in labels}
-        ds = build_dataset(feats, labels, standardize=False)
+        ds = build_dataset(feats, labels)
         # t ascending, observed before censored on ties, then pair order
         assert ds.pairs == [(0, 0), (1, 0), (1, 5), (2, 0), (5, 0)]
         assert_array_equal(ds.y, [0, 1, 1, 1, 0])
@@ -145,21 +136,13 @@ class TestBuildDataset:
         with pytest.raises(DatasetError):
             build_dataset(feats, [((0, 1), 0, 1.0)])
 
-    def test_standardize_default(self):
-        labels = [((0, 1), 1, 1.0), ((1, 2), 0, 2.0), ((2, 3), 1, 3.0)]
-        feats = {(0, 1): np.array([1.0]), (1, 2): np.array([2.0]), (2, 3): np.array([3.0])}
-        ds = build_dataset(feats, labels)
-        assert ds.standardization is not None
-        assert_allclose(ds.x.mean(axis=0), 0.0, atol=1e-12)
-        assert_allclose(ds.raw_x[:, 0], [1.0, 2.0, 3.0])
-
     def test_empty_labels_rejected(self):
         with pytest.raises(DatasetError):
             build_dataset({}, [])
 
 
 class TestFixturePipeline:
-    def build(self, fixture_graph, fixture_dir, standardize=False):
+    def build(self, fixture_graph, fixture_dir):
         schema, graph = fixture_graph
         target_expr, exprs = read_metapath_file(fixture_dir / "paths.txt")
         target = parse_metapath(target_expr, schema)
@@ -170,7 +153,7 @@ class TestFixturePipeline:
         series = dynamic_series(graph, paths, window.snapshot_plan(),
                                 [p for p, _, _ in labels])
         feats = {s.pair: aggregate_stack(s) for s in series}
-        return build_dataset(feats, labels, standardize=standardize), cands
+        return build_dataset(feats, labels), cands
 
     def test_matches_hand_computed(self, fixture_graph, fixture_dir):
         ds, cands = self.build(fixture_graph, fixture_dir)
@@ -384,15 +367,14 @@ class TestAggregation:
 
 
 class TestPersistence:
-    def dataset(self, standardize):
+    # standardize=False is the benchmark worker's call; the keyword is ignored
+    @pytest.mark.parametrize("standardize", [False])
+    def test_round_trip(self, tmp_path, standardize):
         labels = [((0, 1), 1, 0.625), ((2, 3), 0, 4.75), ((1, 2), 1, 2.5)]
         feats = {(0, 1): np.array([1.0, -2.0]), (2, 3): np.array([0.5, 3.0]),
                  (1, 2): np.array([-1.5, 0.25])}
-        return build_dataset(feats, labels, standardize=standardize)
-
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_round_trip(self, tmp_path, standardize):
-        ds = self.dataset(standardize)
+        ds = build_dataset(feats, labels, standardize=standardize)
+        assert_array_equal(ds.x, [feats[p] for p in ds.pairs])  # raw features
         path = tmp_path / "data.csv"
         save_dataset(path, ds)
         back = load_dataset(path)
@@ -400,19 +382,7 @@ class TestPersistence:
         assert_array_equal(back.y, ds.y)
         assert_array_equal(back.t, ds.t)  # repr round-trip is exact
         assert_array_equal(back.x, ds.x)
-        if standardize:
-            assert back.standardization is not None
-            assert_array_equal(back.standardization.mean, ds.standardization.mean)
-        else:
-            assert back.standardization is None
-
-    def test_sidecar_cleared_for_raw_dataset(self, tmp_path):
-        path = tmp_path / "data.csv"
-        save_dataset(path, self.dataset(True))
-        side = tmp_path / "data.csv.standardization.json"
-        assert side.exists()
-        save_dataset(path, self.dataset(False))
-        assert not side.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -434,7 +404,7 @@ class TestPersistence:
         feats = {p: rng.normal(size=3) for p, _, _ in labels}
         feats[labels[7][0]][:] = [-0.0, 1e300, 5e-324]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_dataset(first, build_dataset(feats, labels, standardize=False))
+        save_dataset(first, build_dataset(feats, labels))
         save_dataset(second, load_dataset(first))
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes().count(b"\r\n") == n + 1

@@ -41,6 +41,16 @@ class TestSchema:
         assert s.node_types == ("A", "P")
         assert s.link_type("write") == LinkType("write", "A", "P")
 
+    @pytest.mark.parametrize("entry, key", [({"src": "A", "dst": "P"}, "name"),
+                                            ({"name": "cite", "dst": "P"}, "src"),
+                                            ({"name": "cite", "src": "P"}, "dst"),
+                                            ("cite", "name")])
+    def test_entry_missing_key_named(self, entry, key):
+        doc = {"node_types": ["A", "P"],
+               "link_types": [{"name": "write", "src": "A", "dst": "P"}, entry]}
+        with pytest.raises(GraphError, match=f"link type #1 lacks key '{key}'"):
+            Schema.from_json(json.dumps(doc))
+
     def test_unknown_endpoint_type_rejected(self):
         with pytest.raises(GraphError):
             Schema(node_types=("A",), link_types=(LinkType("w", "A", "B"),))

@@ -24,14 +24,13 @@ from hazardnet.npglm import _gradient, _hazard, _hessian, _w_objective
 from hazardnet.synthetic import SynthConfig, generate
 
 
-def make_dataset(t, y, x=None, standardization=None):
+def make_dataset(t, y, x=None):
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if x is None:
         x = np.zeros((len(t), 0))
     return Dataset(x=np.asarray(x, dtype=float), y=y, t=t,
-                   pairs=[(i, i) for i in range(len(t))],
-                   standardization=standardization)
+                   pairs=[(i, i) for i in range(len(t))])
 
 
 def random_dataset(rng, n, d, censor=0.3):
@@ -313,8 +312,10 @@ class TestProfile:
 class TestFitMatchesPartialLikelihoodOracle:
     """The Newton fit lands where L-BFGS-B on the partial likelihood does."""
 
-    def check(self, ds):
-        model = fit(ds)
+    def check(self, raw):
+        model = fit(raw)
+        # the exact design the fit runs on: the standardized raw features
+        ds = Dataset(x=raw.fit_features()[0], y=raw.y, t=raw.t, pairs=raw.pairs)
         w_ref = fit_partial_likelihood_oracle(ds)
         assert model.w[-1] == 0.0
         assert_allclose(model.w[:-1], w_ref, rtol=0, atol=1e-5)
@@ -333,9 +334,7 @@ class TestFitMatchesPartialLikelihoodOracle:
         rng = np.random.default_rng(41)
         for _ in range(40):
             n, d = int(rng.integers(20, 400)), int(rng.integers(0, 6))
-            ds = random_dataset(rng, n, d)
-            ds.standardization = Standardization.identity(d)
-            self.check(ds)
+            self.check(random_dataset(rng, n, d))
 
     def test_zero_variance_column(self):
         # a constant feature standardizes to zeros: its gradient and its
@@ -414,17 +413,6 @@ class TestFit:
         assert_array_equal(m1.w, m2.w)
         assert_array_equal(m1.H, m2.H)
         assert m1.loss_trace == m2.loss_trace
-
-    def test_prestandardized_dataset_equals_internal_standardization(self):
-        out = generate(SynthConfig(n_observed=120, n_censored=40, d=2,
-                                   dist="rayleigh", seed=5))
-        raw = out.dataset
-        stats = Standardization.fit(raw.x)
-        pre = Dataset(x=stats.apply(raw.x), y=raw.y, t=raw.t, pairs=raw.pairs,
-                      standardization=stats)
-        m_raw, m_pre = fit(raw), fit(pre)
-        assert_allclose(m_raw.w, m_pre.w, rtol=1e-10)
-        assert_allclose(m_raw.H, m_pre.H, rtol=1e-10)
 
     def test_no_observed_rejected(self):
         with pytest.raises(ValueError):
@@ -558,7 +546,7 @@ class TestQuantile:
             model = fit(out.dataset)
         else:
             model = fit_parametric(out.dataset, family=family)
-        x = out.dataset.raw_x[:20]
+        x = out.dataset.x[:20]
         times, exceeded = quantile_times(model, x, 0.5)
         for i in range(len(x)):
             est = quantile(model, x[i], 0.5)
@@ -622,13 +610,13 @@ class TestSerialization:
         back = HazardModel.load(path)
         assert back.unit == "days"
         assert_array_equal(back.w, model.w)
-        x = out.dataset.raw_x[:5]
+        x = out.dataset.x[:5]
         assert_array_equal(back.score(x), model.score(x))
 
     def test_raw_coefficients_preserve_scores(self):
         out = generate(SynthConfig(n_observed=100, n_censored=0, d=3,
                                    dist="rayleigh", seed=11))
         model = fit(out.dataset)
-        x = out.dataset.raw_x[:10]
+        x = out.dataset.x[:10]
         w_raw, b_raw = model.raw_coefficients()
         assert_allclose(x @ w_raw + b_raw, model.score(x), rtol=1e-10)

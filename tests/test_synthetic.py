@@ -60,7 +60,6 @@ class TestGenerate:
         assert ds.n == 180 and ds.d == 4
         assert ds.n_observed == 120
         assert out.true_w.shape == (4,)
-        assert ds.standardization is None
 
     def test_sorted_positive_times(self):
         ds = generate(self.cfg()).dataset
