@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import TemporalGraph
 from .metapaths import (MetaPath, PairSeries, PrefixCache, SnapshotPlan, endpoint_types,
-                        metapath_matrix)
+                        metapath_matrix, new_instance_pairs, pair_arrays)
 
 __all__ = [
     "WindowConfig",
@@ -168,14 +168,29 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     A pair whose first target instance appears at t_r inside the
     observation window gets (y=1, t = t_r - feature_end); a pair with no
     instance by the end of observation gets (y=0, t = omega).  Pairs
-    already related by the end of the feature window are dropped.
-    ``cache`` is accepted and ignored.
+    already related by the end of the feature window are dropped.  The
+    output keeps the order and the duplicates of ``candidates``; a pair
+    outside the node index range raises DatasetError.  ``cache`` is
+    accepted and ignored.
+
+    Counts change only at link births, so the change points are the
+    births of the target's link types inside the observation window, and
+    each is evaluated at a snapshot tau strictly before the next birth.
+    One full count matrix, at the feature-window end, gives the pairs
+    already related.  After that only the links born at each change point
+    b are walked: the pairs that can become related at b are the
+    endpoints of instances alive at its tau that use a link born at b.
+    This is exact with link deaths.  Take a pair first related at tau_k
+    through an instance that uses no link born at b_k.  Its links were
+    all born before b_k, so before tau_{k-1}, as no birth falls between
+    the two; and none dies before tau_k > tau_{k-1}.  So the instance was
+    alive at tau_{k-1}, and the pair was related there.
     """
     if not candidates:
         raise DatasetError("empty candidate list")
     step_types = sorted({name for name, _ in target.steps})
-    rows = np.asarray([p[0] for p in candidates], dtype=np.int64)
-    cols = np.asarray([p[1] for p in candidates], dtype=np.int64)
+    n_cols = graph.node_count(target.target)
+    rows, cols = pair_arrays(candidates, (graph.node_count(target.source), n_cols))
 
     t_end = window.feature_end
     # Change points: the feature-window end, then the births of the
@@ -188,20 +203,27 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     later = np.append(births, np.inf)[np.searchsorted(births, points, side="right")]
     taus = np.where(np.isfinite(later), (points + later) / 2.0, points + 1.0)
 
+    # Distinct candidates as sorted keys row * n_cols + col; ``copies``
+    # maps every candidate, duplicates included, to its key.
+    keys = rows * n_cols + cols
+    copies = slice(None)  # sorted and distinct, as candidate_pairs gives them
+    if not (keys[1:] > keys[:-1]).all():
+        keys, copies = np.unique(keys, return_inverse=True)
+        rows, cols = keys // n_cols, keys % n_cols
     # Already related by the end of the feature window (instance born <= t_end).
     related0 = metapath_matrix(graph, target, float(taus[0]))[rows, cols] > 0
-    formed = related0.copy()
-    first_time = np.full(len(candidates), np.nan)
-    for b, tau in zip(points[1:], taus[1:]):
-        counts = metapath_matrix(graph, target, float(tau))[rows, cols]
-        newly = (~formed) & (counts > 0)
-        first_time[newly] = b
-        formed |= newly
+    first_time = np.full(len(keys), np.inf)
+    for b, start, end in new_instance_pairs(graph, target, points, taus):
+        found = start * n_cols + end
+        at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+        hit = keys[at] == found
+        np.minimum.at(first_time, at[hit], b[hit])
 
-    keep = ~related0  # group 1, related within the feature window, is dropped
-    observed = np.isfinite(first_time[keep])
+    keep = ~related0[copies]  # group 1, related within the feature window, is dropped
+    first_time = first_time[copies][keep]
+    observed = np.isfinite(first_time)
     y = observed.astype(np.int64).tolist()
-    t = np.where(observed, first_time[keep] - t_end, float(window.omega)).tolist()
+    t = np.where(observed, first_time - t_end, float(window.omega)).tolist()
     return list(zip(map(tuple, compress(candidates, keep.tolist())), y, t))
 
 

@@ -5,7 +5,8 @@ separated steps: ``name>`` follows the link type forward, ``<name``
 backward.  Its count matrix at a timestamp is the left-to-right product
 of the per-step adjacency matrices at that timestamp; even-length
 palindromic paths are folded to ``X @ X.T`` of their half product.  No
-product is kept between calls.
+product is kept between calls.  The instances that use newly born links
+are found by a walk from those links alone, with no product at all.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ __all__ = [
     "PairSeries",
     "parse_metapath",
     "endpoint_types",
+    "pair_arrays",
     "metapath_matrix",
+    "new_instance_pairs",
     "dynamic_series",
     "read_metapath_file",
 ]
@@ -129,6 +132,25 @@ def endpoint_types(paths: list[MetaPath]) -> tuple[str, str]:
     return ends.pop()
 
 
+def pair_arrays(pairs, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of ``pairs``.
+
+    A pair outside ``[0, shape[0]) x [0, shape[1])`` raises DatasetError
+    naming the first such pair: a negative index would otherwise wrap
+    around to another node.
+    """
+    rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    outside = (rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])
+    if outside.any():
+        from .datasets import DatasetError  # datasets imports this module
+
+        i = int(np.argmax(outside))
+        raise DatasetError(f"pair {(int(rows[i]), int(cols[i]))} lies outside the "
+                           f"{shape[0]} x {shape[1]} node index range")
+    return rows, cols
+
+
 def _step_matrix(graph: TemporalGraph, step, tau) -> sp.csr_array:
     name, direction = step
     m = time_aware_adjacency(graph, name, tau)
@@ -151,6 +173,100 @@ def metapath_matrix(graph: TemporalGraph, path: MetaPath, tau: float) -> sp.csr_
         x = _product_of(graph, path.steps[: len(path.steps) // 2], tau)
         return spmm(x, x.T.tocsr())
     return _product_of(graph, path.steps, tau)
+
+
+class _Hops:
+    """Links of one type grouped by one of their endpoints.
+
+    The links at node u are positions ``indptr[u]:indptr[u + 1]`` of
+    ``nbr`` (their other endpoint), ``birth`` and ``death``.
+    """
+
+    def __init__(self, key, nbr, store, n_key: int, n_nbr: int):
+        order = np.argsort(key, kind="stable")
+        self.indptr = np.zeros(n_key + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=n_key), out=self.indptr[1:])
+        self.nbr, self.birth, self.death = nbr[order], store.birth[order], store.death[order]
+        self.n_nbr = n_nbr
+
+    def step(self, tag, node, tag_tau):
+        """Distinct (tag, neighbour) rows, sorted, one hop from each (tag, node)
+        row over the links alive at the tag's snapshot ``tag_tau[tag]``."""
+        start = self.indptr[node]
+        count = self.indptr[node + 1] - start
+        pos = _ranges(start, count)
+        tag = np.repeat(tag, count)
+        tau = tag_tau[tag]
+        alive = (self.birth[pos] < tau) & (tau <= self.death[pos])
+        key = _distinct(tag[alive] * self.n_nbr + self.nbr[pos[alive]])
+        return key // self.n_nbr, key % self.n_nbr
+
+
+def _distinct(keys):
+    """Sorted distinct values of ``keys`` (faster than np.unique for int64)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def _ranges(start, count):
+    """Concatenation of ``arange(s, s + c)`` over paired ``start``, ``count``."""
+    end = np.cumsum(count)
+    total = int(end[-1]) if len(end) else 0
+    return np.arange(total) + np.repeat(start - (end - count), count)
+
+
+# New links walked per batch in new_instance_pairs: bounds the frontier arrays.
+_LINK_BATCH = 512
+
+
+def new_instance_pairs(graph: TemporalGraph, path: MetaPath, points, taus):
+    """Yield (b, start, end) arrays of the instances of ``path`` that use a
+    link born at a change point ``b = points[m]``, m >= 1, with every link
+    alive at that change point's snapshot ``taus[m]``.  ``points`` must hold
+    every birth of the path's link types in ``(points[0], points[-1]]``.
+
+    A new link at step i is walked backward over steps i-1..1 and forward
+    over steps i+1..L; frontier rows carry the index of the link they
+    started from, and the two walks are joined on it.
+    """
+    steps = path.steps
+    hops: dict[tuple[str, bool], _Hops] = {}
+
+    def grouped(step, forward):
+        # a forward walk enters a step at its first endpoint, a backward walk
+        # at its last; FORWARD steps run src -> dst
+        name, direction = step
+        by_src = forward == (direction == FORWARD)
+        if (name, by_src) not in hops:
+            lt, store = graph.schema.link_type(name), graph.links_of(name)
+            n_src, n_dst = graph.node_count(lt.src), graph.node_count(lt.dst)
+            hops[name, by_src] = (_Hops(store.src, store.dst, store, n_src, n_dst) if by_src
+                                  else _Hops(store.dst, store.src, store, n_dst, n_src))
+        return hops[name, by_src]
+
+    for i, (name, direction) in enumerate(steps):
+        store = graph.links_of(name)
+        new = np.flatnonzero((store.birth > points[0]) & (store.birth <= points[-1]))
+        point = np.searchsorted(points, store.birth[new])  # exact: births are points
+        alive = store.death[new] >= taus[point]
+        new, point = new[alive], point[alive]
+        first, last = ((store.src, store.dst) if direction == FORWARD
+                       else (store.dst, store.src))
+        for lo in range(0, len(new), _LINK_BATCH):
+            links, tag_point = new[lo:lo + _LINK_BATCH], point[lo:lo + _LINK_BATCH]
+            tag_tau = taus[tag_point]
+            tags = np.arange(len(links))
+            back_tag, back_node = tags, first[links]
+            for step in reversed(steps[:i]):
+                back_tag, back_node = grouped(step, False).step(back_tag, back_node, tag_tau)
+            fwd_tag, fwd_node = tags, last[links]
+            for step in steps[i + 1:]:
+                fwd_tag, fwd_node = grouped(step, True).step(fwd_tag, fwd_node, tag_tau)
+            # join the walks on their tag; fwd_tag is sorted
+            at = np.searchsorted(fwd_tag, back_tag, side="left")
+            count = np.searchsorted(fwd_tag, back_tag, side="right") - at
+            yield (points[np.repeat(tag_point[back_tag], count)],
+                   np.repeat(back_node, count), fwd_node[_ranges(at, count)])
 
 
 @dataclass(frozen=True)
@@ -206,14 +322,14 @@ def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPl
     """Per-pair snapshot-difference series over the given meta-paths.
 
     Entry (i, j) of each series is the count of path j instances at
-    ``t0 + (i+1)*delta`` minus the count at ``t0 + i*delta``.  ``cache``
-    and ``threads`` are accepted and ignored.
+    ``t0 + (i+1)*delta`` minus the count at ``t0 + i*delta``.  A pair
+    outside the node index range raises DatasetError.  ``cache`` and
+    ``threads`` are accepted and ignored.
     """
-    endpoint_types(paths)
+    source, target = endpoint_types(paths)
     if len(pairs) == 0:  # scipy gives a sparse result, not an array, for empty indices
         return []
-    rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    rows, cols = pair_arrays(pairs, (graph.node_count(source), graph.node_count(target)))
     # raw counts at each boundary timestamp: (k+1) x n_pairs x d
     stacked = np.empty((plan.k + 1, len(pairs), len(paths)), dtype=np.int64)
     for i, tau in enumerate(plan.boundaries()):

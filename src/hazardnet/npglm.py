@@ -309,11 +309,18 @@ class HazardModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HazardModel":
+        if not isinstance(doc, dict):
+            raise ValueError(f"model is a JSON {type(doc).__name__}, not an object")
         family = doc.get("family")
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         keys = ("event_times", "H") if family == "npglm" else ("shape",)
         missing = [key for key in ("w", "standardization") + keys if key not in doc]
+        if not missing:
+            stats = doc["standardization"]
+            if not isinstance(stats, dict):
+                raise ValueError("model key 'standardization' is not an object")
+            missing = [f"standardization.{key}" for key in ("mean", "std") if key not in stats]
         if missing:
             raise ValueError(f"model lacks key {missing[0]!r}")
         if family == "npglm":

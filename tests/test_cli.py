@@ -336,20 +336,41 @@ class TestParentFormatModels:
         assert_allclose(answer["times"], want, rtol=1e-12)
         assert answer["horizon_exceeded"] == [False] * 50
 
+    @staticmethod
+    def without(family, key):
+        doc = json.loads(json.dumps(PARENT_DOCS[family]))
+        *parents, last = key.split(".")
+        inner = doc
+        for name in parents:
+            inner = inner[name]
+        del inner[last]
+        return doc
+
     @pytest.mark.parametrize("family, key", [("npglm", "w"), ("npglm", "standardization"),
                                              ("npglm", "event_times"), ("npglm", "H"),
-                                             ("weibull", "shape")])
+                                             ("weibull", "shape"),
+                                             ("npglm", "standardization.mean"),
+                                             ("weibull", "standardization.std"),
+                                             ("list", None)])
     def test_missing_key_names_file_and_key(self, tmp_path, caplog, family, key):
         path = tmp_path / "model.json"
-        doc = dict(PARENT_DOCS[family])
-        del doc[key]
+        if family == "list":
+            doc, message = [], "model is a JSON list, not an object"
+        else:
+            doc, message = self.without(family, key), f"model lacks key {key!r}"
         path.write_text(json.dumps(doc))
         data = tmp_path / "data.csv"
         data.write_text("src,dst,y,t,x_0,x_1\n0,1,1,1.5,1.0,2.0\n")
         assert run("query", "--model-file", path, "--x", X, "--op", "quantile", 0.5) == 2
         assert run("predict", "--model-file", path, "--input", data,
                    "--out", tmp_path / "p.csv") == 2
-        assert caplog.text.count(f"{path}: model lacks key {key!r}") == 2
+        assert caplog.text.count(f"{path}: {message}") == 2
+
+    def test_standardization_not_an_object_exits_2(self, tmp_path, caplog):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(PARENT_DOCS["npglm"], standardization=[1.0])))
+        assert run("query", "--model-file", path, "--x", X, "--op", "quantile", 0.5) == 2
+        assert f"{path}: model key 'standardization' is not an object" in caplog.text
 
     def test_unknown_family_exits_2(self, tmp_path):
         path = tmp_path / "gamma.json"

@@ -1,5 +1,7 @@
 import gc
+import re
 import tracemalloc
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -242,6 +244,135 @@ class TestCandidatePairs:
         with pytest.raises(MetaPathError, match="A->A and A->P"):
             candidate_pairs(g, paths, WindowConfig(t0=0.0, phi=4.0, omega=2.0,
                                                    delta=2.0, k=2))
+
+
+def change_points(graph, target, window):
+    """The feature-window end and the target's link births in the
+    observation window, each with its snapshot tau before the next birth."""
+    t_end = window.feature_end
+    births = graph.birth_times(sorted({name for name, _ in target.steps}))
+    points = np.append(t_end, births[(births > t_end) & (births <= window.observation_end)])
+    later = np.append(births, np.inf)[np.searchsorted(births, points, side="right")]
+    return points, np.where(np.isfinite(later), (points + later) / 2.0, points + 1.0)
+
+
+def label_pairs_oracle(graph, target, window, candidates):
+    """``label_pairs`` by brute force: the full target count matrix at every
+    change point's snapshot, sampled at every candidate."""
+    rows = np.asarray([p[0] for p in candidates], dtype=np.int64)
+    cols = np.asarray([p[1] for p in candidates], dtype=np.int64)
+    t_end = window.feature_end
+    points, taus = change_points(graph, target, window)
+    related0 = metapath_matrix(graph, target, float(taus[0]))[rows, cols] > 0
+    formed = related0.copy()
+    first_time = np.full(len(candidates), np.nan)
+    for b, tau in zip(points[1:], taus[1:]):
+        counts = metapath_matrix(graph, target, float(tau))[rows, cols]
+        newly = (~formed) & (counts > 0)
+        first_time[newly] = b
+        formed |= newly
+    keep = ~related0
+    observed = np.isfinite(first_time[keep])
+    y = observed.astype(np.int64).tolist()
+    t = np.where(observed, first_time[keep] - t_end, float(window.omega)).tolist()
+    return list(zip(map(tuple, compress(candidates, keep.tolist())), y, t))
+
+
+def dying_graph(rng):
+    """Random graph on a half-unit birth grid where many links die 0.1 after
+    a grid point: before the snapshot of a change point born there."""
+    sizes = {"A": int(rng.integers(2, 8)), "P": int(rng.integers(2, 8)),
+             "V": int(rng.integers(1, 3))}
+    g = TemporalGraph(GRAPH_SCHEMA)
+    for lt in GRAPH_SCHEMA.link_types:
+        for _ in range(int(rng.integers(0, 20))):
+            src = f"{lt.src}{rng.integers(sizes[lt.src])}"
+            dst = f"{lt.dst}{rng.integers(sizes[lt.dst])}"
+            birth = 0.5 * float(rng.integers(0, 20))
+            death = (birth + 0.5 * float(rng.integers(0, 6)) + 0.1
+                     if rng.uniform() < 0.5 else None)
+            for _ in range(int(rng.choice([1, 1, 2]))):
+                g.add_link(lt.name, src, dst, birth, death)
+    for node_type, n in sizes.items():
+        for i in range(n):
+            g.node_index(node_type, f"{node_type}{i}")
+    return g.freeze()
+
+
+def deaths_before_snapshot(graph, target, window):
+    """Links of the target's types that die between a change point in the
+    observation window and its snapshot tau."""
+    points, taus = change_points(graph, target, window)
+    deaths = np.concatenate([graph.links_of(name).death
+                             for name in {name for name, _ in target.steps}])
+    return int(sum(((deaths > b) & (deaths < tau)).sum()
+                   for b, tau in zip(points[1:], taus[1:])))
+
+
+class TestLabelPairsMatchesOracle:
+    """``label_pairs`` walks only from the links born at each change point;
+    it must give exactly the labels of the full product at every one."""
+
+    def cases(self, seed, n):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            g = random_graph(rng) if i % 2 else dying_graph(rng)
+            target = parse_metapath(AUTHOR_PATHS[i % len(AUTHOR_PATHS)], GRAPH_SCHEMA)
+            k = int(rng.integers(1, 3))
+            delta = float(rng.choice([0.5, 1.0, 2.0]))
+            window = WindowConfig(t0=float(rng.uniform(0, 5)), phi=k * delta,
+                                  omega=float(rng.uniform(0.5, 6)), delta=delta, k=k)
+            n_a = g.node_count("A")
+            cands = [(a, b) for a in range(n_a) for b in range(n_a)]
+            cands += [cands[j] for j in rng.integers(len(cands), size=len(cands) // 3)]
+            cands = [cands[j] for j in rng.permutation(len(cands))]
+            yield g, target, window, cands
+
+    def test_random_graphs_equal_oracle(self):
+        targets, observed, dying = set(), 0, 0
+        for g, target, window, cands in self.cases(41, 250):
+            want = label_pairs_oracle(g, target, window, cands)
+            assert label_pairs(g, target, window, cands) == want, (target.expr, window)
+            targets.add(target.expr)
+            observed += sum(y for _, y, _ in want)
+            dying += deaths_before_snapshot(g, target, window)
+        assert targets == set(AUTHOR_PATHS)
+        assert observed > 500 and dying > 100, (observed, dying)
+
+    def test_sorted_distinct_candidates_equal_oracle(self):
+        for g, target, window, cands in self.cases(43, 60):
+            cands = sorted(set(cands))
+            assert label_pairs(g, target, window, cands) == \
+                label_pairs_oracle(g, target, window, cands)
+
+
+class TestPairRange:
+    """Candidate pairs outside the node index range are rejected, not wrapped."""
+
+    @pytest.fixture
+    def graph(self):
+        g = TemporalGraph(Schema(("A", "P"), (LinkType("write", "A", "P"),)))
+        for a, p, birth in (("a0", "p0", 1.0), ("a1", "p0", 1.0), ("a2", "p1", 5.0),
+                            ("a0", "p1", 5.0)):
+            g.add_link("write", a, p, birth)
+        return g.freeze()
+
+    def args(self, graph):
+        target = parse_metapath("write> <write", graph.schema)
+        return target, WindowConfig(t0=0.0, phi=4.0, omega=6.0, delta=2.0, k=2)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_label_pairs_names_pair(self, graph, pair):
+        target, window = self.args(graph)
+        with pytest.raises(DatasetError, match=re.escape(f"pair {pair} lies outside "
+                                                         "the 3 x 3 node index range")):
+            label_pairs(graph, target, window, [(2, 0), pair])
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 3)])
+    def test_dynamic_series_names_pair(self, graph, pair):
+        target, window = self.args(graph)
+        with pytest.raises(DatasetError, match=re.escape(f"pair {pair}")):
+            dynamic_series(graph, [target], window.snapshot_plan(), [(0, 1), pair])
 
 
 class TestLabelPairsMemory:
