@@ -41,7 +41,6 @@ from .datasets import (
     label_pairs,
     load_dataset,
     save_dataset,
-    subsample_censored,
 )
 from .npglm import (
     FitConfig,
@@ -49,10 +48,8 @@ from .npglm import (
     TimeEstimate,
     compute_H,
     fit,
-    interpolate_H,
     link_g,
     loss,
-    predict_median,
     quantile,
     quantile_times,
     ranged_probability,
@@ -72,9 +69,8 @@ __all__ = [
     "Dataset", "DatasetError", "Standardization",
     "WindowConfig", "aggregate_expsmooth", "aggregate_stack", "build_dataset",
     "candidate_pairs", "label_pairs", "load_dataset", "save_dataset",
-    "subsample_censored",
     "FitConfig", "HazardModel", "TimeEstimate", "compute_H", "fit",
-    "interpolate_H", "link_g", "loss", "predict_median",
+    "link_g", "loss",
     "quantile", "quantile_times", "ranged_probability", "sample_time",
     "fit_parametric",
     "SynthConfig", "SynthOutput", "generate",

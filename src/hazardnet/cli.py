@@ -173,7 +173,11 @@ def _parse_query_x(args, d: int) -> np.ndarray:
             raise ValueError(f"row {index} outside dataset of {dataset.n} rows")
         x = dataset.x[index]
     else:
-        x = np.asarray([float(v) for v in raw.split(",")], dtype=float)
+        values = raw.split(",")
+        x = np.asarray([float(v) for v in values], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(x))
+        if len(bad):
+            raise ValueError(f"--x feature x_{bad[0]}: {values[bad[0]]!r} is not finite")
     if len(x) != d:
         raise ValueError(f"model expects {d} features, got {len(x)}")
     return x
@@ -215,7 +219,7 @@ def cmd_query(args) -> int:
 
 
 def _read_predictions(path) -> np.ndarray:
-    """The t_pred column; a value that does not parse or is NaN raises
+    """The t_pred column; a value that is not a finite time >= 0 raises
     ValueError naming the file, line and column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -228,9 +232,10 @@ def _read_predictions(path) -> np.ndarray:
                 value = float(raw)
             except (TypeError, ValueError):  # TypeError: the row ends before t_pred
                 value = float("nan")
-            if np.isnan(value):
+            if not 0 <= value < np.inf:  # NaN fails too
+                rule = "is not a number" if np.isnan(value) else "is not a finite time >= 0"
                 raise ValueError(f"{path}: line {reader.line_num}, column t_pred: "
-                                 f"{raw!r} is not a number")
+                                 f"{raw!r} {rule}")
             times.append(value)
     return np.asarray(times)
 

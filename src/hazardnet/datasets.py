@@ -1,12 +1,12 @@
-"""Windowed labeling, series aggregation, and training-set assembly.
+"""Windowed labeling, snapshot-count aggregation, and training-set assembly.
 
 The recorded timeline splits into a feature extraction window (length phi,
 k snapshots of size delta) and an observation window (length omega).
 Pairs forming the target relation inside the observation window become
 observed samples with their formation delay; pairs never forming it are
-censored at omega.  Per-pair snapshot series collapse to fixed vectors via
+censored at omega.  Per-pair snapshot counts collapse to fixed vectors via
 either the window-end count (the single-snapshot reading) or exponential
-smoothing.
+smoothing of the count increments.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "DatasetError",
     "label_pairs",
     "candidate_pairs",
-    "subsample_censored",
     "aggregate_stack",
     "aggregate_expsmooth",
     "check_alpha",
@@ -100,10 +99,6 @@ class Standardization:
         std = x.std(axis=0)
         std = np.where(std > 0, std, 1.0)  # constant columns stay unscaled
         return cls(mean, std)
-
-    @classmethod
-    def identity(cls, d: int) -> "Standardization":
-        return cls(np.zeros(d), np.ones(d))
 
 
 @dataclass
@@ -243,27 +238,9 @@ def candidate_pairs(graph: TemporalGraph, feature_paths: list[MetaPath],
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def subsample_censored(labels, ratio: float, rng: np.random.Generator):
-    """Downsample censored entries to at most ``ratio`` of the final set.
-
-    Observed entries are all kept; censored entries are drawn uniformly at
-    random without replacement.  With n_o observed entries the retained
-    censored count is round(ratio/(1-ratio) * n_o), capped by availability.
-    """
-    if not 0 <= ratio < 1:
-        raise DatasetError("censored ratio must be in [0, 1)")
-    observed = [rec for rec in labels if rec[1] == 1]
-    censored = [rec for rec in labels if rec[1] == 0]
-    want = int(round(ratio / (1.0 - ratio) * len(observed)))
-    if want < len(censored):
-        idx = rng.choice(len(censored), size=want, replace=False)
-        censored = [censored[i] for i in sorted(idx)]
-    return observed + censored
-
-
 def aggregate_stack(series: PairSeries) -> np.ndarray:
-    """Window-end counts per path: column sums of the series plus the base counts."""
-    return (series.base + series.series.sum(axis=0)).astype(float)
+    """Window-end counts per path."""
+    return series.counts[-1].astype(float)
 
 
 def check_alpha(alpha: float) -> None:
@@ -275,10 +252,12 @@ def check_alpha(alpha: float) -> None:
 def aggregate_expsmooth(series: PairSeries, alpha: float) -> np.ndarray:
     """Exponentially weighted moving average over the snapshot increments.
 
-    f_1 = x_1 and f_i = alpha * x_i + (1 - alpha) * f_{i-1}; returns f_k.
+    With x_i = counts[i] - counts[i-1], f_1 = x_1 and
+    f_i = alpha * x_i + (1 - alpha) * f_{i-1}; returns f_k.
     """
     check_alpha(alpha)
-    x = series.series.astype(float)
+    c = series.counts
+    x = (c[1:] - c[:-1]).astype(float)
     f = x[0]
     for i in range(1, x.shape[0]):
         f = alpha * x[i] + (1.0 - alpha) * f

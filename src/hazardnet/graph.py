@@ -130,9 +130,6 @@ class TemporalGraph:
             ids[node_id] = idx
         return idx
 
-    def node_ids(self, node_type: str) -> list[str]:
-        return list(self._nodes[node_type])
-
     @property
     def link_count(self) -> int:
         return sum(len(store.src) for store in self._links.values())

@@ -1,4 +1,4 @@
-"""Meta-path expressions, count-matrix products, and per-pair time series.
+"""Meta-path expressions, count-matrix products, and per-pair snapshot counts.
 
 A meta-path is a typed walk over the schema graph, written as whitespace
 separated steps: ``name>`` follows the link type forward, ``<name``
@@ -12,6 +12,7 @@ are found by a walk from those links alone, with no product at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -292,54 +293,38 @@ class SnapshotPlan:
         return self.t0 + self.delta * np.arange(self.k + 1)
 
 
-@dataclass
-class PairSeries:
-    """Per-snapshot count increments for one node pair.
+class PairSeries(NamedTuple):
+    """Meta-path counts of one node pair at the snapshot boundaries.
 
-    ``series`` is k x d: row i holds, for each path, the change in the
-    path-instance count over the i-th snapshot interval.  ``base`` holds
-    the counts at the window start, so column sums plus ``base`` recover
-    the counts at the window end.
+    ``counts`` is (k+1) x d: row i holds, for each path, the number of
+    path instances at ``t0 + i*delta``.  It is a view into the one array
+    that ``dynamic_series`` fills for all pairs.
     """
 
     pair: tuple[int, int]
-    series: np.ndarray
-    base: np.ndarray
-
-    def __post_init__(self):
-        self.series = np.asarray(self.series, dtype=np.int64)
-        self.base = np.asarray(self.base, dtype=np.int64)
-        if self.series.ndim != 2:
-            raise ValueError("series must be a k x d matrix")
-        if self.base.shape != (self.series.shape[1],):
-            raise ValueError("base length must equal the number of paths")
+    counts: np.ndarray
 
 
 def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPlan,
                    pairs: list[tuple[int, int]],
                    cache: PrefixCache | None = None,
                    threads: int = 1) -> list[PairSeries]:
-    """Per-pair snapshot-difference series over the given meta-paths.
+    """Per-pair raw meta-path counts at the k+1 snapshot boundaries.
 
-    Entry (i, j) of each series is the count of path j instances at
-    ``t0 + (i+1)*delta`` minus the count at ``t0 + i*delta``.  A pair
-    outside the node index range raises DatasetError.  ``cache`` and
-    ``threads`` are accepted and ignored.
+    Entry (i, j) of each pair's ``counts`` is the count of path j
+    instances at ``t0 + i*delta``.  A pair outside the node index range
+    raises DatasetError.  ``cache`` and ``threads`` are accepted and
+    ignored.
     """
     source, target = endpoint_types(paths)
     if len(pairs) == 0:  # scipy gives a sparse result, not an array, for empty indices
         return []
     rows, cols = pair_arrays(pairs, (graph.node_count(source), graph.node_count(target)))
-    # raw counts at each boundary timestamp: (k+1) x n_pairs x d
-    stacked = np.empty((plan.k + 1, len(pairs), len(paths)), dtype=np.int64)
+    counts = np.empty((len(pairs), plan.k + 1, len(paths)), dtype=np.int64)
     for i, tau in enumerate(plan.boundaries()):
         for j, path in enumerate(paths):
-            stacked[i, :, j] = metapath_matrix(graph, path, float(tau))[rows, cols]
-    diffs = np.diff(stacked, axis=0)
-    return [
-        PairSeries(pair=tuple(pairs[j]), series=diffs[:, j, :], base=stacked[0, j, :])
-        for j in range(len(pairs))
-    ]
+            counts[:, i, j] = metapath_matrix(graph, path, float(tau))[rows, cols]
+    return list(map(PairSeries, map(tuple, pairs), counts))
 
 
 def read_metapath_file(path) -> tuple[str | None, list[str]]:

@@ -31,11 +31,9 @@ __all__ = [
     "compute_H",
     "loss",
     "fit",
-    "interpolate_H",
     "ranged_probability",
     "quantile",
     "quantile_times",
-    "predict_median",
     "sample_time",
 ]
 
@@ -431,15 +429,6 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
     )
 
 
-def interpolate_H(model: HazardModel, t: float) -> float:
-    """Baseline cumulative hazard H0(t) as a float; a tabulated baseline is
-    piecewise-linear through (0, 0) and the knots, clamped to H(t_N) beyond
-    the training horizon."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    return float(model.H0(t))
-
-
 def ranged_probability(model: HazardModel, x, t_a: float, t_b: float) -> float:
     """Probability that the event time falls in [t_a, t_b] given features x."""
     if not 0 <= t_a <= t_b:
@@ -473,10 +462,6 @@ def quantile(model: HazardModel, x, alpha: float) -> TimeEstimate:
     # may round differently from the scalar t**(1/shape) in the last bit.
     time, exceeded = model.H0_inverse(-np.log1p(-alpha) / link_g(model.score(x))[0])
     return TimeEstimate(float(time), bool(exceeded))
-
-
-def predict_median(model: HazardModel, x) -> TimeEstimate:
-    return quantile(model, x, 0.5)
 
 
 def sample_time(model: HazardModel, x, rng: np.random.Generator) -> TimeEstimate:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .datasets import Dataset
 
-__all__ = ["SynthConfig", "SynthOutput", "generate", "draw_dataset", "save_truth",
-           "load_truth"]
+__all__ = ["SynthConfig", "SynthOutput", "generate", "draw_dataset", "save_truth"]
 
 DISTRIBUTIONS = ("rayleigh", "gompertz")
 CENSORING_POLICIES = ("tail", "random")
@@ -110,10 +109,3 @@ def save_truth(path, output: SynthOutput, config: SynthConfig) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-
-
-def load_truth(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["w"] = np.asarray(doc["w"], dtype=float)
-    return doc

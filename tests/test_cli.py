@@ -14,6 +14,8 @@ import hazardnet
 from hazardnet import baselines, npglm
 from hazardnet.cli import ExperimentConfig, _run_cell, env_threads, main
 from hazardnet.datasets import load_dataset
+from hazardnet.graph import load_graph_file, load_schema
+from hazardnet.metapaths import metapath_matrix, parse_metapath, read_metapath_file
 from hazardnet.npglm import HazardModel
 
 from conftest import EXPECTED_ROWS, WINDOW
@@ -69,6 +71,28 @@ class TestFeatures:
         got = [(src, dst, int(y), float(t)) + tuple(map(float, row))
                for (src, dst), y, t, row in zip(ds.pairs, ds.y, ds.t, ds.x)]
         assert got == EXPECTED_ROWS
+
+    def test_expsmooth_is_ewma_of_boundary_count_increments(self, fixture_dir, tmp_path):
+        out = tmp_path / "features.csv"
+        assert run(*self.feature_args(fixture_dir, out), "--aggregator", "expsmooth",
+                   "--alpha", 0.5) == 0
+        ds = load_dataset(out)
+        assert ds.pairs == [row[:2] for row in EXPECTED_ROWS]
+        schema = load_schema(fixture_dir / "schema.json")
+        graph = load_graph_file(schema, fixture_dir / "edges.tsv")
+        _, exprs = read_metapath_file(fixture_dir / "paths.txt")
+        taus = [WINDOW["t0"] + i * WINDOW["delta"] for i in range(WINDOW["k"] + 1)]
+        counts = [[metapath_matrix(graph, parse_metapath(e, schema), tau) for tau in taus]
+                  for e in exprs]
+        for pair, row in zip(ds.pairs, ds.x):
+            want = []
+            for per_tau in counts:
+                c = [int(m[pair]) for m in per_tau]
+                f = float(c[1] - c[0])
+                for i in range(2, len(c)):
+                    f = 0.5 * (c[i] - c[i - 1]) + 0.5 * f
+                want.append(f)
+            assert row.tolist() == want
 
     def test_expsmooth_alpha_out_of_range_exits_2(self, fixture_dir, tmp_path, caplog):
         # checked before any graph work: the graph file does not exist
@@ -211,6 +235,19 @@ class TestFitPredictQuery:
         assert run(*base, "--x", "0,0,0", "--op", "ranged", 2, 1) == 2
         assert run(*base, "--x", "0,0", "--op", "quantile", 0.5) == 2
         assert run(*base, "--x", "row:0", "--op", "quantile", 0.5) == 2
+
+    @pytest.mark.parametrize("x, bad", [("nan,1,0", "x_0: 'nan'"), ("0,inf,0", "x_1: 'inf'"),
+                                        ("0,0,-1e999", "x_2: '-1e999'")])
+    def test_query_non_finite_feature_exits_2(self, tmp_path, synth_dir, capsys, caplog,
+                                              x, bad):
+        model_file = tmp_path / "m.json"
+        run("fit", "--model", "npglm", "--input", synth_dir / "dataset.csv",
+            "--out", model_file)
+        capsys.readouterr()
+        assert run("query", "--model-file", model_file, "--x", x,
+                   "--op", "quantile", 0.5) == 2
+        assert f"--x feature {bad} is not finite" in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_missing_model_file_exits_1(self, tmp_path):
         assert run("predict", "--model-file", tmp_path / "absent.json",
@@ -408,6 +445,21 @@ class TestEval:
         assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
                    "--out", tmp_path / "r.json") == 2
         assert f"{pred}: line 3, column t_pred: {value!r} is not a number" in caplog.text
+
+    @pytest.mark.parametrize("value", ["-2", "-1e-300", "inf", "-inf", "1e999"])
+    def test_prediction_outside_finite_times_exits_2(self, tmp_path, synth_dir, caplog,
+                                                     value):
+        # as many rows as the truth, so only the bad value can fail the run
+        n = load_dataset(synth_dir / "dataset.csv").n
+        pred = tmp_path / "bad.csv"
+        out = tmp_path / "r.json"
+        pred.write_text("src,dst,t_pred\n0,0,1.0\n" + f"1,1,{value}\n"
+                        + "2,2,1.0\n" * (n - 2))
+        assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
+                   "--out", out) == 2
+        assert (f"{pred}: line 3, column t_pred: {value!r} is not a finite time >= 0"
+                in caplog.text)
+        assert not out.exists()
 
     def test_length_mismatch_exits_2(self, tmp_path, synth_dir):
         pred = tmp_path / "short.csv"

@@ -19,7 +19,6 @@ from hazardnet.datasets import (
     label_pairs,
     load_dataset,
     save_dataset,
-    subsample_censored,
 )
 from hazardnet.graph import LinkType, Schema, TemporalGraph
 from hazardnet.metapaths import (
@@ -76,7 +75,7 @@ class TestStandardization:
         assert_array_equal(r.std, s.std)
 
     def test_identity(self):
-        s = Standardization.identity(3)
+        s = Standardization(np.zeros(3), np.ones(3))
         x = np.random.default_rng(0).normal(size=(4, 3))
         assert_array_equal(s.apply(x), x)
 
@@ -425,58 +424,23 @@ class TestLabelPairsMemory:
         assert many - few < 64_000, (few, many)
 
 
-class TestSubsample:
-    def labels(self, n_obs, n_cen):
-        obs = [((i, 0), 1, 1.0 + i) for i in range(n_obs)]
-        cen = [((i, 1), 0, 9.0) for i in range(n_cen)]
-        return obs + cen
-
-    def test_ratio_math(self):
-        rng = np.random.default_rng(0)
-        out = subsample_censored(self.labels(10, 50), 0.5, rng)
-        kept_cen = [r for r in out if r[1] == 0]
-        assert len(kept_cen) == 10  # 0.5/(1-0.5) * 10
-        assert len([r for r in out if r[1] == 1]) == 10
-
-    def test_ratio_zero_drops_all_censored(self):
-        out = subsample_censored(self.labels(4, 9), 0.0, np.random.default_rng(1))
-        assert all(r[1] == 1 for r in out)
-
-    def test_capped_by_availability(self):
-        out = subsample_censored(self.labels(10, 3), 0.5, np.random.default_rng(2))
-        assert len([r for r in out if r[1] == 0]) == 3
-
-    def test_deterministic(self):
-        a = subsample_censored(self.labels(5, 40), 0.3, np.random.default_rng(7))
-        b = subsample_censored(self.labels(5, 40), 0.3, np.random.default_rng(7))
-        assert a == b
-
-    def test_bad_ratio(self):
-        with pytest.raises(DatasetError):
-            subsample_censored(self.labels(2, 2), 1.0, np.random.default_rng(0))
-
-
 class TestAggregation:
     def series(self):
-        return PairSeries(
-            pair=(0, 1),
-            series=np.array([[1, 0], [2, 3], [0, 1]]),
-            base=np.array([4, 5]),
-        )
+        # counts at the k + 1 = 4 boundaries; increments [1, 0], [2, 3], [0, 1]
+        return PairSeries(pair=(0, 1), counts=np.array([[4, 5], [5, 5], [7, 8], [7, 9]]))
 
     def test_stack_is_window_end_count(self):
         assert_array_equal(aggregate_stack(self.series()), [7.0, 9.0])
 
     def test_expsmooth_recurrence(self):
-        ps = self.series()
         alpha = 0.25
-        f = ps.series[0].astype(float)
-        for row in ps.series[1:]:
-            f = alpha * row + (1 - alpha) * f
-        assert_allclose(aggregate_expsmooth(ps, alpha), f)
+        f = np.array([1.0, 0.0])
+        for row in ([2.0, 3.0], [0.0, 1.0]):
+            f = alpha * np.array(row) + (1 - alpha) * f
+        assert_array_equal(aggregate_expsmooth(self.series(), alpha), f)
 
     def test_expsmooth_single_snapshot(self):
-        ps = PairSeries((0, 1), np.array([[3, 7]]), np.array([0, 0]))
+        ps = PairSeries((0, 1), np.array([[2, 0], [5, 7]]))
         assert_array_equal(aggregate_expsmooth(ps, 0.5), [3.0, 7.0])
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
@@ -490,7 +454,12 @@ class TestAggregation:
         paths = [parse_metapath(e, schema) for e in exprs]
         window = WindowConfig(**WINDOW)
         pairs = [(1, 2), (3, 0), (2, 3)]
-        series = dynamic_series(graph, paths, window.snapshot_plan(), pairs)
+        plan = window.snapshot_plan()
+        series = dynamic_series(graph, paths, plan, pairs)
+        for i, tau in enumerate(plan.boundaries()):
+            mats = [metapath_matrix(graph, p, float(tau)) for p in paths]
+            for s in series:
+                assert s.counts[i].tolist() == [int(m[s.pair]) for m in mats]
         finals = [metapath_matrix(graph, p, window.feature_end) for p in paths]
         for s in series:
             want = [m[s.pair] for m in finals]

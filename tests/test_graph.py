@@ -79,7 +79,7 @@ class TestTemporalGraph:
         g = small_graph()
         assert g.node_count("A") == 2
         assert g.node_count("P") == 2
-        assert g.node_ids("A") == ["a0", "a1"]
+        assert g.node_index("A", "a0") == 0
         assert g.node_index("A", "a1") == 1
 
     def test_unknown_link_type_rejected(self):

@@ -8,6 +8,7 @@ from hazardnet.metapaths import (
     FORWARD,
     MetaPath,
     MetaPathError,
+    PairSeries,
     PrefixCache,
     SnapshotPlan,
     dynamic_series,
@@ -184,24 +185,40 @@ class TestSnapshots:
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
         plan = SnapshotPlan(t0=0.0, delta=2.5, k=2)
-        series = dynamic_series(g, [p], plan, [(0, 1), (1, 1)])
-        s01 = series[0]
-        # (a0, a1) counts at tau 0, 2.5, 5.0 are 0, 1, 1 -> diffs [1, 0]
-        assert s01.base[0] == 0
-        assert_array_equal(s01.series[:, 0], [1, 0])
-        s11 = series[1]
-        # (a1, a1) counts at tau 0, 2.5, 5.0 are 0, 1, 2 -> diffs [1, 1]
-        assert s11.base[0] == 0
-        assert_array_equal(s11.series[:, 0], [1, 1])
+        s01, s11 = dynamic_series(g, [p], plan, [(0, 1), (1, 1)])
+        # (a0, a1) counts at tau 0, 2.5, 5.0 are 0, 1, 1 -> increments [1, 0]
+        assert s01.pair == (0, 1)
+        assert_array_equal(s01.counts[:, 0], [0, 1, 1])
+        assert_array_equal(np.diff(s01.counts, axis=0)[:, 0], [1, 0])
+        # (a1, a1) counts at tau 0, 2.5, 5.0 are 0, 1, 2 -> increments [1, 1]
+        assert s11.pair == (1, 1)
+        assert_array_equal(s11.counts[:, 0], [0, 1, 2])
+        assert_array_equal(np.diff(s11.counts, axis=0)[:, 0], [1, 1])
 
-    def test_base_plus_diffs_equals_final(self):
+    def test_counts_rows_equal_boundary_matrices(self):
+        g = two_author_graph()
+        paths = [parse_metapath(e, SCHEMA) for e in
+                 ("write> <write", "write> cite> <write",
+                  "write> <publish publish> <write")]
+        plan = SnapshotPlan(t0=0.0, delta=1.25, k=4)
+        pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 1)]
+        series = dynamic_series(g, paths, plan, pairs)
+        assert [s.pair for s in series] == pairs
+        for i, tau in enumerate(plan.boundaries()):
+            mats = [metapath_matrix(g, p, float(tau)) for p in paths]
+            for s in series:
+                assert s.counts.dtype == np.int64
+                assert s.counts.shape == (plan.k + 1, len(paths))
+                assert s.counts[i].tolist() == [int(m[s.pair]) for m in mats]
+
+    def test_pair_series_is_a_pair_and_a_view(self):
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
-        plan = SnapshotPlan(t0=0.0, delta=1.25, k=4)
-        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        final = metapath_matrix(g, p, 5.0)
-        for s in dynamic_series(g, [p], plan, pairs):
-            assert s.base[0] + s.series[:, 0].sum() == final[s.pair]
+        series = dynamic_series(g, [p], SnapshotPlan(0.0, 2.5, 2), [(0, 1), (1, 1)])
+        assert PairSeries._fields == ("pair", "counts")
+        # every pair's counts are a view of one shared array, not a copy
+        assert series[0].counts.base is not None
+        assert series[0].counts.base is series[1].counts.base
 
     def test_cache_and_threads_are_ignored(self):
         g = two_author_graph()
@@ -216,8 +233,7 @@ class TestSnapshots:
         assert len(cache) == 0
         for a, b in zip(plain, given):
             assert a.pair == b.pair
-            assert_array_equal(a.series, b.series)
-            assert_array_equal(a.base, b.base)
+            assert_array_equal(a.counts, b.counts)
 
     def test_empty_pair_list_gives_no_series(self):
         g = two_author_graph()

@@ -10,10 +10,8 @@ from hazardnet.npglm import (
     HazardModel,
     compute_H,
     fit,
-    interpolate_H,
     link_g,
     loss,
-    predict_median,
     quantile,
     quantile_times,
     ranged_probability,
@@ -427,7 +425,7 @@ class TestFit:
 
 class TestModelValidation:
     def stats0(self):
-        return Standardization.identity(0)
+        return Standardization(np.zeros(0), np.ones(0))
 
     def test_decreasing_times_rejected(self):
         with pytest.raises(ValueError):
@@ -455,7 +453,7 @@ def toy_model(bias=0.0):
         w=np.array([bias]),
         event_times=np.array([1.0, 2.0]),
         H=np.array([0.5, 1.5]),
-        standardization=Standardization.identity(0),
+        standardization=Standardization(np.zeros(0), np.ones(0)),
     )
 
 
@@ -463,20 +461,18 @@ X0 = np.zeros((1, 0))  # the only feature row a d = 0 model accepts
 
 
 class TestInterpolateH:
+    """The tabulated H0 is piecewise-linear through (0, 0) and the knots."""
+
     def test_knots_and_midpoints(self):
         m = toy_model()
-        assert interpolate_H(m, 0.0) == 0.0
-        assert interpolate_H(m, 0.5) == 0.25
-        assert interpolate_H(m, 1.0) == 0.5
-        assert interpolate_H(m, 1.5) == 1.0
-        assert interpolate_H(m, 2.0) == 1.5
+        assert m.H0(0.0) == 0.0
+        assert m.H0(0.5) == 0.25
+        assert m.H0(1.0) == 0.5
+        assert m.H0(1.5) == 1.0
+        assert m.H0(2.0) == 1.5
 
     def test_clamped_beyond_horizon(self):
-        assert interpolate_H(toy_model(), 10.0) == 1.5
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_H(toy_model(), -0.1)
+        assert toy_model().H0(10.0) == 1.5
 
 
 class TestRangedProbability:
@@ -533,10 +529,6 @@ class TestQuantile:
         est = quantile(toy_model(), X0, 0.999)
         assert est.horizon_exceeded
         assert est.time == 2.0
-
-    def test_predict_median_is_alpha_half(self):
-        m = toy_model()
-        assert predict_median(m, X0) == quantile(m, X0, 0.5)
 
     @pytest.mark.parametrize("family", ["npglm", "weibull"])
     def test_vectorized_matches_scalar(self, family):

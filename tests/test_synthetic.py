@@ -11,7 +11,6 @@ from hazardnet.synthetic import (
     _draw_times,
     draw_dataset,
     generate,
-    load_truth,
     save_truth,
 )
 
@@ -140,7 +139,7 @@ class TestTruthPersistence:
         out = generate(cfg)
         path = tmp_path / "truth.json"
         save_truth(path, out, cfg)
-        doc = load_truth(path)
+        doc = json.loads(path.read_text())
         assert_array_equal(doc["w"], out.true_w)
         assert doc["b"] == out.true_b
         assert doc["dist"] == "gompertz" and doc["seed"] == 3
