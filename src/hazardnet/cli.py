@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import npglm
-from .baselines import fit_parametric
 from .datasets import (
     DatasetError,
     WindowConfig,
@@ -31,15 +30,15 @@ from .datasets import (
     build_dataset,
     candidate_pairs,
     check_alpha,
+    dynamic_series,
     label_pairs,
     load_dataset,
     save_dataset,
 )
 from .graph import GraphError, load_graph_file, load_schema
-from .metapaths import (MetaPathError, dynamic_series, endpoint_types, parse_metapath,
-                        read_metapath_file)
+from .metapaths import MetaPathError, endpoint_types, parse_metapath, read_metapath_file
 from .metrics import evaluate
-from .npglm import HazardModel
+from .npglm import HazardModel, fit_parametric
 from .synthetic import DISTRIBUTIONS, SynthConfig, draw_dataset, generate, save_truth
 
 log = logging.getLogger("hazardnet")
@@ -365,9 +364,7 @@ _AGG_FIELDS = ("w_mae", "fit_seconds", "iterations", "final_loss",
 
 def cmd_sweep(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if args.repetitions is not None:
-        if args.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+    if args.repetitions is not None:  # replace() re-runs the config's checks
         config = replace(config, repetitions=args.repetitions)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,15 @@
-"""Windowed labeling, snapshot-count aggregation, and training-set assembly.
+"""The per-pair chain from a temporal graph to a training set: window,
+candidates, labels, snapshot series, aggregation, build, persistence.
 
 The recorded timeline splits into a feature extraction window (length phi,
 k snapshots of size delta) and an observation window (length omega).
+Candidate pairs are those with a feature count at the feature-window end.
 Pairs forming the target relation inside the observation window become
 observed samples with their formation delay; pairs never forming it are
-censored at omega.  Per-pair snapshot counts collapse to fixed vectors via
-either the window-end count (the single-snapshot reading) or exponential
-smoothing of the count increments.
+censored at omega.  Each labeled pair's raw meta-path counts at the k+1
+snapshot boundaries collapse to a fixed vector via either the window-end
+count (the single-snapshot reading) or exponential smoothing of the count
+increments.
 """
 
 from __future__ import annotations
@@ -15,20 +18,25 @@ import csv
 import warnings
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import TemporalGraph
-from .metapaths import (MetaPath, PairSeries, PrefixCache, SnapshotPlan, endpoint_types,
-                        metapath_matrix, new_instance_pairs, pair_arrays)
+from .metapaths import MetaPath, endpoint_types, metapath_matrix, new_instance_pairs
 
 __all__ = [
+    "SnapshotPlan",
     "WindowConfig",
+    "PrefixCache",
+    "pair_arrays",
     "Dataset",
     "Standardization",
     "DatasetError",
-    "label_pairs",
     "candidate_pairs",
+    "label_pairs",
+    "PairSeries",
+    "dynamic_series",
     "aggregate_stack",
     "aggregate_expsmooth",
     "check_alpha",
@@ -40,6 +48,29 @@ __all__ = [
 
 class DatasetError(ValueError):
     """Invalid window, labels, or feature table."""
+
+
+@dataclass(frozen=True)
+class SnapshotPlan:
+    """Snapshot grid covering the feature extraction window."""
+
+    t0: float
+    delta: float
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("snapshot count k must be >= 1")
+        if not self.delta > 0:
+            raise ValueError("snapshot spacing delta must be positive")
+
+    @property
+    def phi(self) -> float:
+        return self.k * self.delta
+
+    def boundaries(self) -> np.ndarray:
+        """The k+1 evaluation timestamps t0, t0+delta, ..., t0+k*delta."""
+        return self.t0 + self.delta * np.arange(self.k + 1)
 
 
 @dataclass(frozen=True)
@@ -155,6 +186,50 @@ def _sort_order(t, y, pairs):
     return np.lexsort((pairs[:, 1], pairs[:, 0], -y, t))
 
 
+class PrefixCache:
+    """Accepted as ``cache`` and ignored; holds nothing, so its length is 0.
+
+    No count matrix is kept between calls.  The name stays for callers
+    that still create one and pass it on.
+    """
+
+    def __len__(self):
+        return 0
+
+
+def pair_arrays(pairs, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of ``pairs``.
+
+    A pair outside ``[0, shape[0]) x [0, shape[1])`` raises DatasetError
+    naming the first such pair: a negative index would otherwise wrap
+    around to another node.
+    """
+    rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    outside = (rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DatasetError(f"pair {(int(rows[i]), int(cols[i]))} lies outside the "
+                           f"{shape[0]} x {shape[1]} node index range")
+    return rows, cols
+
+
+def candidate_pairs(graph: TemporalGraph, feature_paths: list[MetaPath],
+                    window: WindowConfig,
+                    cache: PrefixCache | None = None) -> list[tuple[int, int]]:
+    """Pairs with at least one nonzero feature count at the feature-window end,
+    sorted.  The paths must share endpoint types; ``cache`` is accepted and
+    ignored.
+    """
+    if not feature_paths:
+        return []
+    endpoint_types(feature_paths)
+    total = sum(metapath_matrix(graph, path, window.feature_end) for path in feature_paths)
+    total.sort_indices()
+    rows, cols = total.nonzero()
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
                 candidates: list[tuple[int, int]],
                 cache: PrefixCache | None = None) -> list[tuple[tuple[int, int], int, float]]:
@@ -222,20 +297,38 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     return list(zip(map(tuple, compress(candidates, keep.tolist())), y, t))
 
 
-def candidate_pairs(graph: TemporalGraph, feature_paths: list[MetaPath],
-                    window: WindowConfig,
-                    cache: PrefixCache | None = None) -> list[tuple[int, int]]:
-    """Pairs with at least one nonzero feature count at the feature-window end,
-    sorted.  The paths must share endpoint types; ``cache`` is accepted and
+class PairSeries(NamedTuple):
+    """Meta-path counts of one node pair at the snapshot boundaries.
+
+    ``counts`` is (k+1) x d: row i holds, for each path, the number of
+    path instances at ``t0 + i*delta``.  It is a view into the one array
+    that ``dynamic_series`` fills for all pairs.
+    """
+
+    pair: tuple[int, int]
+    counts: np.ndarray
+
+
+def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPlan,
+                   pairs: list[tuple[int, int]],
+                   cache: PrefixCache | None = None,
+                   threads: int = 1) -> list[PairSeries]:
+    """Per-pair raw meta-path counts at the k+1 snapshot boundaries.
+
+    Entry (i, j) of each pair's ``counts`` is the count of path j
+    instances at ``t0 + i*delta``.  A pair outside the node index range
+    raises DatasetError.  ``cache`` and ``threads`` are accepted and
     ignored.
     """
-    if not feature_paths:
+    source, target = endpoint_types(paths)
+    if len(pairs) == 0:  # scipy gives a sparse result, not an array, for empty indices
         return []
-    endpoint_types(feature_paths)
-    total = sum(metapath_matrix(graph, path, window.feature_end) for path in feature_paths)
-    total.sort_indices()
-    rows, cols = total.nonzero()
-    return list(zip(rows.tolist(), cols.tolist()))
+    rows, cols = pair_arrays(pairs, (graph.node_count(source), graph.node_count(target)))
+    counts = np.empty((len(pairs), plan.k + 1, len(paths)), dtype=np.int64)
+    for i, tau in enumerate(plan.boundaries()):
+        for j, path in enumerate(paths):
+            counts[:, i, j] = metapath_matrix(graph, path, float(tau))[rows, cols]
+    return list(map(PairSeries, map(tuple, pairs), counts))
 
 
 def aggregate_stack(series: PairSeries) -> np.ndarray:

@@ -22,6 +22,7 @@ __all__ = [
     "GraphError",
     "load_schema",
     "load_graph",
+    "load_graph_file",
     "time_aware_adjacency",
     "spmm",
 ]
@@ -77,6 +78,9 @@ class Schema:
             raise GraphError(f"schema document is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "node_types" not in doc or "link_types" not in doc:
             raise GraphError("schema document must have node_types and link_types keys")
+        for key in ("node_types", "link_types"):
+            if not isinstance(doc[key], list):
+                raise GraphError(f"schema key {key!r} must be a JSON list, got {doc[key]!r}")
         node_types = tuple(str(n) for n in doc["node_types"])
         fields = ("name", "src", "dst")
         link_types = []
@@ -159,22 +163,13 @@ class TemporalGraph:
     def freeze(self) -> "TemporalGraph":
         """Fix the node universe and pack link lists into arrays."""
         for name, rows in self._pending.items():
-            if rows:
-                arr = np.asarray(rows, dtype=float)
-                store = _LinkStore(
-                    src=arr[:, 0].astype(np.int64),
-                    dst=arr[:, 1].astype(np.int64),
-                    birth=arr[:, 2],
-                    death=arr[:, 3],
-                )
-            else:
-                store = _LinkStore(
-                    src=np.empty(0, dtype=np.int64),
-                    dst=np.empty(0, dtype=np.int64),
-                    birth=np.empty(0, dtype=float),
-                    death=np.empty(0, dtype=float),
-                )
-            self._links[name] = store
+            arr = np.asarray(rows, dtype=float).reshape(-1, 4)
+            self._links[name] = _LinkStore(
+                src=arr[:, 0].astype(np.int64),
+                dst=arr[:, 1].astype(np.int64),
+                birth=arr[:, 2],
+                death=arr[:, 3],
+            )
         self._pending = {name: [] for name in self._pending}
         self._frozen = True
         return self

@@ -1,4 +1,4 @@
-"""Meta-path expressions, count-matrix products, and per-pair snapshot counts.
+"""Meta-path expressions and their instance counts.
 
 A meta-path is a typed walk over the schema graph, written as whitespace
 separated steps: ``name>`` follows the link type forward, ``<name``
@@ -12,7 +12,6 @@ are found by a walk from those links alone, with no product at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,14 +21,10 @@ from .graph import GraphError, Schema, TemporalGraph, spmm, time_aware_adjacency
 __all__ = [
     "MetaPath",
     "MetaPathError",
-    "SnapshotPlan",
-    "PairSeries",
     "parse_metapath",
     "endpoint_types",
-    "pair_arrays",
     "metapath_matrix",
     "new_instance_pairs",
-    "dynamic_series",
     "read_metapath_file",
 ]
 
@@ -111,17 +106,6 @@ def parse_metapath(expr: str, schema: Schema) -> MetaPath:
     return MetaPath(tuple(steps), source, cursor, _format_steps(steps))
 
 
-class PrefixCache:
-    """Accepted as ``cache`` and ignored; holds nothing, so its length is 0.
-
-    No count matrix is kept between calls.  The name stays for callers
-    that still create one and pass it on.
-    """
-
-    def __len__(self):
-        return 0
-
-
 def endpoint_types(paths: list[MetaPath]) -> tuple[str, str]:
     """The (source, target) node types that every path in ``paths`` shares."""
     if not paths:
@@ -131,25 +115,6 @@ def endpoint_types(paths: list[MetaPath]) -> tuple[str, str]:
         raise MetaPathError("all feature meta-paths must share endpoint node types, "
                             f"got {' and '.join(sorted(f'{a}->{b}' for a, b in ends))}")
     return ends.pop()
-
-
-def pair_arrays(pairs, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of ``pairs``.
-
-    A pair outside ``[0, shape[0]) x [0, shape[1])`` raises DatasetError
-    naming the first such pair: a negative index would otherwise wrap
-    around to another node.
-    """
-    rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    outside = (rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])
-    if outside.any():
-        from .datasets import DatasetError  # datasets imports this module
-
-        i = int(np.argmax(outside))
-        raise DatasetError(f"pair {(int(rows[i]), int(cols[i]))} lies outside the "
-                           f"{shape[0]} x {shape[1]} node index range")
-    return rows, cols
 
 
 def _step_matrix(graph: TemporalGraph, step, tau) -> sp.csr_array:
@@ -270,77 +235,23 @@ def new_instance_pairs(graph: TemporalGraph, path: MetaPath, points, taus):
                    np.repeat(back_node, count), fwd_node[_ranges(at, count)])
 
 
-@dataclass(frozen=True)
-class SnapshotPlan:
-    """Snapshot grid covering the feature extraction window."""
-
-    t0: float
-    delta: float
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("snapshot count k must be >= 1")
-        if not self.delta > 0:
-            raise ValueError("snapshot spacing delta must be positive")
-
-    @property
-    def phi(self) -> float:
-        return self.k * self.delta
-
-    def boundaries(self) -> np.ndarray:
-        """The k+1 evaluation timestamps t0, t0+delta, ..., t0+k*delta."""
-        return self.t0 + self.delta * np.arange(self.k + 1)
-
-
-class PairSeries(NamedTuple):
-    """Meta-path counts of one node pair at the snapshot boundaries.
-
-    ``counts`` is (k+1) x d: row i holds, for each path, the number of
-    path instances at ``t0 + i*delta``.  It is a view into the one array
-    that ``dynamic_series`` fills for all pairs.
-    """
-
-    pair: tuple[int, int]
-    counts: np.ndarray
-
-
-def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPlan,
-                   pairs: list[tuple[int, int]],
-                   cache: PrefixCache | None = None,
-                   threads: int = 1) -> list[PairSeries]:
-    """Per-pair raw meta-path counts at the k+1 snapshot boundaries.
-
-    Entry (i, j) of each pair's ``counts`` is the count of path j
-    instances at ``t0 + i*delta``.  A pair outside the node index range
-    raises DatasetError.  ``cache`` and ``threads`` are accepted and
-    ignored.
-    """
-    source, target = endpoint_types(paths)
-    if len(pairs) == 0:  # scipy gives a sparse result, not an array, for empty indices
-        return []
-    rows, cols = pair_arrays(pairs, (graph.node_count(source), graph.node_count(target)))
-    counts = np.empty((len(pairs), plan.k + 1, len(paths)), dtype=np.int64)
-    for i, tau in enumerate(plan.boundaries()):
-        for j, path in enumerate(paths):
-            counts[:, i, j] = metapath_matrix(graph, path, float(tau))[rows, cols]
-    return list(map(PairSeries, map(tuple, pairs), counts))
-
-
 def read_metapath_file(path) -> tuple[str | None, list[str]]:
     """Read a meta-path list file: one expression per line, ``#`` comments.
 
     A line ``target: <expr>`` names the target relation; returns
-    (target expression or None, feature expressions).
+    (target expression or None, feature expressions).  A second
+    ``target:`` line raises MetaPathError naming the file and line.
     """
     target = None
     exprs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("target:"):
+                if target is not None:
+                    raise MetaPathError(f"{path}: line {lineno}: a second 'target:' line")
                 target = line[len("target:"):].strip()
             else:
                 exprs.append(line)

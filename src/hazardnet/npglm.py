@@ -1,16 +1,17 @@
-"""Proportional-hazards GLMs with censoring: the NP-GLM fit and the
-queries shared by every fitted model.
+"""Proportional-hazards GLMs with censoring: one model type, its fits,
+and the queries shared by every fitted model.
 
 The conditional event intensity factorizes as g(w.x) * h(t) with
 g = exp.  The NP-GLM tabulates the cumulative baseline hazard H
 non-parametrically at the sorted training times.  At fixed w the loss
 is least at the Breslow estimator of H; the loss there, the profile
 loss, is the negative Cox partial log-likelihood plus a constant, and
-the fit runs damped Newton steps on it over w.  The Exponential and
-Weibull baselines (``baselines.py``) are the same model with H0(t) =
-t**shape, fit by the same Newton loop.  Inference (interval
-probabilities, quantiles, sampling) runs off H0 and its inverse only, so
-one implementation serves all three families.
+``fit`` runs damped Newton steps on it over w.  The Exponential and
+Weibull baselines are the same model with H0(t) = t**shape:
+``fit_parametric`` runs the same Newton loop on their negative censored
+log-likelihood over (w, log shape).  Inference (interval probabilities,
+quantiles, sampling) runs off H0 and its inverse only, so one
+implementation serves all three families.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "compute_H",
     "loss",
     "fit",
+    "fit_parametric",
     "ranged_probability",
     "quantile",
     "quantile_times",
@@ -321,6 +323,11 @@ class HazardModel:
             missing = [f"standardization.{key}" for key in ("mean", "std") if key not in stats]
         if missing:
             raise ValueError(f"model lacks key {missing[0]!r}")
+        d = len(doc["w"]) - 1
+        for key in ("mean", "std"):
+            if np.shape(stats[key]) != (d,):
+                raise ValueError(f"model key 'standardization.{key}' must hold {d} values, "
+                                 f"one per feature of 'w', got {stats[key]!r}")
         if family == "npglm":
             family_fields = {"event_times": doc["event_times"], "H": doc["H"]}
         else:
@@ -427,6 +434,69 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
         w=np.append(v, 0.0), standardization=stats, event_times=knots_t, H=knots_H,
         unit=unit, loss_trace=trace, converged=converged,
     )
+
+
+def _terms(theta, xa, y, t, log_t, learn_shape):
+    """Negative log-likelihood over theta = (w[, log shape]), its gradient,
+    and s = exp(z) t**shape, each power and exponential taken once."""
+    w, log_a = (theta[:-1], theta[-1]) if learn_shape else (theta, 0.0)
+    a = np.exp(log_a)
+    z, e = _linear(xa, w)
+    s = e * t ** a
+    value = float(np.sum(s - y * z)) - float(np.sum(y * (log_a + (a - 1.0) * log_t)))
+    grad = xa.T @ (s - y)
+    if learn_shape:
+        r = a * log_t  # d log(t**a) / d log a
+        grad = np.append(grad, np.sum((s - y) * r) - np.sum(y))
+    return value, grad, s
+
+
+def _negative_ll(theta, xa, y, t, log_t, learn_shape):
+    """Negative log-likelihood over theta = (w[, log shape]) and its
+    gradient: the loss over w at H = t**shape, minus the shape terms."""
+    return _terms(theta, xa, y, t, log_t, learn_shape)[:2]
+
+
+def fit_parametric(dataset: Dataset, family: str = "weibull",
+                   unit: str = "") -> HazardModel:
+    """Maximum-likelihood fit of one parametric family.
+
+    Runs ``_descend`` under the default ``FitConfig`` from zero
+    coefficients and unit shape, on the features of
+    ``Dataset.fit_features``.
+    """
+    if family not in PARAMETRIC_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if dataset.n_observed == 0:
+        raise ValueError("cannot fit: dataset has no observed samples")
+    x, stats = dataset.fit_features()
+    xa = augment(x)
+    xat = np.ascontiguousarray(xa.T)
+    y = dataset.y.astype(float)
+    t = dataset.t
+    log_t = np.log(t)
+    learn_shape = family == "weibull"
+
+    def evaluate(theta):
+        value, grad, s = _terms(theta, xa, y, t, log_t, learn_shape)
+        return value, (theta, grad, s)
+
+    def derivatives(state):
+        theta, grad, s = state  # s = exp(z) t**a weighs the w block
+        d = xa.shape[1]
+        hess = np.zeros((len(theta), len(theta)))
+        _gram(xat, s, hess[:d, :d])
+        if learn_shape:
+            r = np.exp(theta[-1]) * log_t
+            hess[-1, :-1] = hess[:-1, -1] = xat @ (s * r)
+            hess[-1, -1] = np.sum(s * r * (1.0 + r) - y * r)
+        return grad, hess
+
+    theta0 = np.zeros(xa.shape[1] + learn_shape)
+    theta, _, trace, converged = _descend(theta0, evaluate, derivatives, FitConfig())
+    return HazardModel(w=theta[:xa.shape[1]], standardization=stats, family=family,
+                       shape=float(np.exp(theta[-1])) if learn_shape else 1.0,
+                       unit=unit, loss_trace=trace, converged=converged)
 
 
 def ranged_probability(model: HazardModel, x, t_a: float, t_b: float) -> float:

@@ -15,13 +15,12 @@ import numpy as np
 from numpy.testing import assert_array_equal
 
 from hazardnet import npglm
-from hazardnet.baselines import _negative_ll, fit_parametric
 from hazardnet.cli import main as cli_main
 from hazardnet.datasets import Dataset, load_dataset
 from hazardnet.graph import LinkType, Schema, TemporalGraph, time_aware_adjacency
 from hazardnet.metapaths import BACKWARD, FORWARD, metapath_matrix, parse_metapath
 from hazardnet.metrics import concordance_index
-from hazardnet.npglm import FitConfig, compute_H, link_g, quantile_times
+from hazardnet.npglm import FitConfig, _negative_ll, compute_H, fit_parametric, link_g, quantile_times
 from hazardnet.synthetic import SynthConfig, generate
 
 from conftest import ACCEPTANCE_LINES, EXPECTED_ROWS, WINDOW

@@ -4,6 +4,9 @@ The benchmark is kept outside Tier-1's test paths, so this test is what
 fails when a library change would break the worker's call surface.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,20 @@ import hazardnet as hz
 
 from conftest import WINDOW
 
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
+def test_worker_names_resolve():
+    """Every ``hz.<name>`` the worker reads is a package attribute."""
+    names = set(re.findall(r"\bhz\.([A-Za-z_]\w*)", WORKER.read_text(encoding="utf-8")))
+    assert {"load_schema", "load_graph_file", "dynamic_series", "fit_parametric"} <= names
+    assert sorted(n for n in names if not hasattr(hz, n)) == []
+
 
 @pytest.mark.parametrize("aggregator", ["stack", "expsmooth"])
-def test_worker_calls(fixture_graph, fixture_dir, tmp_path, aggregator):
-    schema, graph = fixture_graph
+def test_worker_calls(fixture_dir, tmp_path, aggregator):
+    schema = hz.load_schema(fixture_dir / "schema.json")
+    graph = hz.load_graph_file(schema, fixture_dir / "edges.tsv")
     target_expr, exprs = hz.read_metapath_file(fixture_dir / "paths.txt")
     target = hz.parse_metapath(target_expr, schema)
     paths = [hz.parse_metapath(e, schema) for e in exprs]

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hazardnet
-from hazardnet import baselines, npglm
+from hazardnet import npglm
 from hazardnet.cli import ExperimentConfig, _run_cell, env_threads, main
 from hazardnet.datasets import load_dataset
 from hazardnet.graph import load_graph_file, load_schema
@@ -108,6 +108,21 @@ class TestFeatures:
         assert run(*self.feature_args(fixture_dir, tmp_path / "f.csv")) == 2
         assert "schema link type #1 lacks key 'src'" in caplog.text
 
+    def test_schema_node_types_not_a_list_exits_2(self, fixture_dir, tmp_path, caplog):
+        schema = json.loads((fixture_dir / "schema.json").read_text())
+        schema["node_types"] = "APV"
+        (fixture_dir / "schema.json").write_text(json.dumps(schema))
+        assert run(*self.feature_args(fixture_dir, tmp_path / "f.csv")) == 2
+        assert "schema key 'node_types' must be a JSON list, got 'APV'" in caplog.text
+
+    def test_second_target_line_exits_2(self, fixture_dir, tmp_path, caplog):
+        paths = fixture_dir / "paths.txt"
+        paths.write_text(paths.read_text() + "target: write> <write\n")
+        out = tmp_path / "f.csv"
+        assert run(*self.feature_args(fixture_dir, out)) == 2
+        assert f"{paths}: line 6: a second 'target:' line" in caplog.text
+        assert not out.exists()
+
     def test_missing_target_exits_2(self, fixture_dir, tmp_path):
         naked = fixture_dir / "no-target.txt"
         naked.write_text("write> <write\n")
@@ -176,7 +191,8 @@ class TestFitPredictQuery:
     @pytest.mark.parametrize("model_name", ["expglm", "wblglm"])
     def test_parametric_fit_at_iteration_cap_warns(self, tmp_path, synth_dir, caplog,
                                                    monkeypatch, model_name):
-        monkeypatch.setattr(baselines, "FitConfig", lambda: npglm.FitConfig(max_outer=1))
+        real = npglm.FitConfig  # the patched name must not call itself
+        monkeypatch.setattr(npglm, "FitConfig", lambda: real(max_outer=1))
         model_file = tmp_path / f"{model_name}.json"
         assert run("fit", "--model", model_name, "--input",
                    synth_dir / "dataset.csv", "--out", model_file) == 0
@@ -409,6 +425,15 @@ class TestParentFormatModels:
         assert run("query", "--model-file", path, "--x", X, "--op", "quantile", 0.5) == 2
         assert f"{path}: model key 'standardization' is not an object" in caplog.text
 
+    @pytest.mark.parametrize("key", ["mean", "std"])
+    def test_standardization_length_mismatch_exits_2(self, tmp_path, caplog, key):
+        doc = json.loads(json.dumps(PARENT_DOCS["npglm"]))
+        doc["standardization"][key] = [0.0, 1.0, 2.0]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run("query", "--model-file", path, "--x", X, "--op", "quantile", 0.5) == 2
+        assert f"{path}: model key 'standardization.{key}' must hold 2 values" in caplog.text
+
     def test_unknown_family_exits_2(self, tmp_path):
         path = tmp_path / "gamma.json"
         path.write_text(json.dumps(dict(PARENT_DOCS["weibull"], family="gamma")))
@@ -512,6 +537,12 @@ class TestSweep:
         with open(tmp_path / "sweep-out" / "results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["repetitions"] == "1"
+
+    def test_repetition_override_below_one_exits_2(self, tmp_path, caplog):
+        config = self.config_doc(tmp_path)
+        assert run("sweep", "--config", config, "--repetitions", 0) == 2
+        assert "repetitions must be >= 1" in caplog.text
+        assert not (tmp_path / "sweep-out").exists()
 
     def test_invalid_config_exits_2(self, tmp_path):
         config = self.config_doc(tmp_path, models=["mlp"])

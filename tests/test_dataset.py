@@ -10,12 +10,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 from hazardnet.datasets import (
     Dataset,
     DatasetError,
+    PairSeries,
+    PrefixCache,
     Standardization,
     WindowConfig,
     aggregate_expsmooth,
     aggregate_stack,
     build_dataset,
     candidate_pairs,
+    dynamic_series,
     label_pairs,
     load_dataset,
     save_dataset,
@@ -23,9 +26,6 @@ from hazardnet.datasets import (
 from hazardnet.graph import LinkType, Schema, TemporalGraph
 from hazardnet.metapaths import (
     MetaPathError,
-    PairSeries,
-    PrefixCache,
-    dynamic_series,
     metapath_matrix,
     parse_metapath,
     read_metapath_file,

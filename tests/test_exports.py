@@ -23,6 +23,13 @@ def test_submodule_all_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def test_package_all_is_the_submodules_all():
+    """Each public name is declared once, in its module's ``__all__``."""
+    declared = [name for sub in SUBMODULES
+                for name in getattr(importlib.import_module(f"hazardnet.{sub}"), "__all__", [])]
+    assert sorted(hazardnet.__all__) == sorted(declared + ["__version__"])
+
+
 def test_star_import():
     namespace = {}
     exec("from hazardnet import *", namespace)

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats as sps
 from scipy.optimize import minimize
 
-from hazardnet.baselines import _negative_ll, fit_parametric
 from hazardnet.datasets import Dataset, Standardization
 from hazardnet.npglm import (
     FitConfig,
@@ -14,8 +13,10 @@ from hazardnet.npglm import (
     _descend,
     _gram,
     _linear,
+    _negative_ll,
     _w_objective,
     augment,
+    fit_parametric,
     TimeEstimate,
     quantile,
     ranged_probability,

@@ -51,6 +51,18 @@ class TestSchema:
         with pytest.raises(GraphError, match=f"link type #1 lacks key '{key}'"):
             Schema.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value", [("node_types", "APV"),
+                                            ("node_types", {"A": 1}),
+                                            ("link_types", {"name": "write", "src": "A",
+                                                            "dst": "P"}),
+                                            ("link_types", "write")])
+    def test_non_list_key_named(self, key, value):
+        doc = {"node_types": ["A", "P"],
+               "link_types": [{"name": "write", "src": "A", "dst": "P"}]}
+        doc[key] = value
+        with pytest.raises(GraphError, match=f"schema key '{key}' must be a JSON list"):
+            Schema.from_json(json.dumps(doc))
+
     def test_unknown_endpoint_type_rejected(self):
         with pytest.raises(GraphError):
             Schema(node_types=("A",), link_types=(LinkType("w", "A", "B"),))

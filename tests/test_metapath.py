@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from hazardnet.datasets import PairSeries, PrefixCache, SnapshotPlan, dynamic_series
 from hazardnet.graph import LinkType, Schema, TemporalGraph, time_aware_adjacency
 from hazardnet.metapaths import (
     BACKWARD,
     FORWARD,
     MetaPath,
     MetaPathError,
-    PairSeries,
-    PrefixCache,
-    SnapshotPlan,
-    dynamic_series,
     metapath_matrix,
     parse_metapath,
     read_metapath_file,
@@ -255,6 +252,13 @@ class TestMetapathFile:
         target, exprs = read_metapath_file(f)
         assert target == "write> <write"
         assert exprs == ["write> cite> <write"]
+
+    def test_second_target_line_names_file_and_line(self, tmp_path):
+        f = tmp_path / "paths.txt"
+        f.write_text("target: write> <write\nwrite> cite> <write\n\ntarget: write> <write\n")
+        with pytest.raises(MetaPathError) as excinfo:
+            read_metapath_file(f)
+        assert str(excinfo.value) == f"{f}: line 4: a second 'target:' line"
 
     def test_no_target_line(self, tmp_path):
         f = tmp_path / "paths.txt"

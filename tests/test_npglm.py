@@ -1,15 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
-from hazardnet.baselines import fit_parametric
 from hazardnet.datasets import Dataset, Standardization
 from hazardnet.npglm import (
     FitConfig,
     HazardModel,
     compute_H,
     fit,
+    fit_parametric,
     link_g,
     loss,
     quantile,
@@ -604,6 +606,19 @@ class TestSerialization:
         assert_array_equal(back.w, model.w)
         x = out.dataset.x[:5]
         assert_array_equal(back.score(x), model.score(x))
+
+    @pytest.mark.parametrize("key, values", [("mean", [0.0]), ("std", [1.0, 1.0, 1.0]),
+                                             ("mean", 0.0)])
+    def test_standardization_length_must_match_w(self, tmp_path, key, values):
+        doc = {"family": "weibull", "w": [0.5, -0.25, 0.125], "shape": 1.5,
+               "standardization": {"mean": [0.0, 1.0], "std": [2.0, 1.0]}}
+        doc["standardization"][key] = values
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            HazardModel.load(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: model key 'standardization.{key}' must hold 2 values")
 
     def test_raw_coefficients_preserve_scores(self):
         out = generate(SynthConfig(n_observed=100, n_censored=0, d=3,
