@@ -205,11 +205,14 @@ def cmd_query(args) -> int:
         count, seed = int(rest[0]), int(rest[1])
         if count < 1:
             raise ValueError("sample count must be >= 1")
+        # sample_time's draws at once: the same stream, u == 0 redrawn
         rng = np.random.default_rng(seed)
-        draws = [npglm.sample_time(model, x, rng) for _ in range(count)]
-        answer = {"op": "sample", "seed": seed,
-                  "times": [e.time for e in draws],
-                  "horizon_exceeded": [e.horizon_exceeded for e in draws]}
+        u = rng.uniform(size=count)
+        while not u.all():
+            u = np.append(u[u != 0.0], rng.uniform(size=count - np.count_nonzero(u)))
+        times, exceeded = npglm.quantile_times(model, x, 1.0 - u)
+        answer = {"op": "sample", "seed": seed, "times": times.tolist(),
+                  "horizon_exceeded": exceeded.tolist()}
     else:
         raise ValueError(f"unknown op {op!r} (expected ranged, quantile, or sample)")
     json.dump(answer, sys.stdout)

@@ -50,8 +50,10 @@ _HESSIAN_BLOCK = 4096
 
 
 def link_g(z):
-    """Covariate link exp(z), with z clamped to [-50, 50]."""
-    return np.exp(np.clip(z, -_CLAMP, _CLAMP))
+    """Covariate link exp(z), with z clamped to [-50, 50]; NaN stays NaN."""
+    if isinstance(z, float):  # min/max cost a fraction of a ufunc call
+        return np.exp(min(max(z, -_CLAMP), _CLAMP))
+    return np.exp(np.minimum(np.maximum(z, -_CLAMP), _CLAMP))
 
 
 @dataclass(frozen=True)
@@ -281,9 +283,12 @@ class HazardModel:
         return h ** (1.0 / self.shape), np.zeros_like(h, dtype=bool)
 
     def score(self, x) -> np.ndarray:
-        """Linear predictor w.x (+ bias) for raw-space feature rows."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return augment(self.standardization.apply(x)) @ self.w
+        """Linear predictor w.x + bias for raw-space feature rows: shape
+        (n,) for n rows, (1,) for one row given 1-D or as (1, d)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 2:  # np.atleast_2d and @ would cost more on one row
+            x = x.reshape(1, -1)
+        return np.dot(self.standardization.apply(x), self.w[:-1]) + self.w[-1]
 
     def raw_coefficients(self) -> tuple[np.ndarray, float]:
         """Coefficients mapped back to raw feature space: (weights, bias)."""
@@ -323,7 +328,10 @@ class HazardModel:
             missing = [f"standardization.{key}" for key in ("mean", "std") if key not in stats]
         if missing:
             raise ValueError(f"model lacks key {missing[0]!r}")
-        d = len(doc["w"]) - 1
+        w = doc["w"]
+        if not (isinstance(w, list) and w and all(type(v) in (int, float) for v in w)):
+            raise ValueError(f"model key 'w' must be a non-empty list of numbers, got {w!r}")
+        d = len(w) - 1
         for key in ("mean", "std"):
             if np.shape(stats[key]) != (d,):
                 raise ValueError(f"model key 'standardization.{key}' must hold {d} values, "
@@ -333,7 +341,7 @@ class HazardModel:
         else:
             family_fields = {"shape": float(doc["shape"])}
         return cls(
-            w=doc["w"],
+            w=w,
             standardization=Standardization.from_dict(doc["standardization"]),
             family=family,
             unit=doc.get("unit", ""),
@@ -499,24 +507,32 @@ def fit_parametric(dataset: Dataset, family: str = "weibull",
                        unit=unit, loss_trace=trace, converged=converged)
 
 
+def _row_g(model: HazardModel, x):
+    """g(w.x) for one feature row, given 1-D or as (1, d)."""
+    return link_g(model.score(x)[0])
+
+
 def ranged_probability(model: HazardModel, x, t_a: float, t_b: float) -> float:
     """Probability that the event time falls in [t_a, t_b] given features x."""
     if not 0 <= t_a <= t_b:
         raise ValueError("need 0 <= t_a <= t_b")
-    g = link_g(model.score(x))[0]
-    p = np.exp(-g * model.H0(t_a)) - np.exp(-g * model.H0(t_b))
+    # both ends in one H0 call: a Weibull power may differ from t**shape in the last bit
+    survival = np.exp(-_row_g(model, x) * model.H0(np.array([t_a, t_b])))
+    p = survival[0] - survival[1]
     return float(min(max(p, 0.0), 1.0))
 
 
-def _check_alpha(alpha: float):
-    if not 0 < alpha < 1:
+def _check_alpha(alpha):
+    # one float is compared in Python: np.all would cost more than a query
+    if not (0 < alpha < 1 if isinstance(alpha, float) else np.all((0 < alpha) & (alpha < 1))):
         raise ValueError("alpha must be in (0, 1)")
 
 
-def quantile_times(model: HazardModel, x, alpha: float):
+def quantile_times(model: HazardModel, x, alpha):
     """Vectorized quantile over feature rows: (times, horizon_exceeded).
 
-    Inverts the baseline at target H0 = -log(1-alpha)/g(w.x).  With a
+    Inverts the baseline at target H0 = -log(1-alpha)/g(w.x); ``alpha``
+    is one level or an array of them, broadcast against the rows.  With a
     tabulated baseline, rows whose target exceeds the tabulated range get
     the training horizon back as a lower bound, flagged.
     """
@@ -530,7 +546,7 @@ def quantile(model: HazardModel, x, alpha: float) -> TimeEstimate:
     _check_alpha(alpha)
     # Scalar arithmetic, not quantile_times on one row: numpy's array power
     # may round differently from the scalar t**(1/shape) in the last bit.
-    time, exceeded = model.H0_inverse(-np.log1p(-alpha) / link_g(model.score(x))[0])
+    time, exceeded = model.H0_inverse(-np.log1p(-alpha) / _row_g(model, x))
     return TimeEstimate(float(time), bool(exceeded))
 
 

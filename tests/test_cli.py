@@ -389,6 +389,53 @@ class TestParentFormatModels:
         assert_allclose(answer["times"], want, rtol=1e-12)
         assert answer["horizon_exceeded"] == [False] * 50
 
+    @pytest.mark.parametrize("model_file", list(PARENT_DOCS), indirect=True)
+    def test_samples_match_per_draw_loop(self, capsys, model_file):
+        family, path = model_file
+        answer = self.query(capsys, path, "sample", 200, 11)
+        model, rng = HazardModel.load(path), np.random.default_rng(11)
+        draws = [npglm.sample_time(model, np.array([1.0, 2.0]), rng) for _ in range(200)]
+        # one array power over all draws may round differently from scalar powers
+        assert_allclose(answer["times"], [e.time for e in draws], rtol=1e-12)
+        assert answer["horizon_exceeded"] == [e.horizon_exceeded for e in draws]
+
+    @pytest.mark.parametrize("model_file", ["npglm"], indirect=True)
+    def test_sample_redraws_zero(self, capsys, monkeypatch, model_file):
+        stream = [0.0, 0.25, 0.0, 0.0, 0.5, 0.75, 0.0, 0.125, 0.9, 0.6]
+
+        class Replay:
+            """A generator that replays ``stream``."""
+
+            def __init__(self, seed):
+                self.values = list(stream)
+
+            def uniform(self, size=None):
+                if size is None:
+                    return self.values.pop(0)
+                drawn, self.values = self.values[:size], self.values[size:]
+                return np.array(drawn)
+
+        _, path = model_file
+        monkeypatch.setattr(np.random, "default_rng", Replay)
+        answer = self.query(capsys, path, "sample", 5, 0)
+        model, rng = HazardModel.load(path), Replay(0)
+        draws = [npglm.sample_time(model, np.array([1.0, 2.0]), rng) for _ in range(5)]
+        assert rng.values == [0.6]
+        assert_allclose(answer["times"], [e.time for e in draws], rtol=1e-12)
+        assert answer["horizon_exceeded"] == [e.horizon_exceeded for e in draws]
+
+    @pytest.mark.parametrize("w", [0.5, [], [0.5, "-0.25", 0.125]])
+    def test_w_not_a_list_of_numbers_exits_2(self, tmp_path, caplog, w):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(PARENT_DOCS["npglm"], w=w)))
+        data = tmp_path / "data.csv"
+        data.write_text("src,dst,y,t,x_0,x_1\n0,1,1,1.5,1.0,2.0\n")
+        assert run("query", "--model-file", path, "--x", X, "--op", "quantile", 0.5) == 2
+        assert run("predict", "--model-file", path, "--input", data,
+                   "--out", tmp_path / "p.csv") == 2
+        message = f"{path}: model key 'w' must be a non-empty list of numbers, got {w!r}"
+        assert caplog.text.count(message) == 2
+
     @staticmethod
     def without(family, key):
         doc = json.loads(json.dumps(PARENT_DOCS[family]))

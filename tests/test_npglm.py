@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -115,6 +116,18 @@ class TestLink:
     def test_clamped(self):
         assert link_g(1000.0) == np.exp(50.0)
         assert link_g(-1000.0) == np.exp(-50.0)
+
+    def test_nan_propagates(self):
+        assert np.isnan(link_g(np.nan))
+        assert np.isnan(link_g(np.array([np.nan, 0.0]))).tolist() == [True, False]
+
+    def test_matches_clipped_exp(self):
+        z = np.array([-np.inf, -1000.0, -50.0, -49.9, -0.0, 1e-300, 49.99, 50.0, 1000.0,
+                      np.inf, np.nan])
+        want = np.exp(np.clip(z, -50.0, 50.0))
+        assert_array_equal(link_g(z), want)
+        assert_array_equal([link_g(float(v)) for v in z], want)
+        assert_array_equal([link_g(v) for v in z], want)  # numpy float64 scalars
 
     def test_vectorized(self):
         z = np.array([0.0, 1.0, -1.0])
@@ -532,21 +545,30 @@ class TestQuantile:
         assert est.horizon_exceeded
         assert est.time == 2.0
 
-    @pytest.mark.parametrize("family", ["npglm", "weibull"])
-    def test_vectorized_matches_scalar(self, family):
+    @pytest.mark.parametrize("family, d", [
+        pytest.param(family, d, id=family if d else f"{family}-d0")
+        for d in (3, 0) for family in ("npglm", "exponential", "weibull")])
+    def test_vectorized_matches_scalar(self, family, d):
         out = generate(SynthConfig(n_observed=200, n_censored=50, d=3,
                                    dist="rayleigh", seed=8))
+        dataset = dataclasses.replace(out.dataset, x=out.dataset.x[:, :d])
         if family == "npglm":
-            model = fit(out.dataset)
+            model = fit(dataset)
         else:
-            model = fit_parametric(out.dataset, family=family)
-        x = out.dataset.x[:20]
+            model = fit_parametric(dataset, family=family)
+        x = dataset.x[:20]
         times, exceeded = quantile_times(model, x, 0.5)
+        t_a, t_b = np.quantile(dataset.t, [0.25, 0.75])
+        g = link_g(model.score(x))
+        ranged = np.clip(np.exp(-g * model.H0(t_a)) - np.exp(-g * model.H0(t_b)), 0.0, 1.0)
         for i in range(len(x)):
-            est = quantile(model, x[i], 0.5)
-            # batched and single-row matmuls may differ in the last bit
-            assert_allclose(times[i], est.time, rtol=1e-12)
-            assert bool(exceeded[i]) == est.horizon_exceeded
+            for row in (x[i], x[i:i + 1]):  # 1-D and (1, d)
+                est = quantile(model, row, 0.5)
+                # batched and single-row matmuls and powers may differ in the last bit
+                assert_allclose(times[i], est.time, rtol=1e-12)
+                assert bool(exceeded[i]) == est.horizon_exceeded
+                assert_allclose(ranged_probability(model, row, t_a, t_b), ranged[i],
+                                rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
     def test_invalid_alpha_rejected(self, alpha):
@@ -619,6 +641,18 @@ class TestSerialization:
             HazardModel.load(path)
         assert str(excinfo.value).startswith(
             f"{path}: model key 'standardization.{key}' must hold 2 values")
+
+    def test_score_shape(self):
+        out = generate(SynthConfig(n_observed=50, n_censored=0, d=2,
+                                   dist="rayleigh", seed=12))
+        model = fit(out.dataset)
+        x = out.dataset.x[:7]
+        assert model.score(x).shape == (7,)
+        assert model.score(x[0]).shape == (1,)
+        assert model.score(x[:1]).shape == (1,)
+        assert_allclose(model.score(x[0]), model.score(x)[:1], rtol=1e-12)
+        assert toy_model(bias=0.3).score(X0).shape == (1,)
+        assert_array_equal(toy_model(bias=0.3).score(np.zeros((4, 0))), [0.3] * 4)
 
     def test_raw_coefficients_preserve_scores(self):
         out = generate(SynthConfig(n_observed=100, n_censored=0, d=3,
