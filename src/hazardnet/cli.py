@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -300,26 +301,40 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        """Read a JSON config; a ValueError it raises names the path."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        missing = [key for key in ("dist", "n_grid", "censoring_grid") if key not in doc]
-        if missing:
-            raise ValueError(f"{path}: missing required key {missing[0]!r}")
-        for key in ("models", "n_grid", "censoring_grid"):
-            if not isinstance(doc.get(key, []), list):
-                raise ValueError(f"{path}: {key!r} must be a JSON list, got {doc[key]!r}")
-        return cls(
-            dist=doc["dist"],
-            models=tuple(doc.get("models", ["npglm"])),
-            n_grid=tuple(int(n) for n in doc["n_grid"]),
-            censoring_grid=tuple(float(c) for c in doc["censoring_grid"]),
-            repetitions=int(doc.get("repetitions", 20)),
-            seed=int(doc.get("seed", 0)),
-            out_dir=doc.get("out_dir", "sweep-out"),
-            dim=int(doc.get("dim", 10)),
-            test_n=int(doc.get("test_n", 0)),
-            save_traces=bool(doc.get("save_traces", False)),
-        )
+
+        def read(key, convert, default=None):
+            value = doc.get(key, default)
+            try:
+                return convert(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"bad value for {key!r}: {value!r}") from None
+
+        try:
+            if not isinstance(doc, dict):
+                raise ValueError(f"config is a JSON {type(doc).__name__}, not an object")
+            missing = [key for key in ("dist", "n_grid", "censoring_grid") if key not in doc]
+            if missing:
+                raise ValueError(f"missing required key {missing[0]!r}")
+            for key in ("models", "n_grid", "censoring_grid"):
+                if not isinstance(doc.get(key, []), list):
+                    raise ValueError(f"{key!r} must be a JSON list, got {doc[key]!r}")
+            return cls(
+                dist=doc["dist"],
+                models=tuple(doc.get("models", ["npglm"])),
+                n_grid=read("n_grid", lambda v: tuple(map(int, v))),
+                censoring_grid=read("censoring_grid", lambda v: tuple(map(float, v))),
+                repetitions=read("repetitions", int, 20),
+                seed=read("seed", int, 0),
+                out_dir=doc.get("out_dir", "sweep-out"),
+                dim=read("dim", int, 10),
+                test_n=read("test_n", int, 0),
+                save_traces=bool(doc.get("save_traces", False)),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _run_cell(job: dict) -> dict:
@@ -372,19 +387,12 @@ def cmd_sweep(args) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    counter = 0
-    for model in config.models:
-        for n in config.n_grid:
-            for censoring in config.censoring_grid:
-                for rep in range(config.repetitions):
-                    jobs.append({
-                        "model": model, "n": n, "censoring": censoring,
-                        "rep": rep, "dim": config.dim, "dist": config.dist,
-                        "seed": config.seed + counter, "test_n": config.test_n,
-                        "save_traces": config.save_traces,
-                    })
-                    counter += 1
+    cells = list(product(config.models, config.n_grid, config.censoring_grid))
+    reps = config.repetitions
+    jobs = [{"model": model, "n": n, "censoring": censoring, "rep": rep,
+             "dim": config.dim, "dist": config.dist, "seed": config.seed + i * reps + rep,
+             "test_n": config.test_n, "save_traces": config.save_traces}
+            for i, (model, n, censoring) in enumerate(cells) for rep in range(reps)]
 
     workers = min(env_threads() or os.cpu_count() or 1, len(jobs))
     log.info("sweep: %d cells on %d workers", len(jobs), workers)
@@ -409,20 +417,17 @@ def cmd_sweep(args) -> int:
                     r["n"], r["censoring"], r["rep"], r["error"])
 
     rows = []
-    for model in config.models:
-        for n in config.n_grid:
-            for censoring in config.censoring_grid:
-                cell = [r for r in results
-                        if (r["model"], r["n"], r["censoring"]) == (model, n, censoring)]
-                good = [r for r in cell if not r["failed"]]
-                row = {"model": model, "n": n, "censoring": censoring,
-                       "repetitions": len(cell), "failed": len(cell) - len(good)}
-                for name in _AGG_FIELDS:
-                    values = [r[name] for r in good if name in r]
-                    if values:
-                        row[f"{name}_mean"] = float(np.mean(values))
-                        row[f"{name}_std"] = float(np.std(values))
-                rows.append(row)
+    for i, (model, n, censoring) in enumerate(cells):
+        # pool.map keeps job order, so each cell's repetitions are one slice
+        good = [r for r in results[i * reps:(i + 1) * reps] if not r["failed"]]
+        row = {"model": model, "n": n, "censoring": censoring,
+               "repetitions": reps, "failed": reps - len(good)}
+        for name in _AGG_FIELDS:
+            values = [r[name] for r in good if name in r]
+            if values:
+                row[f"{name}_mean"] = float(np.mean(values))
+                row[f"{name}_std"] = float(np.std(values))
+        rows.append(row)
 
     header = ["model", "n", "censoring", "repetitions", "failed"]
     for name in _AGG_FIELDS:

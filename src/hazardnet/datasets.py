@@ -7,7 +7,7 @@ Candidate pairs are those with a feature count at the feature-window end.
 Pairs forming the target relation inside the observation window become
 observed samples with their formation delay; pairs never forming it are
 censored at omega.  Each labeled pair's raw meta-path counts at the k+1
-snapshot boundaries collapse to a fixed vector via either the window-end
+snapshot times collapse to a fixed vector via either the window-end
 count (the single-snapshot reading) or exponential smoothing of the count
 increments.
 """
@@ -26,12 +26,10 @@ from .graph import TemporalGraph
 from .metapaths import MetaPath, endpoint_types, metapath_matrix, new_instance_pairs
 
 __all__ = [
-    "SnapshotPlan",
     "WindowConfig",
     "PrefixCache",
     "pair_arrays",
     "Dataset",
-    "Standardization",
     "DatasetError",
     "candidate_pairs",
     "label_pairs",
@@ -48,29 +46,6 @@ __all__ = [
 
 class DatasetError(ValueError):
     """Invalid window, labels, or feature table."""
-
-
-@dataclass(frozen=True)
-class SnapshotPlan:
-    """Snapshot grid covering the feature extraction window."""
-
-    t0: float
-    delta: float
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("snapshot count k must be >= 1")
-        if not self.delta > 0:
-            raise ValueError("snapshot spacing delta must be positive")
-
-    @property
-    def phi(self) -> float:
-        return self.k * self.delta
-
-    def boundaries(self) -> np.ndarray:
-        """The k+1 evaluation timestamps t0, t0+delta, ..., t0+k*delta."""
-        return self.t0 + self.delta * np.arange(self.k + 1)
 
 
 @dataclass(frozen=True)
@@ -103,33 +78,9 @@ class WindowConfig:
     def observation_end(self) -> float:
         return self.t0 + self.phi + self.omega
 
-    def snapshot_plan(self) -> SnapshotPlan:
-        return SnapshotPlan(t0=self.t0, delta=self.delta, k=self.k)
-
-
-@dataclass
-class Standardization:
-    """Column shift/scale learned from a training set."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc) -> "Standardization":
-        return cls(np.asarray(doc["mean"], dtype=float), np.asarray(doc["std"], dtype=float))
-
-    @classmethod
-    def fit(cls, x: np.ndarray) -> "Standardization":
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std = np.where(std > 0, std, 1.0)  # constant columns stay unscaled
-        return cls(mean, std)
+    def snapshot_plan(self) -> np.ndarray:
+        """The k+1 snapshot times t0, t0+delta, ..., t0+k*delta."""
+        return self.t0 + self.delta * np.arange(self.k + 1)
 
 
 @dataclass
@@ -167,12 +118,6 @@ class Dataset:
     @property
     def n_observed(self) -> int:
         return int(self.y.sum())
-
-    def fit_features(self) -> tuple[np.ndarray, Standardization]:
-        """The standardized features a model is fitted on, with the transform
-        the model carries to apply to raw query rows."""
-        stats = Standardization.fit(self.x)
-        return stats.apply(self.x), stats
 
     @property
     def raw_x(self) -> np.ndarray:
@@ -298,10 +243,10 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
 
 
 class PairSeries(NamedTuple):
-    """Meta-path counts of one node pair at the snapshot boundaries.
+    """Meta-path counts of one node pair at the snapshot times.
 
     ``counts`` is (k+1) x d: row i holds, for each path, the number of
-    path instances at ``t0 + i*delta``.  It is a view into the one array
+    path instances at snapshot time i.  It is a view into the one array
     that ``dynamic_series`` fills for all pairs.
     """
 
@@ -309,14 +254,15 @@ class PairSeries(NamedTuple):
     counts: np.ndarray
 
 
-def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPlan,
+def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], times,
                    pairs: list[tuple[int, int]],
                    cache: PrefixCache | None = None,
                    threads: int = 1) -> list[PairSeries]:
-    """Per-pair raw meta-path counts at the k+1 snapshot boundaries.
+    """Per-pair raw meta-path counts at each of ``times``, such as the
+    k+1 snapshot times of ``WindowConfig.snapshot_plan()``.
 
     Entry (i, j) of each pair's ``counts`` is the count of path j
-    instances at ``t0 + i*delta``.  A pair outside the node index range
+    instances at ``times[i]``.  A pair outside the node index range
     raises DatasetError.  ``cache`` and ``threads`` are accepted and
     ignored.
     """
@@ -324,8 +270,8 @@ def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], plan: SnapshotPl
     if len(pairs) == 0:  # scipy gives a sparse result, not an array, for empty indices
         return []
     rows, cols = pair_arrays(pairs, (graph.node_count(source), graph.node_count(target)))
-    counts = np.empty((len(pairs), plan.k + 1, len(paths)), dtype=np.int64)
-    for i, tau in enumerate(plan.boundaries()):
+    counts = np.empty((len(pairs), len(times), len(paths)), dtype=np.int64)
+    for i, tau in enumerate(times):
         for j, path in enumerate(paths):
             counts[:, i, j] = metapath_matrix(graph, path, float(tau))[rows, cols]
     return list(map(PairSeries, map(tuple, pairs), counts))

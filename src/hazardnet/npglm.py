@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import Dataset, Standardization
+from .datasets import Dataset
 
 __all__ = [
     "FitConfig",
@@ -212,6 +212,11 @@ def loss(w: np.ndarray, H: np.ndarray, dataset: Dataset) -> float:
     return _loss(z, e, np.asarray(H, dtype=float), y, t)
 
 
+def _numbers(values) -> bool:
+    """Whether ``values`` is a list of JSON numbers; booleans are not numbers."""
+    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
+
+
 PARAMETRIC_FAMILIES = ("exponential", "weibull")  # H0(t) = t**shape
 FAMILIES = ("npglm",) + PARAMETRIC_FAMILIES
 
@@ -221,17 +226,19 @@ class HazardModel:
     """Fitted proportional-hazards model: coefficients, baseline, transform.
 
     ``w`` has d+1 entries, the last being the bias on an implicit constant
-    feature.  The baseline cumulative hazard H0 is the only part that
-    depends on ``family``.  For "npglm", ``event_times``/``H`` tabulate it
-    at the distinct (tie-resolved) training times; it is linear between
+    feature; ``w[:-1]`` weighs the standardized features (x - mean) / std,
+    with ``mean`` and ``std`` those of the training columns, so queries take
+    raw feature rows.  The baseline cumulative hazard H0 is the only part
+    that depends on ``family``.  For "npglm", ``event_times``/``H`` tabulate
+    it at the distinct (tie-resolved) training times; it is linear between
     knots, starts at (0, 0), and is flat past the last knot, the training
     horizon.  For "exponential" (shape 1) and "weibull" it is t**shape.
-    Queries take raw-space feature vectors; the stored standardization is
-    applied internally.  ``loss_trace`` and ``converged`` report the fit.
+    ``loss_trace`` and ``converged`` report the fit.
     """
 
     w: np.ndarray
-    standardization: Standardization
+    mean: np.ndarray
+    std: np.ndarray
     family: str = "npglm"
     event_times: np.ndarray | None = None
     H: np.ndarray | None = None
@@ -244,6 +251,8 @@ class HazardModel:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         self.w = np.asarray(self.w, dtype=float)
+        self.mean = np.asarray(self.mean, dtype=float)
+        self.std = np.asarray(self.std, dtype=float)
         if self.family != "npglm":
             if not self.shape > 0:
                 raise ValueError("shape must be positive")
@@ -288,20 +297,19 @@ class HazardModel:
         x = np.asarray(x, dtype=float)
         if x.ndim < 2:  # np.atleast_2d and @ would cost more on one row
             x = x.reshape(1, -1)
-        return np.dot(self.standardization.apply(x), self.w[:-1]) + self.w[-1]
+        return np.dot((x - self.mean) / self.std, self.w[:-1]) + self.w[-1]
 
     def raw_coefficients(self) -> tuple[np.ndarray, float]:
         """Coefficients mapped back to raw feature space: (weights, bias)."""
-        wf = self.w[:-1] / self.standardization.std
-        bias = float(self.w[-1] - np.sum(self.w[:-1] * self.standardization.mean
-                                         / self.standardization.std))
+        wf = self.w[:-1] / self.std
+        bias = float(self.w[-1] - np.sum(self.w[:-1] * self.mean / self.std))
         return wf, bias
 
     def to_json(self) -> dict:
         doc = {
             "family": self.family,
             "w": self.w.tolist(),
-            "standardization": self.standardization.to_dict(),
+            "standardization": {"mean": self.mean.tolist(), "std": self.std.tolist()},
             "unit": self.unit,
         }
         if self.family == "npglm":
@@ -328,24 +336,26 @@ class HazardModel:
             missing = [f"standardization.{key}" for key in ("mean", "std") if key not in stats]
         if missing:
             raise ValueError(f"model lacks key {missing[0]!r}")
-        w = doc["w"]
-        if not (isinstance(w, list) and w and all(type(v) in (int, float) for v in w)):
+        w, trace = doc["w"], doc.get("loss_trace", [])
+        if not (_numbers(w) and w):
             raise ValueError(f"model key 'w' must be a non-empty list of numbers, got {w!r}")
+        if not _numbers(trace):
+            raise ValueError(f"model key 'loss_trace' must be a list of numbers, got {trace!r}")
         d = len(w) - 1
         for key in ("mean", "std"):
-            if np.shape(stats[key]) != (d,):
+            if not (_numbers(stats[key]) and len(stats[key]) == d):
                 raise ValueError(f"model key 'standardization.{key}' must hold {d} values, "
                                  f"one per feature of 'w', got {stats[key]!r}")
         if family == "npglm":
             family_fields = {"event_times": doc["event_times"], "H": doc["H"]}
-        else:
+        elif _numbers([doc["shape"]]):
             family_fields = {"shape": float(doc["shape"])}
+        else:
+            raise ValueError(f"model key 'shape' must be a number, got {doc['shape']!r}")
         return cls(
-            w=w,
-            standardization=Standardization.from_dict(doc["standardization"]),
-            family=family,
+            w=w, mean=stats["mean"], std=stats["std"], family=family,
             unit=doc.get("unit", ""),
-            loss_trace=[float(v) for v in doc.get("loss_trace", [])],
+            loss_trace=[float(v) for v in trace],
             converged=bool(doc.get("converged", True)),
             **family_fields,
         )
@@ -362,6 +372,16 @@ class HazardModel:
                 return cls.from_json(json.load(fh))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
+
+
+def _fit_features(dataset: Dataset):
+    """(x, mean, std): the dataset's features standardized by their column
+    mean and population std, which the fitted model keeps to apply to raw
+    query rows.  A constant column keeps std 1, so it stays unscaled."""
+    mean = dataset.x.mean(axis=0)
+    std = dataset.x.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return (dataset.x - mean) / std, mean, std
 
 
 def _dedupe_knots(t: np.ndarray, H: np.ndarray):
@@ -416,11 +436,11 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
     Starts from w = 0.  The bias is pinned at 0 and left out of the
     Newton system: it cancels out of P, and H absorbs exp(bias).  The
     saved H and loss trace equal ``compute_H`` and ``loss`` at the
-    returned w, on the features of ``Dataset.fit_features``.
+    returned w, on the features of ``_fit_features``.
     """
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
-    x, stats = dataset.fit_features()
+    x, mean, std = _fit_features(dataset)
     y, t = _prepared(dataset)
     xa = augment(x)
     xt = np.ascontiguousarray(x.T)
@@ -439,7 +459,7 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
                                               derivatives, config)
     knots_t, knots_H = _dedupe_knots(t, H)
     return HazardModel(
-        w=np.append(v, 0.0), standardization=stats, event_times=knots_t, H=knots_H,
+        w=np.append(v, 0.0), mean=mean, std=std, event_times=knots_t, H=knots_H,
         unit=unit, loss_trace=trace, converged=converged,
     )
 
@@ -470,14 +490,13 @@ def fit_parametric(dataset: Dataset, family: str = "weibull",
     """Maximum-likelihood fit of one parametric family.
 
     Runs ``_descend`` under the default ``FitConfig`` from zero
-    coefficients and unit shape, on the features of
-    ``Dataset.fit_features``.
+    coefficients and unit shape, on the features of ``_fit_features``.
     """
     if family not in PARAMETRIC_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
-    x, stats = dataset.fit_features()
+    x, mean, std = _fit_features(dataset)
     xa = augment(x)
     xat = np.ascontiguousarray(xa.T)
     y = dataset.y.astype(float)
@@ -502,14 +521,18 @@ def fit_parametric(dataset: Dataset, family: str = "weibull",
 
     theta0 = np.zeros(xa.shape[1] + learn_shape)
     theta, _, trace, converged = _descend(theta0, evaluate, derivatives, FitConfig())
-    return HazardModel(w=theta[:xa.shape[1]], standardization=stats, family=family,
+    return HazardModel(w=theta[:xa.shape[1]], mean=mean, std=std, family=family,
                        shape=float(np.exp(theta[-1])) if learn_shape else 1.0,
                        unit=unit, loss_trace=trace, converged=converged)
 
 
 def _row_g(model: HazardModel, x):
-    """g(w.x) for one feature row, given 1-D or as (1, d)."""
-    return link_g(model.score(x)[0])
+    """g(w.x) for one feature row, given 1-D or as (1, d); any other row
+    count raises ValueError."""
+    z = model.score(x)
+    if len(z) != 1:
+        raise ValueError(f"expected one feature row, got {len(z)}")
+    return link_g(z[0])
 
 
 def ranged_probability(model: HazardModel, x, t_a: float, t_b: float) -> float:

@@ -436,6 +436,23 @@ class TestParentFormatModels:
         message = f"{path}: model key 'w' must be a non-empty list of numbers, got {w!r}"
         assert caplog.text.count(message) == 2
 
+    @pytest.mark.parametrize("family, key, value, message", [
+        ("weibull", "shape", None, "model key 'shape' must be a number, got None"),
+        ("npglm", "loss_trace", [None], "model key 'loss_trace' must be a list of numbers"),
+        ("npglm", "loss_trace", 5, "model key 'loss_trace' must be a list of numbers, got 5"),
+        ("npglm", "standardization", {"mean": [None, 1.0], "std": [2.0, 1.0]},
+         "model key 'standardization.mean' must hold 2 values"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, caplog, family, key, value, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(PARENT_DOCS[family], **{key: value})))
+        data = tmp_path / "data.csv"
+        data.write_text("src,dst,y,t,x_0,x_1\n0,1,1,1.5,1.0,2.0\n")
+        assert run("query", "--model-file", path, "--x", X, "--op", "quantile", 0.5) == 2
+        assert run("predict", "--model-file", path, "--input", data,
+                   "--out", tmp_path / "p.csv") == 2
+        assert caplog.text.count(f"{path}: {message}") == 2
+
     @staticmethod
     def without(family, key):
         doc = json.loads(json.dumps(PARENT_DOCS[family]))
@@ -600,11 +617,16 @@ class TestSweep:
         ({"dim": 0}, "dim must be >= 1"),
         ({"n_grid": [60, 0]}, "n_grid must be >= 1"),
         ({"test_n": -1}, "test_n must be >= 0"),
+        ({"dim": None}, "bad value for 'dim': None"),
+        ({"repetitions": "x"}, "bad value for 'repetitions': 'x'"),
+        (5, "config is a JSON int, not an object"),
     ])
     def test_bad_field_exits_2_before_any_cell(self, tmp_path, caplog, over, message):
-        config = self.config_doc(tmp_path, **over)
+        config = self.config_doc(tmp_path, **(over if isinstance(over, dict) else {}))
+        if not isinstance(over, dict):
+            config.write_text(json.dumps(over))
         assert run("sweep", "--config", config) == 2
-        assert message in caplog.text
+        assert message in caplog.text and f"{config}: " in caplog.text
         assert not (tmp_path / "sweep-out").exists()
 
     @pytest.mark.parametrize("key, value", [("n_grid", 60), ("censoring_grid", 0.2),

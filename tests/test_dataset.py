@@ -12,7 +12,6 @@ from hazardnet.datasets import (
     DatasetError,
     PairSeries,
     PrefixCache,
-    Standardization,
     WindowConfig,
     aggregate_expsmooth,
     aggregate_stack,
@@ -30,6 +29,7 @@ from hazardnet.metapaths import (
     parse_metapath,
     read_metapath_file,
 )
+from hazardnet.npglm import HazardModel, _fit_features
 
 from conftest import EXPECTED_ROWS, WINDOW
 
@@ -39,8 +39,9 @@ class TestWindowConfig:
         w = WindowConfig(t0=1.0, phi=4.0, omega=6.0, delta=2.0, k=2)
         assert w.feature_end == 5.0
         assert w.observation_end == 11.0
-        plan = w.snapshot_plan()
-        assert plan.t0 == 1.0 and plan.delta == 2.0 and plan.k == 2
+        assert_array_equal(w.snapshot_plan(), [1.0, 3.0, 5.0])
+        w = WindowConfig(t0=0.5, phi=2.0, omega=1.0, delta=0.5, k=4)
+        assert_array_equal(w.snapshot_plan(), [0.5, 1.0, 1.5, 2.0, 2.5])
 
     @pytest.mark.parametrize("kwargs", [
         dict(t0=0, phi=0.0, omega=1, delta=1, k=1),
@@ -55,29 +56,44 @@ class TestWindowConfig:
 
 
 class TestStandardization:
+    """The fits standardize a dataset's features with ``_fit_features``;
+    the model keeps the column mean and std and applies them to raw rows."""
+
+    @staticmethod
+    def dataset(x):
+        n = len(x)
+        return Dataset(x=x, y=np.ones(n), t=np.arange(1.0, n + 1),
+                       pairs=[(i, i) for i in range(n)])
+
     def test_fit_apply(self):
         x = np.array([[1.0, 10.0], [3.0, 30.0]])
-        s = Standardization.fit(x)
-        assert_allclose(s.mean, [2.0, 20.0])
-        assert_allclose(s.std, [1.0, 10.0])
-        assert_allclose(s.apply(x), [[-1, -1], [1, 1]])
+        z, mean, std = _fit_features(self.dataset(x))
+        assert_allclose(mean, [2.0, 20.0])
+        assert_allclose(std, [1.0, 10.0])
+        assert_allclose(z, [[-1, -1], [1, 1]])
+        model = HazardModel(w=[0.5, -0.25, 0.0], mean=mean, std=std, family="exponential")
+        assert_allclose(model.score(x), z @ [0.5, -0.25])
 
     def test_constant_column_unscaled(self):
         x = np.array([[5.0, 1.0], [5.0, 2.0]])
-        s = Standardization.fit(x)
-        assert s.std[0] == 1.0
-        assert_allclose(s.apply(x)[:, 0], [0.0, 0.0])
+        z, _, std = _fit_features(self.dataset(x))
+        assert std[0] == 1.0
+        assert_allclose(z[:, 0], [0.0, 0.0])
 
     def test_dict_round_trip(self):
-        s = Standardization.fit(np.array([[1.0, 2.0], [2.0, 5.0]]))
-        r = Standardization.from_dict(s.to_dict())
-        assert_array_equal(r.mean, s.mean)
-        assert_array_equal(r.std, s.std)
+        _, mean, std = _fit_features(self.dataset(np.array([[1.0, 2.0], [2.0, 5.0]])))
+        model = HazardModel(w=[0.5, -0.25, 0.125], mean=mean, std=std, family="exponential")
+        doc = model.to_json()
+        assert doc["standardization"] == {"mean": mean.tolist(), "std": std.tolist()}
+        back = HazardModel.from_json(doc)
+        assert_array_equal(back.mean, mean)
+        assert_array_equal(back.std, std)
 
     def test_identity(self):
-        s = Standardization(np.zeros(3), np.ones(3))
+        model = HazardModel(w=[0.5, -0.25, 1.0, 0.125], mean=np.zeros(3), std=np.ones(3),
+                            family="exponential")
         x = np.random.default_rng(0).normal(size=(4, 3))
-        assert_array_equal(s.apply(x), x)
+        assert_array_equal(model.score(x), np.dot(x, [0.5, -0.25, 1.0]) + 0.125)
 
 
 class TestDataset:
@@ -454,9 +470,9 @@ class TestAggregation:
         paths = [parse_metapath(e, schema) for e in exprs]
         window = WindowConfig(**WINDOW)
         pairs = [(1, 2), (3, 0), (2, 3)]
-        plan = window.snapshot_plan()
-        series = dynamic_series(graph, paths, plan, pairs)
-        for i, tau in enumerate(plan.boundaries()):
+        times = window.snapshot_plan()
+        series = dynamic_series(graph, paths, times, pairs)
+        for i, tau in enumerate(times):
             mats = [metapath_matrix(graph, p, float(tau)) for p in paths]
             for s in series:
                 assert s.counts[i].tolist() == [int(m[s.pair]) for m in mats]

@@ -6,11 +6,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats as sps
 from scipy.optimize import minimize
 
-from hazardnet.datasets import Dataset, Standardization
+from hazardnet.datasets import Dataset
 from hazardnet.npglm import (
     FitConfig,
     HazardModel,
     _descend,
+    _fit_features,
     _gram,
     _linear,
     _negative_ll,
@@ -42,8 +43,7 @@ def exponential_dataset(n, d, seed):
 
 
 def toy(family="weibull", bias=0.0, shape=1.0):
-    return HazardModel(w=np.array([bias]),
-                       standardization=Standardization(np.zeros(0), np.ones(0)),
+    return HazardModel(w=np.array([bias]), mean=np.zeros(0), std=np.ones(0),
                        family=family, shape=shape)
 
 
@@ -109,7 +109,7 @@ def recomputing_fit(dataset, family):
     """The parametric fit as written before each evaluated point carried
     exp(z) t**shape to the Hessian: both are recomputed at every use.
     Returns (theta, loss trace, converged)."""
-    x, _ = dataset.fit_features()
+    x = _fit_features(dataset)[0]
     xa = augment(x)
     xat = np.ascontiguousarray(xa.T)
     y, t = dataset.y.astype(float), dataset.t
@@ -166,7 +166,7 @@ class TestFitMatchesRecomputingFit:
 def lbfgs_reference(dataset, family):
     """Minimum of ``_negative_ll`` found by scipy's L-BFGS-B, the optimizer
     the parametric fit used before it shared the Newton loop."""
-    x, _ = dataset.fit_features()
+    x = _fit_features(dataset)[0]
     xa = np.hstack([x, np.ones((len(x), 1))])
     learn_shape = family == "weibull"
     args = (xa, dataset.y.astype(float), dataset.t, np.log(dataset.t), learn_shape)

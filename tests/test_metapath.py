@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from hazardnet.datasets import PairSeries, PrefixCache, SnapshotPlan, dynamic_series
+from hazardnet.datasets import PairSeries, PrefixCache, WindowConfig, dynamic_series
 from hazardnet.graph import LinkType, Schema, TemporalGraph, time_aware_adjacency
 from hazardnet.metapaths import (
     BACKWARD,
@@ -174,15 +174,13 @@ class TestMetapathMatrix:
 
 class TestSnapshots:
     def test_plan_boundaries(self):
-        plan = SnapshotPlan(t0=1.0, delta=0.5, k=4)
-        assert plan.phi == 2.0
-        assert_array_equal(plan.boundaries(), [1.0, 1.5, 2.0, 2.5, 3.0])
+        window = WindowConfig(t0=1.0, phi=2.0, omega=1.0, delta=0.5, k=4)
+        assert_array_equal(window.snapshot_plan(), [1.0, 1.5, 2.0, 2.5, 3.0])
 
     def test_series_differences(self):
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
-        plan = SnapshotPlan(t0=0.0, delta=2.5, k=2)
-        s01, s11 = dynamic_series(g, [p], plan, [(0, 1), (1, 1)])
+        s01, s11 = dynamic_series(g, [p], [0.0, 2.5, 5.0], [(0, 1), (1, 1)])
         # (a0, a1) counts at tau 0, 2.5, 5.0 are 0, 1, 1 -> increments [1, 0]
         assert s01.pair == (0, 1)
         assert_array_equal(s01.counts[:, 0], [0, 1, 1])
@@ -197,21 +195,21 @@ class TestSnapshots:
         paths = [parse_metapath(e, SCHEMA) for e in
                  ("write> <write", "write> cite> <write",
                   "write> <publish publish> <write")]
-        plan = SnapshotPlan(t0=0.0, delta=1.25, k=4)
+        times = 1.25 * np.arange(5)
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 1)]
-        series = dynamic_series(g, paths, plan, pairs)
+        series = dynamic_series(g, paths, times, pairs)
         assert [s.pair for s in series] == pairs
-        for i, tau in enumerate(plan.boundaries()):
+        for i, tau in enumerate(times):
             mats = [metapath_matrix(g, p, float(tau)) for p in paths]
             for s in series:
                 assert s.counts.dtype == np.int64
-                assert s.counts.shape == (plan.k + 1, len(paths))
+                assert s.counts.shape == (len(times), len(paths))
                 assert s.counts[i].tolist() == [int(m[s.pair]) for m in mats]
 
     def test_pair_series_is_a_pair_and_a_view(self):
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
-        series = dynamic_series(g, [p], SnapshotPlan(0.0, 2.5, 2), [(0, 1), (1, 1)])
+        series = dynamic_series(g, [p], [0.0, 2.5, 5.0], [(0, 1), (1, 1)])
         assert PairSeries._fields == ("pair", "counts")
         # every pair's counts are a view of one shared array, not a copy
         assert series[0].counts.base is not None
@@ -222,11 +220,11 @@ class TestSnapshots:
         paths = [parse_metapath(e, SCHEMA) for e in
                  ("write> <write", "write> cite> <write",
                   "write> <publish publish> <write")]
-        plan = SnapshotPlan(t0=0.0, delta=1.0, k=5)
+        times = np.arange(6.0)
         pairs = [(0, 1), (1, 0), (0, 0)]
         cache = PrefixCache()
-        plain = dynamic_series(g, paths, plan, pairs)
-        given = dynamic_series(g, paths, plan, pairs, cache=cache, threads=3)
+        plain = dynamic_series(g, paths, times, pairs)
+        given = dynamic_series(g, paths, times, pairs, cache=cache, threads=3)
         assert len(cache) == 0
         for a, b in zip(plain, given):
             assert a.pair == b.pair
@@ -235,14 +233,14 @@ class TestSnapshots:
     def test_empty_pair_list_gives_no_series(self):
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
-        assert dynamic_series(g, [p], SnapshotPlan(0.0, 1.0, 2), []) == []
+        assert dynamic_series(g, [p], [0.0, 1.0, 2.0], []) == []
 
     def test_mixed_endpoint_types_rejected(self):
         g = two_author_graph()
         paths = [parse_metapath("write> <write", SCHEMA),
                  parse_metapath("publish> <publish", SCHEMA)]
         with pytest.raises(MetaPathError):
-            dynamic_series(g, paths, SnapshotPlan(0.0, 1.0, 2), [(0, 0)])
+            dynamic_series(g, paths, [0.0, 1.0, 2.0], [(0, 0)])
 
 
 class TestMetapathFile:

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
-from hazardnet.datasets import Dataset, Standardization
+from hazardnet.datasets import Dataset
 from hazardnet.npglm import (
     FitConfig,
     HazardModel,
@@ -21,7 +21,7 @@ from hazardnet.npglm import (
     resolve_ties,
     sample_time,
 )
-from hazardnet.npglm import _gradient, _hazard, _hessian, _w_objective
+from hazardnet.npglm import _fit_features, _gradient, _hazard, _hessian, _w_objective
 from hazardnet.synthetic import SynthConfig, generate
 
 
@@ -328,7 +328,7 @@ class TestFitMatchesPartialLikelihoodOracle:
     def check(self, raw):
         model = fit(raw)
         # the exact design the fit runs on: the standardized raw features
-        ds = Dataset(x=raw.fit_features()[0], y=raw.y, t=raw.t, pairs=raw.pairs)
+        ds = Dataset(x=_fit_features(raw)[0], y=raw.y, t=raw.t, pairs=raw.pairs)
         w_ref = fit_partial_likelihood_oracle(ds)
         assert model.w[-1] == 0.0
         assert_allclose(model.w[:-1], w_ref, rtol=0, atol=1e-5)
@@ -440,22 +440,22 @@ class TestFit:
 
 class TestModelValidation:
     def stats0(self):
-        return Standardization(np.zeros(0), np.ones(0))
+        return {"mean": np.zeros(0), "std": np.ones(0)}
 
     def test_decreasing_times_rejected(self):
         with pytest.raises(ValueError):
             HazardModel(w=np.zeros(1), event_times=np.array([2.0, 1.0]),
-                       H=np.array([0.5, 1.0]), standardization=self.stats0())
+                       H=np.array([0.5, 1.0]), **self.stats0())
 
     def test_decreasing_H_rejected(self):
         with pytest.raises(ValueError):
             HazardModel(w=np.zeros(1), event_times=np.array([1.0, 2.0]),
-                       H=np.array([1.0, 0.5]), standardization=self.stats0())
+                       H=np.array([1.0, 0.5]), **self.stats0())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             HazardModel(w=np.zeros(1), event_times=np.array([1.0, 2.0]),
-                       H=np.array([0.5]), standardization=self.stats0())
+                       H=np.array([0.5]), **self.stats0())
 
     def test_horizon(self):
         m = toy_model()
@@ -468,7 +468,8 @@ def toy_model(bias=0.0):
         w=np.array([bias]),
         event_times=np.array([1.0, 2.0]),
         H=np.array([0.5, 1.5]),
-        standardization=Standardization(np.zeros(0), np.ones(0)),
+        mean=np.zeros(0),
+        std=np.ones(0),
     )
 
 
@@ -603,6 +604,26 @@ class TestSampleTime:
         p_exceeded = sum(1 for e in draws if e.horizon_exceeded) / n
         assert abs(p1 - (1 - np.exp(-0.5))) < 0.02
         assert abs(p_exceeded - np.exp(-1.5)) < 0.02
+
+
+SINGLE_ROW_QUERIES = {
+    "ranged": lambda m, x: ranged_probability(m, x, 0.5, 1.5),
+    "quantile": lambda m, x: quantile(m, x, 0.5),
+    "sample": lambda m, x: sample_time(m, x, np.random.default_rng(0)),
+}
+
+
+class TestSingleRowQueries:
+    @pytest.mark.parametrize("op", SINGLE_ROW_QUERIES)
+    def test_several_rows_rejected(self, op):
+        # not an answer for row 0 alone
+        with pytest.raises(ValueError, match="expected one feature row, got 3"):
+            SINGLE_ROW_QUERIES[op](toy_model(), np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("op", SINGLE_ROW_QUERIES)
+    def test_no_rows_rejected(self, op):
+        with pytest.raises(ValueError, match="expected one feature row, got 0"):
+            SINGLE_ROW_QUERIES[op](toy_model(), np.zeros((0, 0)))
 
 
 class TestSerialization:
