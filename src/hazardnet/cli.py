@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .datasets import (
     load_dataset,
     save_dataset,
 )
-from .graph import GraphError, load_graph_file, load_schema
+from .graph import GraphError, load_graph_file, load_schema, prefixed
 from .metapaths import MetaPathError, endpoint_types, parse_metapath, read_metapath_file
 from .metrics import evaluate
 from .npglm import HazardModel, fit_parametric
@@ -98,26 +98,26 @@ def cmd_features(args) -> int:
     if args.target:
         target_expr = args.target
     if not target_expr:
-        raise MetaPathError(
-            "no target relation: pass --target or add a 'target:' line")
+        raise MetaPathError("no target relation: pass --target or add a 'target:' line")
     if not feature_exprs:
         raise MetaPathError("the meta-path file lists no feature paths")
-    target = parse_metapath(target_expr, schema)
-    paths = [parse_metapath(expr, schema) for expr in feature_exprs]
+    def parse(expr, where):  # an error names the expression and where it came from
+        with prefixed(f"{where}: meta-path {expr!r}"):
+            return parse_metapath(expr, schema)
+    target = parse(target_expr, "--target" if args.target else args.metapaths)
+    paths = [parse(expr, args.metapaths) for expr in feature_exprs]
     ends = endpoint_types(paths)
     if (target.source, target.target) != ends:
-        raise MetaPathError(
-            f"target {target} joins {target.source}->{target.target}, but the "
-            f"feature paths join {ends[0]}->{ends[1]}")
+        raise MetaPathError(f"target {target} joins {target.source}->{target.target}, but "
+                            f"the feature paths join {ends[0]}->{ends[1]}")
     window = WindowConfig(t0=args.t0, phi=args.snapshots * args.delta,
                           omega=args.omega, delta=args.delta, k=args.snapshots)
     births = graph.birth_times()
     if len(births) == 0:
         raise GraphError("graph has no links")
     if window.feature_end > float(births[-1]):
-        raise DatasetError(
-            f"feature window ends at {window.feature_end}, beyond the last "
-            f"recorded link at {births[-1]}")
+        raise DatasetError(f"feature window ends at {window.feature_end}, beyond the last "
+                           f"recorded link at {births[-1]}")
 
     cands = candidate_pairs(graph, paths, window)
     if not cands:
@@ -140,12 +140,12 @@ def cmd_features(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = load_dataset(args.input)
-    model = _fit_model(dataset, args.model, unit=args.unit)
+    with prefixed(args.input):
+        model = _fit_model(dataset, args.model, unit=args.unit)
     if not model.converged:
         log.warning("fit stopped at the iteration cap without converging")
     model.save(args.out)
-    log.info("fit %s on %d samples (d=%d) -> %s", args.model, dataset.n,
-             dataset.d, args.out)
+    log.info("fit %s on %d samples (d=%d) -> %s", args.model, dataset.n, dataset.d, args.out)
     return 0
 
 
@@ -167,17 +167,24 @@ def _parse_query_x(args, d: int) -> np.ndarray:
     if raw.startswith("row:"):
         if not args.input:
             raise ValueError("--x row:<i> needs --input pointing at a dataset")
-        index = int(raw[len("row:"):])
+        try:
+            index = int(raw[len("row:"):])
+        except ValueError:
+            raise ValueError(f"--x {raw}: the row index is not an integer") from None
         dataset = load_dataset(args.input)
         if not 0 <= index < dataset.n:
             raise ValueError(f"row {index} outside dataset of {dataset.n} rows")
         x = dataset.x[index]
     else:
         values = raw.split(",")
-        x = np.asarray([float(v) for v in values], dtype=float)
-        bad = np.flatnonzero(~np.isfinite(x))
-        if len(bad):
-            raise ValueError(f"--x feature x_{bad[0]}: {values[bad[0]]!r} is not finite")
+        x = np.empty(len(values))
+        for i, value in enumerate(values):
+            try:
+                x[i] = float(value)
+            except ValueError:
+                raise ValueError(f"--x feature x_{i}: {value!r} is not a number") from None
+            if not np.isfinite(x[i]):
+                raise ValueError(f"--x feature x_{i}: {value!r} is not finite")
     if len(x) != d:
         raise ValueError(f"model expects {d} features, got {len(x)}")
     return x
@@ -266,20 +273,34 @@ def cmd_eval(args) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: model x N x censoring-ratio grid with repetitions."""
+    """One sweep: model x N x censoring-ratio grid with repetitions.  The fields
+    are the config file's keys; a bad value raises ValueError naming its key."""
 
     dist: str
-    models: tuple
     n_grid: tuple
     censoring_grid: tuple
-    repetitions: int
-    seed: int
-    out_dir: str
+    models: tuple = ("npglm",)
+    repetitions: int = 20
+    seed: int = 0
+    out_dir: str = "sweep-out"
     dim: int = 10
     test_n: int = 0
     save_traces: bool = False
 
     def __post_init__(self):
+        for key, convert in (("models", tuple), ("n_grid", lambda v: tuple(map(int, v))),
+                             ("censoring_grid", lambda v: tuple(map(float, v))),
+                             ("repetitions", int), ("seed", int), ("out_dir", os.fspath),
+                             ("dim", int), ("test_n", int)):
+            value = getattr(self, key)
+            if key in ("models", "n_grid", "censoring_grid") and type(value) not in (list, tuple):
+                raise ValueError(f"{key!r} must be a JSON list, got {value!r}")
+            try:
+                object.__setattr__(self, key, convert(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"bad value for {key!r}: {value!r}") from None
+        if not isinstance(self.save_traces, bool):
+            raise ValueError(f"bad value for 'save_traces': {self.save_traces!r}")
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
         if self.repetitions < 1:
@@ -302,39 +323,14 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         """Read a JSON config; a ValueError it raises names the path."""
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, prefixed(path):
             doc = json.load(fh)
-
-        def read(key, convert, default=None):
-            value = doc.get(key, default)
-            try:
-                return convert(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"bad value for {key!r}: {value!r}") from None
-
-        try:
             if not isinstance(doc, dict):
                 raise ValueError(f"config is a JSON {type(doc).__name__}, not an object")
-            missing = [key for key in ("dist", "n_grid", "censoring_grid") if key not in doc]
+            missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
             if missing:
                 raise ValueError(f"missing required key {missing[0]!r}")
-            for key in ("models", "n_grid", "censoring_grid"):
-                if not isinstance(doc.get(key, []), list):
-                    raise ValueError(f"{key!r} must be a JSON list, got {doc[key]!r}")
-            return cls(
-                dist=doc["dist"],
-                models=tuple(doc.get("models", ["npglm"])),
-                n_grid=read("n_grid", lambda v: tuple(map(int, v))),
-                censoring_grid=read("censoring_grid", lambda v: tuple(map(float, v))),
-                repetitions=read("repetitions", int, 20),
-                seed=read("seed", int, 0),
-                out_dir=doc.get("out_dir", "sweep-out"),
-                dim=read("dim", int, 10),
-                test_n=read("test_n", int, 0),
-                save_traces=bool(doc.get("save_traces", False)),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 def _run_cell(job: dict) -> dict:

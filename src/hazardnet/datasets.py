@@ -220,11 +220,8 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
 
     # Distinct candidates as sorted keys row * n_cols + col; ``copies``
     # maps every candidate, duplicates included, to its key.
-    keys = rows * n_cols + cols
-    copies = slice(None)  # sorted and distinct, as candidate_pairs gives them
-    if not (keys[1:] > keys[:-1]).all():
-        keys, copies = np.unique(keys, return_inverse=True)
-        rows, cols = keys // n_cols, keys % n_cols
+    keys, copies = np.unique(rows * n_cols + cols, return_inverse=True)
+    rows, cols = keys // n_cols, keys % n_cols
     # Already related by the end of the feature window (instance born <= t_end).
     related0 = metapath_matrix(graph, target, float(taus[0]))[rows, cols] > 0
     first_time = np.full(len(keys), np.inf)

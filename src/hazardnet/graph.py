@@ -10,6 +10,7 @@ counts.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "LinkType",
     "TemporalGraph",
     "GraphError",
+    "prefixed",
     "load_schema",
     "load_graph",
     "load_graph_file",
@@ -36,11 +38,26 @@ class GraphError(ValueError):
     """Malformed schema, edge record, or matrix operation."""
 
 
+@contextmanager
+def prefixed(where):
+    """Prefix ``where`` to the message of a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:  # decode errors, which take more than a message, lose their type
+        kind = type(exc) if type(exc).__init__ is ValueError.__init__ else ValueError
+        raise kind(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class LinkType:
     name: str
     src: str
     dst: str
+
+    def __post_init__(self):
+        for key, value in (("name", self.name), ("src", self.src), ("dst", self.dst)):
+            if not isinstance(value, str):
+                raise GraphError(f"link type key {key!r} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +68,12 @@ class Schema:
     link_types: tuple[LinkType, ...]
 
     def __post_init__(self):
+        for key, kind, noun in (("node_types", str, "strings"),
+                                ("link_types", LinkType, "link types")):
+            value = getattr(self, key)
+            if not (isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)):
+                raise GraphError(f"schema key {key!r} must be a JSON list of {noun}, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
         if len(set(self.node_types)) != len(self.node_types):
             raise GraphError("duplicate node type names")
         names = [lt.name for lt in self.link_types]
@@ -59,10 +82,8 @@ class Schema:
         declared = set(self.node_types)
         for lt in self.link_types:
             if lt.src not in declared or lt.dst not in declared:
-                raise GraphError(
-                    f"link type {lt.name!r} references undeclared node type "
-                    f"({lt.src!r} -> {lt.dst!r})"
-                )
+                raise GraphError(f"link type {lt.name!r} references undeclared node type "
+                                 f"({lt.src!r} -> {lt.dst!r})")
 
     def link_type(self, name: str) -> LinkType:
         for lt in self.link_types:
@@ -78,18 +99,25 @@ class Schema:
             raise GraphError(f"schema document is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "node_types" not in doc or "link_types" not in doc:
             raise GraphError("schema document must have node_types and link_types keys")
-        for key in ("node_types", "link_types"):
-            if not isinstance(doc[key], list):
-                raise GraphError(f"schema key {key!r} must be a JSON list, got {doc[key]!r}")
-        node_types = tuple(str(n) for n in doc["node_types"])
-        fields = ("name", "src", "dst")
-        link_types = []
-        for i, lt in enumerate(doc["link_types"]):
-            missing = [key for key in fields if not isinstance(lt, dict) or key not in lt]
-            if missing:
-                raise GraphError(f"schema link type #{i} lacks key {missing[0]!r}")
-            link_types.append(LinkType(*(str(lt[key]) for key in fields)))
-        return cls(node_types, tuple(link_types))
+        link_types, fields = doc["link_types"], ("name", "src", "dst")
+        if isinstance(link_types, list):  # anything else is the constructor's to reject
+            for i, lt in enumerate(link_types):
+                missing = [key for key in fields if not isinstance(lt, dict) or key not in lt]
+                if missing:
+                    raise GraphError(f"schema link type #{i} lacks key {missing[0]!r}")
+            link_types = [LinkType(*(lt[key] for key in fields)) for lt in link_types]
+        return cls(doc["node_types"], link_types)
+
+
+def _timestamp(kind: str, value) -> float:
+    """``value`` as a finite float; else GraphError naming the ``kind`` of time."""
+    try:
+        stamp = float(value)
+    except (TypeError, ValueError):
+        raise GraphError(f"malformed {kind} timestamp {value!r}") from None
+    if not np.isfinite(stamp):
+        raise GraphError(f"non-finite {kind} timestamp {stamp!r}")
+    return stamp
 
 
 @dataclass
@@ -143,19 +171,10 @@ class TemporalGraph:
         if self._frozen:
             raise GraphError("graph is frozen; links cannot be added after load")
         lt = self.schema.link_type(link_type)
-        birth = float(birth)
-        if not np.isfinite(birth):
-            raise GraphError(f"non-finite birth timestamp {birth!r}")
-        if death is None:
-            death = np.inf
-        else:
-            death = float(death)
-            if not np.isfinite(death):
-                raise GraphError(f"non-finite death timestamp {death!r}")
-            if death <= birth:
-                raise GraphError(
-                    f"link {link_type}({src_id},{dst_id}): death {death} <= birth {birth}"
-                )
+        birth = _timestamp("birth", birth)
+        death = np.inf if death is None else _timestamp("death", death)
+        if death <= birth:
+            raise GraphError(f"link {link_type}({src_id},{dst_id}): death {death} <= birth {birth}")
         a = self.node_index(lt.src, src_id)
         b = self.node_index(lt.dst, dst_id)
         self._pending[link_type].append((a, b, birth, death))
@@ -188,7 +207,7 @@ class TemporalGraph:
 
 
 def load_schema(path) -> Schema:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, prefixed(path):
         return Schema.from_json(fh.read())
 
 
@@ -209,26 +228,16 @@ def load_graph(schema: Schema, edge_lines) -> TemporalGraph:
             parts.append("")
         if len(parts) != 5:
             raise GraphError(f"line {lineno}: expected 4 or 5 tab-separated fields")
-        link_type, src_id, dst_id, birth_s, death_s = parts
+        link_type, src_id, dst_id, birth, death = parts
         try:
-            birth = float(birth_s)
-        except ValueError as exc:
-            raise GraphError(f"line {lineno}: malformed birth timestamp {birth_s!r}") from exc
-        death = None
-        if death_s.strip():
-            try:
-                death = float(death_s)
-            except ValueError as exc:
-                raise GraphError(f"line {lineno}: malformed death timestamp {death_s!r}") from exc
-        try:
-            graph.add_link(link_type, src_id, dst_id, birth, death)
+            graph.add_link(link_type, src_id, dst_id, birth, death if death.strip() else None)
         except GraphError as exc:
             raise GraphError(f"line {lineno}: {exc}") from exc
     return graph.freeze()
 
 
 def load_graph_file(schema: Schema, path) -> TemporalGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, prefixed(path):
         return load_graph(schema, fh)
 
 

@@ -65,7 +65,10 @@ class MetaPath:
 
 
 def _step_endpoints(schema: Schema, name: str, direction: str) -> tuple[str, str]:
-    lt = schema.link_type(name)
+    try:
+        lt = schema.link_type(name)
+    except GraphError as exc:
+        raise MetaPathError(str(exc)) from exc
     return (lt.src, lt.dst) if direction == FORWARD else (lt.dst, lt.src)
 
 
@@ -88,15 +91,9 @@ def parse_metapath(expr: str, schema: Schema) -> MetaPath:
             raise MetaPathError(
                 f"bad step {tok!r}: expected 'name>' (forward) or '<name' (backward)"
             )
-    try:
-        source, cursor = _step_endpoints(schema, steps[0][0], steps[0][1])
-    except GraphError as exc:
-        raise MetaPathError(str(exc)) from exc
+    source, cursor = _step_endpoints(schema, *steps[0])
     for name, direction in steps[1:]:
-        try:
-            start, end = _step_endpoints(schema, name, direction)
-        except GraphError as exc:
-            raise MetaPathError(str(exc)) from exc
+        start, end = _step_endpoints(schema, name, direction)
         if start != cursor:
             raise MetaPathError(
                 f"type mismatch at step {name!r}: path is at {cursor!r} "

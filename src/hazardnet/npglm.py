@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datasets import Dataset
+from .graph import prefixed
 
 __all__ = [
     "FitConfig",
@@ -117,11 +118,18 @@ def resolve_ties(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _prepared(dataset: Dataset):
-    """(y, t) as floats, ``t`` tie-resolved with its order re-checked."""
-    t = resolve_ties(dataset.t, dataset.y)
+    """(y, t) as floats, ``t`` tie-resolved.  Rows must come sorted by t, observed
+    first at equal t (as ``build_dataset`` sorts them), or ValueError names two."""
+    t, y = dataset.t, dataset.y
+    late = np.flatnonzero((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (y[1:] > y[:-1])))
+    if len(late):
+        i = late[0]
+        raise ValueError(f"rows {i} and {i + 1} are out of order (t, y = {float(t[i])!r}, {y[i]} "
+                         f"then {float(t[i + 1])!r}, {y[i + 1]}): sort by t, observed first")
+    t = resolve_ties(t, y)
     if np.any(np.diff(t) < 0):
         raise ValueError("dataset must be sorted ascending by t")
-    return dataset.y.astype(float), t
+    return y.astype(float), t
 
 
 # Array-level pieces of the loss.  ``z`` is the clamped linear predictor
@@ -212,9 +220,22 @@ def loss(w: np.ndarray, H: np.ndarray, dataset: Dataset) -> float:
     return _loss(z, e, np.asarray(H, dtype=float), y, t)
 
 
-def _numbers(values) -> bool:
-    """Whether ``values`` is a list of JSON numbers; booleans are not numbers."""
-    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
+def _number(value) -> bool:  # JSON reads true and false as numbers; they are not
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(key: str, value, rule: str, ok=lambda array: True) -> np.ndarray:
+    """``value`` as a vector of finite floats on which ``ok`` holds, else
+    ValueError naming ``key``; numpy alone would take true and "1" for 1."""
+    try:
+        if isinstance(value, list) and not all(map(_number, value)):
+            raise TypeError
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.ndim != 1 or not np.isfinite(array).all() or not ok(array):
+        raise ValueError(f"model key {key!r} must {rule}, got {value!r}")
+    return array
 
 
 PARAMETRIC_FAMILIES = ("exponential", "weibull")  # H0(t) = t**shape
@@ -233,7 +254,7 @@ class HazardModel:
     it at the distinct (tie-resolved) training times; it is linear between
     knots, starts at (0, 0), and is flat past the last knot, the training
     horizon.  For "exponential" (shape 1) and "weibull" it is t**shape.
-    ``loss_trace`` and ``converged`` report the fit.
+    ``loss_trace`` and ``converged`` report the fit.  Construction checks every field.
     """
 
     w: np.ndarray
@@ -250,22 +271,29 @@ class HazardModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        self.w = np.asarray(self.w, dtype=float)
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.std = np.asarray(self.std, dtype=float)
+        self.w = _numbers("w", self.w, "be a non-empty list of numbers", len)
+        d = len(self.w) - 1
+        rule = f"hold {d} values, one per feature of 'w'"
+        self.mean = _numbers("standardization.mean", self.mean, rule, lambda a: len(a) == d)
+        self.std = _numbers("standardization.std", self.std, rule + ", each > 0",
+                            lambda a: len(a) == d and (a > 0).all())
+        self.loss_trace = _numbers("loss_trace", self.loss_trace, "be a list of numbers").tolist()
+        if not isinstance(self.unit, str):
+            raise ValueError(f"model key 'unit' must be a string, got {self.unit!r}")
+        if not isinstance(self.converged, bool):
+            raise ValueError(f"model key 'converged' must be true or false, got {self.converged!r}")
         if self.family != "npglm":
-            if not self.shape > 0:
-                raise ValueError("shape must be positive")
+            if not _number(self.shape):
+                raise ValueError(f"model key 'shape' must be a number, got {self.shape!r}")
+            if not 0 < self.shape < np.inf:
+                raise ValueError(f"model key 'shape' must be positive and finite, got {self.shape}")
+            self.shape = float(self.shape)
             return
-        self.event_times = np.asarray(self.event_times, dtype=float)
-        self.H = np.asarray(self.H, dtype=float)
-        if self.event_times.ndim != 1 or self.H.shape != self.event_times.shape:
-            raise ValueError("event_times and H must be equal-length vectors")
-        if len(self.event_times):
-            if np.any(np.diff(self.event_times) <= 0):
-                raise ValueError("event_times must be strictly increasing")
-            if np.any(np.diff(self.H) < 0) or self.H[0] < 0:
-                raise ValueError("H must be non-negative and non-decreasing")
+        self.event_times = _numbers("event_times", self.event_times, "be a strictly increasing "
+                                    "list of numbers", lambda a: (np.diff(a) > 0).all())
+        n = len(self.event_times)
+        self.H = _numbers("H", self.H, f"hold {n} non-decreasing values >= 0, one per event time",
+                          lambda a: len(a) == n and (np.diff(a, prepend=0.0) >= 0).all())
         self._t_knots = np.concatenate(([0.0], self.event_times))
         self._H_knots = np.concatenate(([0.0], self.H))
 
@@ -324,41 +352,17 @@ class HazardModel:
     def from_json(cls, doc: dict) -> "HazardModel":
         if not isinstance(doc, dict):
             raise ValueError(f"model is a JSON {type(doc).__name__}, not an object")
-        family = doc.get("family")
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        keys = ("event_times", "H") if family == "npglm" else ("shape",)
-        missing = [key for key in ("w", "standardization") + keys if key not in doc]
+        keys = ("event_times", "H") if doc.get("family") == "npglm" else ("shape",)
+        missing = [key for key in ("family", "w", "standardization") + keys if key not in doc]
+        stats = doc.get("standardization")
         if not missing:
-            stats = doc["standardization"]
             if not isinstance(stats, dict):
                 raise ValueError("model key 'standardization' is not an object")
             missing = [f"standardization.{key}" for key in ("mean", "std") if key not in stats]
         if missing:
             raise ValueError(f"model lacks key {missing[0]!r}")
-        w, trace = doc["w"], doc.get("loss_trace", [])
-        if not (_numbers(w) and w):
-            raise ValueError(f"model key 'w' must be a non-empty list of numbers, got {w!r}")
-        if not _numbers(trace):
-            raise ValueError(f"model key 'loss_trace' must be a list of numbers, got {trace!r}")
-        d = len(w) - 1
-        for key in ("mean", "std"):
-            if not (_numbers(stats[key]) and len(stats[key]) == d):
-                raise ValueError(f"model key 'standardization.{key}' must hold {d} values, "
-                                 f"one per feature of 'w', got {stats[key]!r}")
-        if family == "npglm":
-            family_fields = {"event_times": doc["event_times"], "H": doc["H"]}
-        elif _numbers([doc["shape"]]):
-            family_fields = {"shape": float(doc["shape"])}
-        else:
-            raise ValueError(f"model key 'shape' must be a number, got {doc['shape']!r}")
-        return cls(
-            w=w, mean=stats["mean"], std=stats["std"], family=family,
-            unit=doc.get("unit", ""),
-            loss_trace=[float(v) for v in trace],
-            converged=bool(doc.get("converged", True)),
-            **family_fields,
-        )
+        keys += ("family", "w", "unit", "loss_trace", "converged")
+        return cls(mean=stats["mean"], std=stats["std"], **{k: doc[k] for k in keys if k in doc})
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -367,11 +371,8 @@ class HazardModel:
     @classmethod
     def load(cls, path) -> "HazardModel":
         """Read a model file; a ValueError it raises names the path."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh, prefixed(path):
+            return cls.from_json(json.load(fh))
 
 
 def _fit_features(dataset: Dataset):

@@ -113,7 +113,26 @@ class TestFeatures:
         schema["node_types"] = "APV"
         (fixture_dir / "schema.json").write_text(json.dumps(schema))
         assert run(*self.feature_args(fixture_dir, tmp_path / "f.csv")) == 2
-        assert "schema key 'node_types' must be a JSON list, got 'APV'" in caplog.text
+        assert "schema key 'node_types' must be a JSON list of strings, got 'APV'" in caplog.text
+
+    def test_malformed_graph_line_names_file(self, fixture_dir, tmp_path, caplog):
+        edges = fixture_dir / "edges.tsv"
+        edges.write_text("write\ta0\tp0\tnotanumber\n" + edges.read_text())
+        assert run(*self.feature_args(fixture_dir, tmp_path / "f.csv")) == 2
+        assert f"{edges}: line 1: malformed birth timestamp 'notanumber'" in caplog.text
+
+    @pytest.mark.parametrize("use_target", [False, True])
+    def test_metapath_error_names_file_and_expression(self, fixture_dir, tmp_path, caplog,
+                                                      use_target):
+        paths = fixture_dir / "paths.txt"
+        args = self.feature_args(fixture_dir, tmp_path / "f.csv")
+        if use_target:
+            args, where = args + ("--target", "bogus> <write"), "--target"
+        else:
+            paths.write_text(paths.read_text() + "bogus> <write\n")
+            where = paths
+        assert run(*args) == 2
+        assert f"{where}: meta-path 'bogus> <write': unknown link type 'bogus'" in caplog.text
 
     def test_second_target_line_exits_2(self, fixture_dir, tmp_path, caplog):
         paths = fixture_dir / "paths.txt"
@@ -170,6 +189,20 @@ class TestMalformedDataset:
                    "--out", tmp_path / "m.json") == 2
         where = f"{path}: line 4" + (f", column {column}:" if column else ":")
         assert where in caplog.text
+
+
+class TestFitRowOrder:
+    @pytest.mark.parametrize("rows", [
+        "0,0,0,2.0,1.0\n1,1,1,2.0,0.5\n",  # censored before observed at equal t
+        "0,0,1,3.0,1.0\n1,1,1,2.0,0.5\n",  # t decreases
+    ], ids=["censored-first", "t-decreases"])
+    def test_npglm_fit_names_file_and_rows(self, tmp_path, caplog, rows):
+        path = tmp_path / "unsorted.csv"
+        path.write_text("src,dst,y,t,x_0\n" + rows)
+        assert run("fit", "--model", "npglm", "--input", path,
+                   "--out", tmp_path / "m.json") == 2
+        assert f"{path}: rows 0 and 1 are out of order" in caplog.text
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestFitPredictQuery:
@@ -263,6 +296,20 @@ class TestFitPredictQuery:
         assert run("query", "--model-file", model_file, "--x", x,
                    "--op", "quantile", 0.5) == 2
         assert f"--x feature {bad} is not finite" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("x, message", [
+        ("1,abc,0", "--x feature x_1: 'abc' is not a number"),
+        ("row:zz", "--x row:zz: the row index is not an integer"),
+    ])
+    def test_query_unparsable_x_exits_2(self, tmp_path, synth_dir, capsys, caplog, x, message):
+        model_file = tmp_path / "m.json"
+        run("fit", "--model", "npglm", "--input", synth_dir / "dataset.csv",
+            "--out", model_file)
+        capsys.readouterr()
+        assert run("query", "--model-file", model_file, "--x", x, "--input",
+                   synth_dir / "dataset.csv", "--op", "quantile", 0.5) == 2
+        assert message in caplog.text
         assert capsys.readouterr().out == ""
 
     def test_missing_model_file_exits_1(self, tmp_path):
@@ -442,6 +489,16 @@ class TestParentFormatModels:
         ("npglm", "loss_trace", 5, "model key 'loss_trace' must be a list of numbers, got 5"),
         ("npglm", "standardization", {"mean": [None, 1.0], "std": [2.0, 1.0]},
          "model key 'standardization.mean' must hold 2 values"),
+        ("npglm", "event_times", [0.5, None, 2.0, 3.5],
+         "model key 'event_times' must be a strictly increasing list of numbers"),
+        ("npglm", "event_times", [0.5, True, 2.0, 3.5],
+         "model key 'event_times' must be a strictly increasing list of numbers"),
+        ("npglm", "H", [0.1, None, 0.4, 1.2], "model key 'H' must hold 4 non-decreasing values"),
+        ("npglm", "H", [0.1, 0.4, True, 1.2], "model key 'H' must hold 4 non-decreasing values"),
+        ("npglm", "unit", 5, "model key 'unit' must be a string, got 5"),
+        ("npglm", "converged", "false", "model key 'converged' must be true or false, got 'false'"),
+        ("npglm", "standardization", {"mean": [0.0, 1.0], "std": [2.0, 0.0]},
+         "model key 'standardization.std' must hold 2 values, one per feature of 'w', each > 0"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, caplog, family, key, value, message):
         path = tmp_path / "model.json"
@@ -620,6 +677,9 @@ class TestSweep:
         ({"dim": None}, "bad value for 'dim': None"),
         ({"repetitions": "x"}, "bad value for 'repetitions': 'x'"),
         (5, "config is a JSON int, not an object"),
+        ({"out_dir": None}, "bad value for 'out_dir': None"),
+        ({"out_dir": 5}, "bad value for 'out_dir': 5"),
+        ({"save_traces": "false"}, "bad value for 'save_traces': 'false'"),
     ])
     def test_bad_field_exits_2_before_any_cell(self, tmp_path, caplog, over, message):
         config = self.config_doc(tmp_path, **(over if isinstance(over, dict) else {}))
@@ -653,6 +713,13 @@ class TestSweep:
         out = _run_cell(job)
         assert out["failed"] == 1
         assert "error" in out and out["model"] == "npglm"
+
+    def test_code_built_config_gets_the_defaults(self):
+        config = ExperimentConfig(dist="rayleigh", n_grid=[10], censoring_grid=[0.0])
+        assert config == ExperimentConfig(
+            dist="rayleigh", n_grid=(10,), censoring_grid=(0.0,), models=("npglm",),
+            repetitions=20, seed=0, out_dir="sweep-out", dim=10, test_n=0, save_traces=False)
+        assert isinstance(config.n_grid, tuple) and isinstance(config.censoring_grid, tuple)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from hazardnet.graph import (
     Schema,
     TemporalGraph,
     load_graph,
+    load_graph_file,
     load_schema,
     spmm,
     time_aware_adjacency,
@@ -55,13 +56,29 @@ class TestSchema:
                                             ("node_types", {"A": 1}),
                                             ("link_types", {"name": "write", "src": "A",
                                                             "dst": "P"}),
-                                            ("link_types", "write")])
+                                            ("link_types", "write"),
+                                            ("node_types", ["A", None]),
+                                            ("node_types", ["A", 5])])
     def test_non_list_key_named(self, key, value):
         doc = {"node_types": ["A", "P"],
                "link_types": [{"name": "write", "src": "A", "dst": "P"}]}
         doc[key] = value
         with pytest.raises(GraphError, match=f"schema key '{key}' must be a JSON list"):
             Schema.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["name", "src", "dst"])
+    def test_link_type_field_not_a_string_named(self, key):
+        entry = {"name": "cite", "src": "P", "dst": "P", key: None}
+        doc = {"node_types": ["A", "P"], "link_types": [entry]}
+        message = f"link type key '{key}' must be a string, got None"
+        with pytest.raises(GraphError, match=message):
+            Schema.from_json(json.dumps(doc))
+        with pytest.raises(GraphError, match=message):
+            LinkType(**entry)
+
+    def test_code_built_node_type_not_a_string(self):
+        with pytest.raises(GraphError, match="must be a JSON list of strings"):
+            Schema(node_types=("A", None), link_types=())
 
     def test_unknown_endpoint_type_rejected(self):
         with pytest.raises(GraphError):
@@ -84,6 +101,13 @@ class TestSchema:
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"node_types": ["X"], "link_types": []}))
         assert load_schema(path).node_types == ("X",)
+
+    def test_load_schema_names_file(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({"node_types": ["X", None], "link_types": []}))
+        with pytest.raises(GraphError) as excinfo:
+            load_schema(path)
+        assert str(excinfo.value).startswith(f"{path}: schema key 'node_types'")
 
 
 class TestTemporalGraph:
@@ -147,6 +171,13 @@ class TestLoadGraph:
     def test_unknown_link_type_with_line_number(self):
         with pytest.raises(GraphError, match="line 1"):
             load_graph(SCHEMA, ["publish\tv\tp\t1.0"])
+
+    def test_load_graph_file_names_file(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("write\ta0\tp0\t1.0\nwrite\ta1\tp0\t2.0\tnever\n")
+        with pytest.raises(GraphError) as excinfo:
+            load_graph_file(SCHEMA, path)
+        assert str(excinfo.value) == f"{path}: line 2: malformed death timestamp 'never'"
 
 
 class TestTimeAwareAdjacency:

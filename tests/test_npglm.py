@@ -457,6 +457,13 @@ class TestModelValidation:
             HazardModel(w=np.zeros(1), event_times=np.array([1.0, 2.0]),
                        H=np.array([0.5]), **self.stats0())
 
+    @pytest.mark.parametrize("mean, std, key", [([0.0], [1.0], "mean"),
+                                                ([0.0, 0.0], [1.0], "std"),
+                                                ([0.0, 0.0], [1.0, -1.0], "std")])
+    def test_code_built_standardization_checked(self, mean, std, key):
+        with pytest.raises(ValueError, match=f"'standardization.{key}' must hold 2 values"):
+            HazardModel(w=[0.5, 0.1, 0.0], mean=mean, std=std, family="exponential")
+
     def test_horizon(self):
         m = toy_model()
         assert m.horizon == 2.0
