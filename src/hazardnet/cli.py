@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import numbers
 import os
 import sys
 import time
@@ -190,27 +191,37 @@ def _parse_query_x(args, d: int) -> np.ndarray:
     return x
 
 
+def _op_arguments(op: str, values, names, kind) -> list:
+    """The arguments of ``--op``, one per name, each converted by ``kind``
+    (float or int); a wrong count or a bad value raises ValueError naming
+    the op and, for a bad value, the argument."""
+    if len(values) != len(names):
+        raise ValueError(f"usage: --op {op} " + " ".join(f"<{name}>" for name in names))
+    out = []
+    for name, value in zip(names, values):
+        try:
+            out.append(kind(value))
+        except ValueError:
+            what = "a number" if kind is float else "an integer"
+            raise ValueError(f"--op {op}: {name} {value!r} is not {what}") from None
+    return out
+
+
 def cmd_query(args) -> int:
     model = HazardModel.load(args.model_file)
     x = _parse_query_x(args, model.d)
     op, rest = args.op[0], args.op[1:]
     if op == "ranged":
-        if len(rest) != 2:
-            raise ValueError("usage: --op ranged <t_a> <t_b>")
-        t_a, t_b = float(rest[0]), float(rest[1])
+        t_a, t_b = _op_arguments(op, rest, ("t_a", "t_b"), float)
         answer = {"op": "ranged", "t_a": t_a, "t_b": t_b,
                   "probability": npglm.ranged_probability(model, x, t_a, t_b)}
     elif op == "quantile":
-        if len(rest) != 1:
-            raise ValueError("usage: --op quantile <alpha>")
-        alpha = float(rest[0])
+        alpha, = _op_arguments(op, rest, ("alpha",), float)
         est = npglm.quantile(model, x, alpha)
         answer = {"op": "quantile", "alpha": alpha, "time": est.time,
                   "horizon_exceeded": est.horizon_exceeded}
     elif op == "sample":
-        if len(rest) != 2:
-            raise ValueError("usage: --op sample <n> <seed>")
-        count, seed = int(rest[0]), int(rest[1])
+        count, seed = _op_arguments(op, rest, ("n", "seed"), int)
         if count < 1:
             raise ValueError("sample count must be >= 1")
         # sample_time's draws at once: the same stream, u == 0 redrawn
@@ -271,6 +282,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _real(value) -> float:
+    """A JSON number as a float; true, false and strings are not numbers."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{value!r} is not a number")
+
+
+def _whole(value) -> int:
+    """A JSON number with a whole value, such as 80 or 80.0, as an int."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not a whole number")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: model x N x censoring-ratio grid with repetitions.  The fields
@@ -288,17 +315,17 @@ class ExperimentConfig:
     save_traces: bool = False
 
     def __post_init__(self):
-        for key, convert in (("models", tuple), ("n_grid", lambda v: tuple(map(int, v))),
-                             ("censoring_grid", lambda v: tuple(map(float, v))),
-                             ("repetitions", int), ("seed", int), ("out_dir", os.fspath),
-                             ("dim", int), ("test_n", int)):
+        for key, convert in (("models", tuple), ("n_grid", lambda v: tuple(map(_whole, v))),
+                             ("censoring_grid", lambda v: tuple(map(_real, v))),
+                             ("repetitions", _whole), ("seed", _whole), ("out_dir", os.fspath),
+                             ("dim", _whole), ("test_n", _whole)):
             value = getattr(self, key)
             if key in ("models", "n_grid", "censoring_grid") and type(value) not in (list, tuple):
                 raise ValueError(f"{key!r} must be a JSON list, got {value!r}")
             try:
                 object.__setattr__(self, key, convert(value))
-            except (TypeError, ValueError):
-                raise ValueError(f"bad value for {key!r}: {value!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for {key!r}: {value!r} ({exc})") from None
         if not isinstance(self.save_traces, bool):
             raise ValueError(f"bad value for 'save_traces': {self.save_traces!r}")
         if self.dist not in DISTRIBUTIONS:

@@ -97,8 +97,11 @@ class Schema:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"schema document is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "node_types" not in doc or "link_types" not in doc:
-            raise GraphError("schema document must have node_types and link_types keys")
+        if not isinstance(doc, dict):
+            raise GraphError(f"schema is a JSON {type(doc).__name__}, not an object")
+        missing = [key for key in ("node_types", "link_types") if key not in doc]
+        if missing:
+            raise GraphError(f"schema lacks key {missing[0]!r}")
         link_types, fields = doc["link_types"], ("name", "src", "dst")
         if isinstance(link_types, list):  # anything else is the constructor's to reject
             for i, lt in enumerate(link_types):

@@ -16,6 +16,7 @@ implementation serves all three families.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -135,7 +136,9 @@ def _prepared(dataset: Dataset):
 # Array-level pieces of the loss.  ``z`` is the clamped linear predictor
 # clip(xa @ w) over the augmented design ``xa`` and ``e`` = exp(z).  The
 # fit forms z the same way as ``compute_H`` and ``loss``, so the H and the
-# loss it saves are exactly theirs at its w.
+# loss it saves are exactly theirs at its w.  Each piece also takes counted
+# rows (``_counted``): given c e for e and c y for y, where c counts the
+# equal rows merged into each, it returns the per-row sums.
 
 def _linear(xa: np.ndarray, w: np.ndarray):
     z = np.clip(xa @ w, -_CLAMP, _CLAMP)
@@ -151,7 +154,7 @@ def _hazard(e: np.ndarray, y: np.ndarray):
 def _loss(z, e, H, y, t) -> float:
     dH = np.diff(H, prepend=0.0)
     dt = np.diff(t, prepend=0.0)
-    obs = y == 1
+    obs = y > 0
     if np.any(obs & ((dH <= 0) | (dt <= 0))):
         raise ValueError(
             "zero hazard increment at an observed event (tie resolution failed)"
@@ -167,18 +170,19 @@ def _gradient(xt, e, H, y) -> np.ndarray:
     return xt @ (e * H - y)
 
 
-def _hessian(xt, e, H, ev, S0) -> np.ndarray:
+def _hessian(xt, e, H, ev, S0, d) -> np.ndarray:
     """Hessian of the profile loss over w.
 
     xt diag(e H) xt.T, accumulated over column blocks that stay in cache,
-    minus the sum over events of m m.T, where m = S1 / S0 is the risk-set
-    mean of the features at the event.  S1, the risk-set sum of x exp(z),
-    is formed only at the event rows ``ev``: segment sums between
-    consecutive events, then a reverse cumulative sum over events.
+    minus the sum over events of d m m.T, where m = S1 / S0 is the
+    risk-set mean of the features at the event and d its event count
+    (``y[ev]``).  S1, the risk-set sum of x exp(z), is formed only at the
+    event rows ``ev``: segment sums between consecutive events, then a
+    reverse cumulative sum over events.
     """
     S1 = np.add.reduceat(xt * e, ev, axis=1)[:, ::-1].cumsum(axis=1)[:, ::-1]
     m = S1 / S0
-    return _gram(xt, e * H, -(m @ m.T))
+    return _gram(xt, e * H, -((m * d) @ m.T))
 
 
 def _gram(xt, s, out):
@@ -378,11 +382,15 @@ class HazardModel:
 def _fit_features(dataset: Dataset):
     """(x, mean, std): the dataset's features standardized by their column
     mean and population std, which the fitted model keeps to apply to raw
-    query rows.  A constant column keeps std 1, so it stays unscaled."""
-    mean = dataset.x.mean(axis=0)
-    std = dataset.x.std(axis=0)
+    query rows.  A constant column keeps std 1, so it stays unscaled.
+    Statistics and scaling run over one contiguous copy of each column
+    (over axis 0 of the row-major table they cost five times as much), so
+    x is the transpose of a C-contiguous (d, n) array."""
+    columns = np.ascontiguousarray(dataset.x.T)
+    mean = columns.mean(axis=1)
+    std = columns.std(axis=1)
     std = np.where(std > 0, std, 1.0)
-    return (dataset.x - mean) / std, mean, std
+    return ((columns - mean[:, None]) / std[:, None]).T, mean, std
 
 
 def _dedupe_knots(t: np.ndarray, H: np.ndarray):
@@ -390,6 +398,67 @@ def _dedupe_knots(t: np.ndarray, H: np.ndarray):
     keep = np.ones(len(t), dtype=bool)
     keep[:-1] = np.diff(t) > 0
     return t[keep], H[keep]
+
+
+def _hash(keys: np.ndarray, bits: int, seed: int) -> np.ndarray:
+    """A ``bits``-bit hash of each column of the uint64 array ``keys``:
+    multiply-add over its entries, then an xor-shift-multiply finish.
+    ``seed`` picks the odd 64-bit multipliers."""
+    h = np.zeros(keys.shape[1], dtype=np.uint64)
+    odd = seed
+    for row in keys:
+        odd = (odd * 0x5851F42D4C957F2D + 0x14057B7EF767814F) % 2**64 | 1
+        h += row * np.uint64(odd)
+    h ^= h >> np.uint64(31)
+    h *= np.uint64(odd)
+    return h >> np.uint64(64 - bits)
+
+
+def _counted(t: np.ndarray, y: np.ndarray, xt: np.ndarray):
+    """Rows equal in (t, y, x) merged into one: (rows, counts), ``rows`` the
+    ascending index of one row per group and ``counts`` the group sizes, or
+    None when no two rows are equal; that check alone is done when no two
+    adjacent rows share (t, y).  ``xt`` is x transposed.
+
+    Rows come sorted by t, so rows of equal (t, y) form a run, and a group
+    lies within one run; its merged row keeps the run's place in the order.
+    Each round hashes (run, x) into a table of at least as many slots as
+    rows left, keeps one row per slot, and merges every row whose bits equal
+    its slot's row (-0.0 counts as 0.0).  Rows that met a collision go to
+    the next round under other multipliers, so a collision costs a round
+    and never merges unequal rows.
+    """
+    same = (t[1:] == t[:-1]) & (y[1:] == y[:-1])
+    if not same.any():
+        return None
+    keys = np.empty((len(xt) + 1, len(t)), dtype=np.uint64)  # run id, then the bits of x
+    keys[0, 0] = 0
+    np.cumsum(~same, out=keys[0, 1:], dtype=np.uint64)
+    np.add(xt, 0.0, out=keys[1:].view(np.float64))
+    todo = np.arange(len(t))
+    rows, counts = [], []
+    for seed in itertools.count():
+        left = np.arange(len(todo))
+        bits = max(len(todo).bit_length(), 8)
+        h = _hash(keys, bits, seed)
+        slot = np.empty(1 << bits, dtype=np.intp)
+        slot[h] = left
+        rep = slot[h]
+        equal = keys[0].take(rep) == keys[0]
+        for row in keys[1:]:
+            equal &= row.take(rep) == row
+        own = np.flatnonzero(rep == left)  # each group's row, equal to itself
+        rows.append(todo[own])
+        counts.append(np.bincount(rep[equal], minlength=len(todo))[own])
+        if equal.all():
+            break
+        rest = np.flatnonzero(~equal)
+        todo, keys = todo[rest], keys[:, rest]
+    rows, counts = np.concatenate(rows), np.concatenate(counts)
+    if len(rows) == len(t):
+        return None
+    order = np.argsort(rows)
+    return rows[order], counts[order].astype(float)
 
 
 def _descend(theta, evaluate, derivatives, config: FitConfig):
@@ -436,8 +505,12 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
 
     Starts from w = 0.  The bias is pinned at 0 and left out of the
     Newton system: it cancels out of P, and H absorbs exp(bias).  The
-    saved H and loss trace equal ``compute_H`` and ``loss`` at the
-    returned w, on the features of ``_fit_features``.
+    descent runs on counted rows: rows equal in (tie-resolved t, y, x)
+    merge into one row weighted by their count (``_counted``), which
+    leaves P unchanged.  When rows merged, one per-row pass at the
+    returned w gives the saved H and the last loss-trace entry, so they
+    equal ``compute_H`` and ``loss`` at that w, on the features of
+    ``_fit_features``.
     """
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
@@ -445,22 +518,32 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
     y, t = _prepared(dataset)
     xa = augment(x)
     xt = np.ascontiguousarray(x.T)
-    ev = np.flatnonzero(y)
+    counted = _counted(t, y, xt)
+    # without a merge every count is 1.0, and c * e is e exactly
+    rows, c = counted if counted is not None else (slice(None), np.ones(len(t)))
+    xa_c, xt_c, t_c, cy = xa[rows], xt[:, rows], t[rows], c * y[rows]
+    ev = np.flatnonzero(cy)
 
     def profile(v):
-        z, e = _linear(xa, np.append(v, 0.0))
-        risk, H = _hazard(e, y)
-        return _loss(z, e, H, y, t), (e, risk[ev], H)
+        z, e = _linear(xa_c, np.append(v, 0.0))
+        ce = c * e
+        risk, H = _hazard(ce, cy)
+        return _loss(z, ce, H, cy, t_c), (ce, risk[ev], H)
 
     def derivatives(state):
-        e, S0, H = state
-        return _gradient(xt, e, H, y), _hessian(xt, e, H, ev, S0)
+        ce, S0, H = state
+        return _gradient(xt_c, ce, H, cy), _hessian(xt_c, ce, H, ev, S0, cy[ev])
 
     v, (_, _, H), trace, converged = _descend(np.zeros(dataset.d), profile,
                                               derivatives, config)
+    w = np.append(v, 0.0)
+    if counted is not None:  # counted sums round differently from compute_H's and loss's
+        z, e = _linear(xa, w)
+        H = _hazard(e, y)[1]
+        trace[-1] = _loss(z, e, H, y, t)
     knots_t, knots_H = _dedupe_knots(t, H)
     return HazardModel(
-        w=np.append(v, 0.0), mean=mean, std=std, event_times=knots_t, H=knots_H,
+        w=w, mean=mean, std=std, event_times=knots_t, H=knots_H,
         unit=unit, loss_trace=trace, converged=converged,
     )
 

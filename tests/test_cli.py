@@ -312,6 +312,23 @@ class TestFitPredictQuery:
         assert message in caplog.text
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("op, message", [
+        (("ranged", "abc", 2.0), "--op ranged: t_a 'abc' is not a number"),
+        (("ranged", 0.5, "2,0"), "--op ranged: t_b '2,0' is not a number"),
+        (("quantile", "abc"), "--op quantile: alpha 'abc' is not a number"),
+        (("sample", "x", 42), "--op sample: n 'x' is not an integer"),
+        (("sample", 5, "4.2"), "--op sample: seed '4.2' is not an integer"),
+    ])
+    def test_query_unparsable_op_argument_names_op_and_argument(self, tmp_path, synth_dir,
+                                                                capsys, caplog, op, message):
+        model_file = tmp_path / "m.json"
+        run("fit", "--model", "npglm", "--input", synth_dir / "dataset.csv",
+            "--out", model_file)
+        capsys.readouterr()
+        assert run("query", "--model-file", model_file, "--x", "0,0,0", "--op", *op) == 2
+        assert message in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_missing_model_file_exits_1(self, tmp_path):
         assert run("predict", "--model-file", tmp_path / "absent.json",
                    "--input", tmp_path / "absent.csv",
@@ -680,6 +697,16 @@ class TestSweep:
         ({"out_dir": None}, "bad value for 'out_dir': None"),
         ({"out_dir": 5}, "bad value for 'out_dir': 5"),
         ({"save_traces": "false"}, "bad value for 'save_traces': 'false'"),
+        ({"n_grid": [60.9, 80]}, "bad value for 'n_grid': [60.9, 80] (60.9 is not a whole "),
+        ({"n_grid": [60, "80"]}, "bad value for 'n_grid': [60, '80'] ('80' is not a whole "),
+        ({"dim": True}, "bad value for 'dim': True (True is not a whole number)"),
+        ({"repetitions": 2.5}, "bad value for 'repetitions': 2.5 (2.5 is not a whole number)"),
+        ({"seed": "3"}, "bad value for 'seed': '3' ('3' is not a whole number)"),
+        ({"test_n": 1e999}, "bad value for 'test_n': inf (inf is not a whole number)"),
+        ({"censoring_grid": [0.0, "0.5"]}, "bad value for 'censoring_grid': [0.0, '0.5'] "
+                                           "('0.5' is not a number)"),
+        ({"censoring_grid": [False]}, "bad value for 'censoring_grid': [False] "
+                                      "(False is not a number)"),
     ])
     def test_bad_field_exits_2_before_any_cell(self, tmp_path, caplog, over, message):
         config = self.config_doc(tmp_path, **(over if isinstance(over, dict) else {}))
@@ -720,6 +747,13 @@ class TestSweep:
             dist="rayleigh", n_grid=(10,), censoring_grid=(0.0,), models=("npglm",),
             repetitions=20, seed=0, out_dir="sweep-out", dim=10, test_n=0, save_traces=False)
         assert isinstance(config.n_grid, tuple) and isinstance(config.censoring_grid, tuple)
+
+    def test_whole_numbers_of_any_json_type_accepted(self):
+        config = ExperimentConfig(dist="rayleigh", n_grid=[60.0, np.int64(80)],
+                                  censoring_grid=[0, np.float64(0.5)], dim=3.0, seed=-1)
+        assert config.n_grid == (60, 80) and config.censoring_grid == (0.0, 0.5)
+        assert all(type(n) is int for n in config.n_grid + (config.dim, config.seed))
+        assert all(type(c) is float for c in config.censoring_grid)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -102,6 +102,19 @@ class TestSchema:
         path.write_text(json.dumps({"node_types": ["X"], "link_types": []}))
         assert load_schema(path).node_types == ("X",)
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "schema is a JSON list, not an object"),
+        (None, "schema is a JSON NoneType, not an object"),
+        ({"link_types": []}, "schema lacks key 'node_types'"),
+        ({"node_types": ["X"]}, "schema lacks key 'link_types'"),
+    ])
+    def test_document_shape_named(self, tmp_path, doc, message):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphError) as excinfo:
+            load_schema(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     def test_load_schema_names_file(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"node_types": ["X", None], "link_types": []}))

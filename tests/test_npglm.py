@@ -21,7 +21,9 @@ from hazardnet.npglm import (
     resolve_ties,
     sample_time,
 )
-from hazardnet.npglm import _fit_features, _gradient, _hazard, _hessian, _w_objective
+from hazardnet import npglm
+from hazardnet.npglm import (_counted, _fit_features, _gradient, _hazard, _hessian,
+                             _w_objective)
 from hazardnet.synthetic import SynthConfig, generate
 
 
@@ -313,7 +315,7 @@ class TestProfile:
 
             w = rng.normal(size=d) * 0.5
             e, S0, H, _ = pieces(w)
-            hess = _hessian(xt, e, H, ev, S0)
+            hess = _hessian(xt, e, H, ev, S0, y[ev])
             eps = 1e-6
             for j in range(d):
                 step = np.zeros(d)
@@ -383,6 +385,133 @@ class TestFitMatchesPartialLikelihoodOracle:
             assert model.converged and len(trace) <= 50
             assert np.all(np.diff(trace) <= 0)
             assert np.all(np.isfinite(model.w)) and model.w[-1] == 0.0
+
+
+def counted_oracle(t, y, x):
+    """Group sizes by a dict over (t, y, tuple(x)); Python's float equality
+    takes -0.0 for 0.0, as the merge does."""
+    sizes = {}
+    for key in zip(t.tolist(), y.tolist(), map(tuple, x.tolist())):
+        sizes[key] = sizes.get(key, 0) + 1
+    return sizes
+
+
+def tied_rows(rng, n, d, levels, events=0.2):
+    """Sorted (t, y, x) with integer times 1..5, most censored rows at 6,
+    and features in 0..levels-1, so equal rows are common."""
+    t = rng.integers(1, 6, size=n).astype(float)
+    y = (rng.uniform(size=n) < events).astype(np.int64)
+    t[(y == 0) & (rng.uniform(size=n) < 0.8)] = 6.0
+    x = rng.integers(0, levels, size=(n, d)).astype(float)
+    order = np.lexsort((-y, t))
+    return t[order], y[order], x[order]
+
+
+class TestCountedRows:
+    """``_counted`` merges rows equal in (t, y, x) and nothing else."""
+
+    def check(self, t, y, x):
+        sizes = counted_oracle(t, y, x)
+        counted = _counted(t, y, np.ascontiguousarray(x.T))
+        if counted is None:
+            assert len(sizes) == len(t)
+            return np.arange(len(t)), np.ones(len(t))
+        rows, counts = counted
+        assert len(rows) < len(t)
+        assert np.all(np.diff(rows) > 0)
+        keys = list(zip(t[rows].tolist(), y[rows].tolist(), map(tuple, x[rows].tolist())))
+        assert len(set(keys)) == len(keys) == len(sizes)
+        assert {key: c for key, c in zip(keys, counts.tolist())} == sizes
+        assert counts.dtype == float and counts.sum() == len(t)
+        return rows, counts
+
+    def test_matches_dict_on_small_integer_rows(self):
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            n, d = int(rng.integers(2, 400)), int(rng.integers(0, 4))
+            self.check(*tied_rows(rng, n, d, int(rng.integers(1, 4))))
+
+    def test_signed_zeros_merge(self):
+        t = np.array([1.0, 2.0, 2.0, 2.0, 2.0])
+        y = np.array([1, 0, 0, 0, 0])
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])
+        _, counts = self.check(t, y, x)
+        assert counts.tolist() == [1.0, 2.0, 2.0]
+
+    def test_one_long_censored_run(self):
+        rng = np.random.default_rng(73)
+        n = 5000
+        t = np.append(np.arange(1.0, 11.0), np.full(n - 10, 20.0))
+        y = np.append(np.ones(10, dtype=np.int64), np.zeros(n - 10, dtype=np.int64))
+        x = rng.integers(0, 3, size=(n, 3)).astype(float)
+        rows, counts = self.check(t, y, x)
+        assert rows[:10].tolist() == list(range(10)) and len(rows) <= 10 + 27
+
+    def test_runs_of_length_one_skip(self):
+        rng = np.random.default_rng(79)
+        x = np.zeros((50, 2))  # equal x alone does not merge rows
+        assert _counted(np.arange(1.0, 51.0), np.ones(50, dtype=np.int64), x.T) is None
+        t = np.repeat(np.arange(1.0, 26.0), 2)
+        y = np.tile([1, 0], 25)  # equal t, unequal y: runs of one
+        assert _counted(t, y, rng.normal(size=(2, 50))) is None
+
+    def test_all_rows_distinct(self):
+        rng = np.random.default_rng(83)
+        n = 3000
+        t = np.append([1.0, 2.0], np.full(n - 2, 3.0))
+        y = np.append([1, 1], np.zeros(n - 2, dtype=np.int64))
+        assert _counted(t, y, rng.normal(size=(2, n))) is None
+
+    def test_forced_collisions_never_merge_unequal_rows(self, monkeypatch):
+        # every row hashes to one slot: each round merges one group only
+        monkeypatch.setattr(npglm, "_hash",
+                            lambda keys, bits, seed: np.zeros(keys.shape[1], dtype=np.uint64))
+        rng = np.random.default_rng(89)
+        for _ in range(10):
+            self.check(*tied_rows(rng, int(rng.integers(2, 200)), 2, 2))
+        # one bit of the last feature picks the slot: every run, and the
+        # features 0.0 and 2.0, share one
+        monkeypatch.setattr(npglm, "_hash",
+                            lambda keys, bits, seed: (keys[-1] >> np.uint64(52)) % np.uint64(2))
+        for _ in range(10):
+            self.check(*tied_rows(rng, int(rng.integers(2, 200)), 3, 3))
+
+
+class TestFitOnCountedRows:
+    """On heavily duplicated rows the fit descends on counted rows and then
+    takes one per-row pass."""
+
+    def test_matches_per_row_descent(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        cases = []
+        for _ in range(8):
+            n, d = int(rng.integers(500, 3000)), int(rng.integers(1, 4))
+            t, y, x = tied_rows(rng, n, d, 3, events=0.05)
+            y[0] = 1
+            raw = make_dataset(t, y, x)
+            rows, _ = _counted(*npglm._prepared(raw)[::-1], np.ascontiguousarray(x.T))
+            assert len(rows) < n / 4
+            cases.append((raw, fit(raw)))
+        monkeypatch.setattr(npglm, "_counted", lambda t, y, xt: None)
+        for raw, model in cases:
+            per_row = fit(raw)
+            assert_allclose(model.w, per_row.w, rtol=0, atol=1e-10)
+            assert_array_equal(model.event_times, per_row.event_times)
+            assert len(model.loss_trace) == len(per_row.loss_trace)
+            assert model.converged == per_row.converged
+            # the saved baseline and loss are compute_H's and loss's at model.w
+            ds = Dataset(x=_fit_features(raw)[0], y=raw.y, t=raw.t, pairs=raw.pairs)
+            H = compute_H(model.w, ds)
+            knots = np.append(np.diff(resolve_ties(ds.t, ds.y)) > 0, True)
+            assert_array_equal(model.H, H[knots])
+            assert model.loss_trace[-1] == loss(model.w, H, ds)
+
+    def test_untied_rows_take_no_merge(self, monkeypatch):
+        calls = []
+        real = npglm._counted
+        monkeypatch.setattr(npglm, "_counted", lambda *a: calls.append(real(*a)) or calls[-1])
+        fit(random_dataset(np.random.default_rng(101), 300, 3))
+        assert calls == [None]
 
 
 class TestFit:
