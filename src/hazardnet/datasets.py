@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import TemporalGraph
-from .metapaths import MetaPath, endpoint_types, metapath_matrix, new_instance_pairs
+from .graph import TemporalGraph, _distinct
+from .metapaths import MetaPath, endpoint_types, metapath_counts, new_instance_pairs
 
 __all__ = [
     "WindowConfig",
@@ -168,10 +168,11 @@ def candidate_pairs(graph: TemporalGraph, feature_paths: list[MetaPath],
     """
     if not feature_paths:
         return []
-    endpoint_types(feature_paths)
-    total = sum(metapath_matrix(graph, path, window.feature_end) for path in feature_paths)
-    total.sort_indices()
-    rows, cols = total.nonzero()
+    n_cols = graph.node_count(endpoint_types(feature_paths)[1])
+    # counts are positive, so the pairs are the union of the paths' entries
+    keys = _distinct(np.concatenate([metapath_counts(graph, path, window.feature_end).keys
+                                     for path in feature_paths]))
+    rows, cols = np.divmod(keys, n_cols)
     return list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -221,9 +222,8 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     # Distinct candidates as sorted keys row * n_cols + col; ``copies``
     # maps every candidate, duplicates included, to its key.
     keys, copies = np.unique(rows * n_cols + cols, return_inverse=True)
-    rows, cols = keys // n_cols, keys % n_cols
     # Already related by the end of the feature window (instance born <= t_end).
-    related0 = metapath_matrix(graph, target, float(taus[0]))[rows, cols] > 0
+    related0 = metapath_counts(graph, target, float(taus[0])).at(keys) > 0
     first_time = np.full(len(keys), np.inf)
     for b, start, end in new_instance_pairs(graph, target, points, taus):
         found = start * n_cols + end
@@ -264,13 +264,15 @@ def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], times,
     ignored.
     """
     source, target = endpoint_types(paths)
-    if len(pairs) == 0:  # scipy gives a sparse result, not an array, for empty indices
+    if len(pairs) == 0:  # no pair to read, so no product to take
         return []
-    rows, cols = pair_arrays(pairs, (graph.node_count(source), graph.node_count(target)))
+    n_cols = graph.node_count(target)
+    rows, cols = pair_arrays(pairs, (graph.node_count(source), n_cols))
+    keys = rows * n_cols + cols
     counts = np.empty((len(pairs), len(times), len(paths)), dtype=np.int64)
     for i, tau in enumerate(times):
         for j, path in enumerate(paths):
-            counts[:, i, j] = metapath_matrix(graph, path, float(tau))[rows, cols]
+            counts[:, i, j] = metapath_counts(graph, path, float(tau)).at(keys)
     return list(map(PairSeries, map(tuple, pairs), counts))
 
 

@@ -1,10 +1,10 @@
 """Dynamic heterogeneous network representation and time-sliced adjacency counts.
 
 A network is described by a schema (node types plus typed, directed link
-types) and a list of timestamped links.  Snapshots of the link structure at
-any timestamp are materialized as ``scipy.sparse.csr_array`` matrices of
-int64 link counts, which downstream code multiplies into composite-relation
-counts.
+types) and a list of timestamped links.  The links alive at a timestamp
+form a ``CountMatrix`` of int64 link counts, held as its sorted nonzero
+entries; ``CountMatrix`` products (numpy only) give composite-relation
+counts downstream.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Schema",
@@ -25,8 +24,9 @@ __all__ = [
     "load_schema",
     "load_graph",
     "load_graph_file",
+    "CountMatrix",
+    "adjacency_counts",
     "time_aware_adjacency",
-    "spmm",
 ]
 
 # Products whose entries could reach this magnitude are rejected rather
@@ -206,7 +206,7 @@ class TemporalGraph:
         parts = [self._links[n].birth for n in names]
         if not parts:
             return np.empty(0)
-        return np.unique(np.concatenate(parts))
+        return _distinct(np.concatenate(parts))
 
 
 def load_schema(path) -> Schema:
@@ -244,37 +244,126 @@ def load_graph_file(schema: Schema, path) -> TemporalGraph:
         return load_graph(schema, fh)
 
 
-def time_aware_adjacency(graph: TemporalGraph, link_type: str,
-                         tau: float) -> sp.csr_array:
+def _run_starts(values) -> np.ndarray:
+    """Index of the first element of each run of equal ``values``."""
+    if not len(values):
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
+def _distinct(values) -> np.ndarray:
+    """Sorted distinct ``values``, as ``np.unique`` gives them but faster, and
+    without the lazy import of ``numpy.ma`` that its plain form costs."""
+    values = np.sort(values)
+    return values[_run_starts(values)]
+
+
+def _indptr(key, n_key: int) -> np.ndarray:
+    """CSR row pointer of ``key`` grouped by value: the elements with key u
+    are positions ``indptr[u]:indptr[u + 1]`` of ``key`` sorted."""
+    indptr = np.zeros(n_key + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=n_key), out=indptr[1:])
+    return indptr
+
+
+def _ranges(start, count) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` over paired ``start``, ``count``."""
+    end = np.cumsum(count)
+    total = int(end[-1]) if len(end) else 0
+    return np.arange(total) + np.repeat(start - (end - count), count)
+
+
+@dataclass(frozen=True, eq=False)
+class CountMatrix:
+    """An int64 count matrix held as its nonzero entries.
+
+    ``keys`` are ``row * shape[1] + col``, sorted and distinct, and
+    ``counts`` their positive values, so the entries run row by row with
+    columns ascending.
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_entries(cls, rows, cols, counts, shape) -> "CountMatrix":
+        """The matrix of ``counts`` at (``rows``, ``cols``), summed where an
+        entry repeats."""
+        keys = rows * shape[1] + cols
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order]
+        first = _run_starts(keys)
+        return cls(keys[first], np.add.reduceat(counts, first), tuple(shape))
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the nonzero entries, in key order."""
+        return np.divmod(self.keys, self.shape[1])
+
+    @property
+    def T(self) -> "CountMatrix":
+        """The transpose."""
+        rows, cols = self.entries()
+        return CountMatrix.from_entries(cols, rows, self.counts, self.shape[::-1])
+
+    def at(self, keys) -> np.ndarray:
+        """Counts at the entries ``keys`` (``row * shape[1] + col``), 0 where absent."""
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[at] == keys, self.counts[at], 0)
+
+    def __matmul__(self, other: "CountMatrix") -> "CountMatrix":
+        """Exact integer product, row by row as in Gustavson's algorithm: each
+        entry (i, k) of ``self`` expands over row k of ``other``, and the
+        products are summed per (i, j) after a sort.  Raises GraphError on a
+        dimension mismatch and OverflowError when an entry could leave int64.
+        """
+        if self.shape[1] != other.shape[0]:
+            raise GraphError(f"dimension mismatch: {self.shape} x {other.shape}")
+        rows, mids = self.entries()
+        other_rows, cols = other.entries()
+        # Cheap a-priori bound: C[i,j] <= rowsum_max(a) * max(b).  Counts large
+        # enough to trip this are far outside any realistic path census.
+        if len(self.keys) and len(other.keys):
+            bound = np.bincount(rows, weights=self.counts).max() * float(other.counts.max())
+            if bound >= _COUNT_LIMIT:
+                raise OverflowError(
+                    f"path count product may exceed 64-bit range (bound {bound:.3g})"
+                )
+        indptr = _indptr(other_rows, other.shape[0])
+        start = indptr[mids]
+        count = indptr[mids + 1] - start
+        pos = _ranges(start, count)
+        return CountMatrix.from_entries(np.repeat(rows, count), cols[pos],
+                                        np.repeat(self.counts, count) * other.counts[pos],
+                                        (self.shape[0], other.shape[1]))
+
+    def tocsr(self):
+        """This matrix as an int64 ``scipy.sparse.csr_array`` with sorted
+        indices.  scipy is imported here, so only callers of this view need it."""
+        import scipy.sparse as sp
+
+        rows, cols = self.entries()
+        return sp.csr_array((self.counts, cols, _indptr(rows, self.shape[0])),
+                            shape=self.shape)
+
+
+def adjacency_counts(graph: TemporalGraph, link_type: str, tau: float) -> CountMatrix:
     """Count matrix of links alive at ``tau``: birth < tau and tau <= death.
 
-    Entry (a, b) counts the parallel links of this type between a and b;
-    the int64 CSR comes out with duplicates summed and indices sorted.
+    Entry (a, b) counts the parallel links of this type between a and b.
     """
     lt = graph.schema.link_type(link_type)
     store = graph.links_of(link_type)
     shape = (graph.node_count(lt.src), graph.node_count(lt.dst))
     alive = (store.birth < tau) & (tau <= store.death)
-    ones = np.ones(int(alive.sum()), dtype=np.int64)
-    return sp.coo_array((ones, (store.src[alive], store.dst[alive])), shape=shape).tocsr()
+    return CountMatrix.from_entries(store.src[alive], store.dst[alive],
+                                    np.ones(int(alive.sum()), dtype=np.int64), shape)
 
 
-def spmm(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:
-    """Exact integer sparse product; raises on dimension mismatch or overflow risk.
-
-    Column indices of the product are sorted, so sampling it at
-    ``m[rows, cols]`` is a binary search per row.
-    """
-    if a.shape[1] != b.shape[0]:
-        raise GraphError(f"dimension mismatch: {a.shape} x {b.shape}")
-    # Cheap a-priori bound: C[i,j] <= rowsum_max(a) * max(b).  Counts large
-    # enough to trip this are far outside any realistic path census.
-    if a.nnz and b.nnz:
-        bound = a.sum(axis=1, dtype=np.float64).max() * float(b.data.max())
-        if bound >= _COUNT_LIMIT:
-            raise OverflowError(
-                f"path count product may exceed 64-bit range (bound {bound:.3g})"
-            )
-    product = (a @ b).tocsr()
-    product.sort_indices()
-    return product
+def time_aware_adjacency(graph: TemporalGraph, link_type: str, tau: float):
+    """``adjacency_counts`` as an int64 ``scipy.sparse.csr_array``, with
+    indices sorted.  This view, like ``metapaths.metapath_matrix``, needs
+    scipy; the counting pipeline does not."""
+    return adjacency_counts(graph, link_type, tau).tocsr()

@@ -3,26 +3,31 @@
 A meta-path is a typed walk over the schema graph, written as whitespace
 separated steps: ``name>`` follows the link type forward, ``<name``
 backward.  Its count matrix at a timestamp is the left-to-right product
-of the per-step adjacency matrices at that timestamp; even-length
-palindromic paths are folded to ``X @ X.T`` of their half product.  No
-product is kept between calls.  The instances that use newly born links
-are found by a walk from those links alone, with no product at all.
+of the per-step adjacency ``CountMatrix`` at that timestamp, in numpy
+int64; even-length palindromic paths are folded to ``X @ X.T`` of their
+half product.  No product is kept between calls.  The instances that use
+newly born links are found by a walk from those links alone, with no
+product at all; it expands its frontier with the same CSR grouping and
+``_ranges`` as the product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import GraphError, Schema, TemporalGraph, spmm, time_aware_adjacency
+from .graph import (CountMatrix, GraphError, Schema, TemporalGraph, _distinct, _indptr,
+                    _ranges, adjacency_counts)
 
 __all__ = [
     "MetaPath",
     "MetaPathError",
     "parse_metapath",
     "endpoint_types",
+    "metapath_counts",
     "metapath_matrix",
     "new_instance_pairs",
     "read_metapath_file",
@@ -114,28 +119,32 @@ def endpoint_types(paths: list[MetaPath]) -> tuple[str, str]:
     return ends.pop()
 
 
-def _step_matrix(graph: TemporalGraph, step, tau) -> sp.csr_array:
+def _step_counts(graph: TemporalGraph, step, tau) -> CountMatrix:
     name, direction = step
-    m = time_aware_adjacency(graph, name, tau)
-    return m if direction == FORWARD else m.T.tocsr()
+    m = adjacency_counts(graph, name, tau)
+    return m if direction == FORWARD else m.T
 
 
-def _product_of(graph, steps, tau) -> sp.csr_array:
-    acc = _step_matrix(graph, steps[0], tau)
-    for step in steps[1:]:
-        acc = spmm(acc, _step_matrix(graph, step, tau))
-    return acc
+def _product_of(graph, steps, tau) -> CountMatrix:
+    return reduce(matmul, (_step_counts(graph, step, tau) for step in steps))
 
 
-def metapath_matrix(graph: TemporalGraph, path: MetaPath, tau: float) -> sp.csr_array:
-    """Path-instance count matrix of ``path`` at timestamp ``tau`` (int64 CSR).
+def metapath_counts(graph: TemporalGraph, path: MetaPath, tau: float) -> CountMatrix:
+    """Path-instance count matrix of ``path`` at timestamp ``tau``.
 
     Palindromic paths are computed as X @ X.T from their half product.
     """
     if path.is_palindrome:
         x = _product_of(graph, path.steps[: len(path.steps) // 2], tau)
-        return spmm(x, x.T.tocsr())
+        return x @ x.T
     return _product_of(graph, path.steps, tau)
+
+
+def metapath_matrix(graph: TemporalGraph, path: MetaPath, tau: float):
+    """``metapath_counts`` as an int64 ``scipy.sparse.csr_array`` with sorted
+    indices.  This view, like ``graph.time_aware_adjacency``, needs scipy;
+    the counting pipeline does not."""
+    return metapath_counts(graph, path, tau).tocsr()
 
 
 class _Hops:
@@ -147,8 +156,7 @@ class _Hops:
 
     def __init__(self, key, nbr, store, n_key: int, n_nbr: int):
         order = np.argsort(key, kind="stable")
-        self.indptr = np.zeros(n_key + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=n_key), out=self.indptr[1:])
+        self.indptr = _indptr(key, n_key)
         self.nbr, self.birth, self.death = nbr[order], store.birth[order], store.death[order]
         self.n_nbr = n_nbr
 
@@ -163,19 +171,6 @@ class _Hops:
         alive = (self.birth[pos] < tau) & (tau <= self.death[pos])
         key = _distinct(tag[alive] * self.n_nbr + self.nbr[pos[alive]])
         return key // self.n_nbr, key % self.n_nbr
-
-
-def _distinct(keys):
-    """Sorted distinct values of ``keys`` (faster than np.unique for int64)."""
-    keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
-
-
-def _ranges(start, count):
-    """Concatenation of ``arange(s, s + c)`` over paired ``start``, ``count``."""
-    end = np.cumsum(count)
-    total = int(end[-1]) if len(end) else 0
-    return np.arange(total) + np.repeat(start - (end - count), count)
 
 
 # New links walked per batch in new_instance_pairs: bounds the frontier arrays.

@@ -382,14 +382,19 @@ class HazardModel:
 def _fit_features(dataset: Dataset):
     """(x, mean, std): the dataset's features standardized by their column
     mean and population std, which the fitted model keeps to apply to raw
-    query rows.  A constant column keeps std 1, so it stays unscaled.
+    query rows.  A constant column (min == max) gets its value as mean and
+    std 1, so it standardizes to exactly 0; its computed std is a rounding
+    error, and dividing by it would turn a query's tiny deviation into a
+    huge score.
     Statistics and scaling run over one contiguous copy of each column
     (over axis 0 of the row-major table they cost five times as much), so
     x is the transpose of a C-contiguous (d, n) array."""
     columns = np.ascontiguousarray(dataset.x.T)
-    mean = columns.mean(axis=1)
+    low = columns.min(axis=1)
+    constant = low == columns.max(axis=1)
+    mean = np.where(constant, low, columns.mean(axis=1))
     std = columns.std(axis=1)
-    std = np.where(std > 0, std, 1.0)
+    std = np.where(~constant & (std > 0), std, 1.0)
     return ((columns - mean[:, None]) / std[:, None]).T, mean, std
 
 

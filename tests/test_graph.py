@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_array_equal
 
 from hazardnet.graph import (
+    CountMatrix,
     GraphError,
     LinkType,
     Schema,
@@ -13,7 +14,6 @@ from hazardnet.graph import (
     load_graph,
     load_graph_file,
     load_schema,
-    spmm,
     time_aware_adjacency,
 )
 from hazardnet.metapaths import metapath_matrix, parse_metapath
@@ -218,12 +218,18 @@ class TestTimeAwareAdjacency:
         assert time_aware_adjacency(g, "write", 3.0)[0, 0] == 2
 
 
-def csr(dense):
-    return sp.csr_array(np.asarray(dense, dtype=np.int64))
+def counts(dense):
+    dense = np.asarray(dense, dtype=np.int64)
+    rows, cols = np.nonzero(dense)
+    return CountMatrix.from_entries(rows, cols, dense[rows, cols], dense.shape)
+
+
+def sorted_distinct(keys):
+    return bool(np.all(np.diff(keys) > 0))
 
 
 class TestSparseCountMatrix:
-    """Count matrices are plain int64 ``scipy.sparse.csr_array``."""
+    """Count matrix views are plain int64 ``scipy.sparse.csr_array``."""
 
     def test_from_coo_merges_duplicates(self):
         g = TemporalGraph(SCHEMA)
@@ -243,27 +249,29 @@ class TestSparseCountMatrix:
         assert_array_equal(got, [1, 1, 0, 0])  # the (a1, p1) link died at 5.0
 
     def test_nonzero_pairs(self):
-        m = spmm(csr([[0, 1], [1, 0], [1, 1]]), csr([[1, 0, 1], [0, 1, 0]]))
-        assert m.has_sorted_indices
-        rows, cols = m.nonzero()
+        m = counts([[0, 1], [1, 0], [1, 1]]) @ counts([[1, 0, 1], [0, 1, 0]])
+        assert sorted_distinct(m.keys)
+        rows, cols = m.entries()
         assert list(zip(rows.tolist(), cols.tolist())) == [
             (0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
 class TestSpmm:
+    """The ``CountMatrix`` product, the count engine's one multiplication."""
+
     def test_counts_compose(self):
         # two walks a->b->c when both a->b edges join the single b->c edge
-        ab = csr([[2, 0]])
-        bc = csr([[3], [0]])
-        product = spmm(ab, bc)
-        assert product[0, 0] == 6
-        assert isinstance(product, sp.csr_array) and product.dtype == np.int64
+        ab = counts([[2, 0]])
+        bc = counts([[3], [0]])
+        product = ab @ bc
+        assert product.at(np.array([0])).tolist() == [6]
+        assert isinstance(product, CountMatrix) and product.counts.dtype == np.int64
 
     def test_dimension_mismatch(self):
-        a = sp.csr_array((2, 3), dtype=np.int64)
-        b = sp.csr_array((2, 3), dtype=np.int64)
+        a = counts(np.zeros((2, 3)))
+        b = counts(np.zeros((2, 3)))
         with pytest.raises(GraphError):
-            spmm(a, b)
+            a @ b
 
     def test_transpose(self):
         # a backward step is the forward adjacency transposed
@@ -274,9 +282,9 @@ class TestSpmm:
         assert_array_equal(backward.todense(), forward.todense().T)
 
     def test_overflow_guard(self):
-        a = csr([[2**40]])
+        a = counts([[2**40]])
         with pytest.raises(OverflowError):
-            spmm(a, a)
+            a @ a
 
     def test_random_products_match_dense(self):
         rng = np.random.default_rng(7)
@@ -284,6 +292,6 @@ class TestSpmm:
             n, m, k = rng.integers(1, 8, size=3)
             da = rng.integers(0, 3, size=(n, m))
             db = rng.integers(0, 3, size=(m, k))
-            product = spmm(csr(da), csr(db))
-            assert product.dtype == np.int64 and product.has_sorted_indices
-            assert_array_equal(product.todense(), da @ db)
+            product = counts(da) @ counts(db)
+            assert product.counts.dtype == np.int64 and sorted_distinct(product.keys)
+            assert_array_equal(product.tocsr().todense(), da @ db)

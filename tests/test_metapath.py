@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_array_equal
 
 from hazardnet.datasets import PairSeries, PrefixCache, WindowConfig, dynamic_series
@@ -9,6 +10,7 @@ from hazardnet.metapaths import (
     FORWARD,
     MetaPath,
     MetaPathError,
+    metapath_counts,
     metapath_matrix,
     parse_metapath,
     read_metapath_file,
@@ -170,6 +172,96 @@ class TestMetapathMatrix:
             tau = float(rng.uniform(0, 12))
             assert_array_equal(metapath_matrix(g, p, tau).todense(),
                                dfs_count_oracle(g, p, tau))
+
+
+def scipy_product(graph, path, tau):
+    """The path's count matrix as a scipy product of its step matrices, each
+    built here from the stored links, with no palindrome fold."""
+    product = None
+    for name, direction in path.steps:
+        lt, store = graph.schema.link_type(name), graph.links_of(name)
+        alive = (store.birth < tau) & (tau <= store.death)
+        step = sp.coo_array((np.ones(int(alive.sum()), dtype=np.int64),
+                             (store.src[alive], store.dst[alive])),
+                            shape=(graph.node_count(lt.src), graph.node_count(lt.dst))).tocsr()
+        step = step if direction == FORWARD else step.T.tocsr()
+        product = step if product is None else product @ step
+    return product
+
+
+def sorted_entries(m):
+    """(keys, counts) of a scipy matrix's nonzero entries, in key order."""
+    coo = m.tocoo()
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    keys = coo.row.astype(np.int64) * m.shape[1] + coo.col
+    order = np.argsort(keys)
+    return keys[order], coo.data[order]
+
+
+def random_link_graph(rng):
+    """Random links of every type with parallel copies, ties and deaths;
+    every birth is at least 1.0."""
+    g = TemporalGraph(SCHEMA)
+    sizes = {t: int(rng.integers(1, 7)) for t in SCHEMA.node_types}
+    for lt in SCHEMA.link_types:
+        for _ in range(int(rng.integers(0, 25))):
+            src = f"{lt.src}{rng.integers(sizes[lt.src])}"
+            dst = f"{lt.dst}{rng.integers(sizes[lt.dst])}"
+            birth = 1.0 + 0.5 * int(rng.integers(0, 20))
+            death = None if rng.random() < 0.5 else birth + 0.5 * int(rng.integers(1, 10))
+            for _ in range(1 + int(rng.random() < 0.2)):  # parallel copies
+                g.add_link(lt.name, src, dst, birth, death)
+    for t, n in sizes.items():  # every node exists, linked or not
+        for i in range(n):
+            g.node_index(t, f"{t}{i}")
+    return g.freeze()
+
+
+ENGINE_PATHS = {
+    "single": ["write>", "<write", "cite>", "<publish"],
+    "odd": ["write> cite> <write", "<write write> cite>", "write> cite> cite> cite> <write"],
+    "even": ["publish> <write", "write> cite> cite> <write"],
+    "palindrome": ["write> <write", "<write write>", "cite> <cite",
+                   "write> <publish publish> <write", "write> cite> <cite <write"],
+}
+
+
+class TestCountEngine:
+    """The numpy count engine against scipy products on random graphs."""
+
+    @pytest.mark.parametrize("kind", sorted(ENGINE_PATHS))
+    def test_matches_scipy_product(self, kind):
+        rng = np.random.default_rng(sorted(ENGINE_PATHS).index(kind))
+        for _ in range(30):
+            g = random_link_graph(rng)
+            for expr in ENGINE_PATHS[kind]:
+                p = parse_metapath(expr, SCHEMA)
+                assert p.is_palindrome == (kind == "palindrome")
+                for tau in (0.5, float(rng.uniform(1.0, 12.0)),
+                            1.0 + 0.5 * int(rng.integers(0, 20))):
+                    m = metapath_counts(g, p, tau)
+                    want = scipy_product(g, p, tau)
+                    assert m.shape == want.shape
+                    assert m.keys.dtype == m.counts.dtype == np.int64
+                    keys, counts = sorted_entries(want)
+                    assert_array_equal(m.keys, keys)
+                    assert_array_equal(m.counts, counts)
+
+    def test_before_any_birth_is_empty(self):
+        g = random_link_graph(np.random.default_rng(3))
+        for expr in ("write>", "write> cite> <write", "write> <write"):
+            m = metapath_counts(g, parse_metapath(expr, SCHEMA), 1.0)  # birth < tau fails
+            assert len(m.keys) == len(m.counts) == 0
+            assert m.at(np.arange(3)).tolist() == [0, 0, 0]
+
+    def test_at_reads_entries_and_zeros(self):
+        g = two_author_graph()
+        p = parse_metapath("write> <write", SCHEMA)
+        m = metapath_counts(g, p, 5.0)
+        dense = metapath_matrix(g, p, 5.0).todense()
+        keys = np.arange(dense.size)
+        assert_array_equal(m.at(keys), dense.ravel())
 
 
 class TestSnapshots:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hazardnet.metrics import EvalReport, concordance_index, evaluate, point_metrics
+from hazardnet.metrics import (EvalReport, _median, concordance_index, evaluate,
+                               point_metrics)
 
 
 def ci_oracle(t_true, y, t_pred):
@@ -94,6 +95,25 @@ class TestPointMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             point_metrics([1.0], [1, 1], [1.0, 2.0])
+
+
+class TestMedian:
+    """``_median`` is ``np.median`` bit for bit, without ``numpy.ma``."""
+
+    @pytest.mark.parametrize("values", [
+        [2.5], [3.0, 1.0], [0.1, 0.7, 0.2], [0.3, 0.1, 0.4, 0.2],
+        [np.inf, 1.0, 2.0], [1.0, np.inf], [np.inf, 3.0, np.inf, 2.0],
+        [np.nan], [1.0, np.nan, 2.0], [np.nan, 4.0, 1.0, 3.0], [np.inf, np.nan],
+    ])
+    def test_equals_np_median(self, values):
+        values = np.asarray(values)
+        assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
+
+    def test_random_lengths(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 40):
+            values = np.abs(rng.normal(size=n)) * rng.choice([1e-3, 1.0, 1e3], size=n)
+            assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
 
 class TestConcordance:

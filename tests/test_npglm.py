@@ -560,6 +560,20 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(make_dataset([1.0, 2.0], [0, 0]))
 
+    @pytest.mark.parametrize("fitter", [fit, fit_parametric], ids=["npglm", "weibull"])
+    def test_constant_non_integer_column_standardizes_to_zero(self, fitter):
+        # 1,000 rows of 0.1 have a rounding std of about 1e-17, not 0
+        rng = np.random.default_rng(5)
+        n = 1000
+        t = np.sort(rng.uniform(0.1, 5.0, size=n))
+        x = np.column_stack((np.full(n, 0.1), rng.normal(size=n)))
+        model = fitter(make_dataset(t, np.ones(n, dtype=np.int64), x))
+        assert model.std[0] == 1.0 and model.mean[0] == 0.1
+        assert model.w[0] == 0.0
+        row = np.array([0.1, 0.3])
+        near = np.array([0.1000001, 0.3])
+        assert abs(model.score(near)[0] - model.score(row)[0]) <= 1e-6
+
     def test_fit_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(threshold=0.0)
