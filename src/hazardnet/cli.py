@@ -16,7 +16,6 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -420,6 +419,9 @@ def cmd_sweep(args) -> int:
     workers = min(env_threads() or os.cpu_count() or 1, len(jobs))
     log.info("sweep: %d cells on %d workers", len(jobs), workers)
     if workers > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, jobs))
     else:

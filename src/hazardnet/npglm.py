@@ -93,44 +93,42 @@ def augment(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
-def resolve_ties(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Spread duplicate observed times by eps * rank, eps = 1e-9 * max(t).
-
-    Groups of equal observed times are anchored at the group maximum and
-    earlier members shifted down, so an observed time never moves past the
-    censored samples recorded at the same value.  Censored times are left
-    alone; they only carry risk-set mass.
-    """
-    t = np.asarray(t, dtype=float).copy()
-    eps = 1e-9 * float(t.max()) if len(t) else 0.0
-    observed = np.flatnonzero(np.asarray(y) == 1)
-    if eps == 0.0 or observed.size < 2:
-        return t
-    values = t[observed]
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
-    size = np.diff(np.append(starts, len(values)))[group]
-    rank = np.arange(len(values)) - starts[group]
-    tied = size > 1
-    t[observed[tied]] = values[tied] - eps * (size - 1 - rank)[tied]
-    return t
-
-
 def _prepared(dataset: Dataset):
-    """(y, t) as floats, ``t`` tie-resolved.  Rows must come sorted by t, observed
-    first at equal t (as ``build_dataset`` sorts them), or ValueError names two."""
+    """(y, t), y as floats.  Rows must come sorted by t, observed first at
+    equal t (as ``build_dataset`` sorts them), or ValueError names two."""
     t, y = dataset.t, dataset.y
     late = np.flatnonzero((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (y[1:] > y[:-1])))
     if len(late):
         i = late[0]
         raise ValueError(f"rows {i} and {i + 1} are out of order (t, y = {float(t[i])!r}, {y[i]} "
                          f"then {float(t[i + 1])!r}, {y[i + 1]}): sort by t, observed first")
-    t = resolve_ties(t, y)
-    if np.any(np.diff(t) < 0):
-        raise ValueError("dataset must be sorted ascending by t")
     return y.astype(float), t
+
+
+class _Runs(NamedTuple):
+    """Breslow's view of sorted times: rows of equal t form a run, whose
+    events share one hazard jump at the run's first row.  ``y`` is the
+    event weights with each run's total moved onto its first row (equal to
+    the weights when every run is one row), ``starts`` the first row of
+    each run, ``obs`` the rows with an event, ``first`` the first row of
+    each one's run, and ``dt`` its time less the previous distinct time."""
+
+    starts: np.ndarray
+    y: np.ndarray
+    obs: np.ndarray
+    first: np.ndarray
+    dt: np.ndarray
+
+
+def _runs(t: np.ndarray, y: np.ndarray) -> _Runs:
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = t[1:] != t[:-1]
+    starts = np.flatnonzero(new)
+    obs = np.flatnonzero(y)
+    first = starts[np.cumsum(new)[obs] - 1]
+    moved = np.zeros_like(y)
+    moved[starts] = np.add.reduceat(y, starts)
+    return _Runs(starts, moved, obs, first, np.diff(t, prepend=0.0)[first])
 
 
 # Array-level pieces of the loss.  ``z`` is the clamped linear predictor
@@ -146,21 +144,21 @@ def _linear(xa: np.ndarray, w: np.ndarray):
 
 
 def _hazard(e: np.ndarray, y: np.ndarray):
-    """Risk-set sums sum_{k>=i} e_k and the Breslow H at every row."""
+    """Risk-set sums sum_{k>=i} e_k and the Breslow H at every row, given
+    the event weights on each run's first row (``_Runs.y``): H jumps there
+    by the run's events over its risk-set sum, and is flat within a run."""
     risk = np.cumsum(e[::-1])[::-1]
     return risk, np.cumsum(y / risk)
 
 
-def _loss(z, e, H, y, t) -> float:
-    dH = np.diff(H, prepend=0.0)
-    dt = np.diff(t, prepend=0.0)
-    obs = y > 0
-    if np.any(obs & ((dH <= 0) | (dt <= 0))):
-        raise ValueError(
-            "zero hazard increment at an observed event (tie resolution failed)"
-        )
+def _loss(z, e, H, y, runs: _Runs) -> float:
+    """sum(e H - y z) less the log baseline hazard at each event: the slope
+    of H from the previous distinct time to the first row of its run."""
+    dH = np.diff(H, prepend=0.0)[runs.first]
+    if np.any(dH <= 0):
+        raise ValueError("zero hazard increment at an observed event")
     log_h = np.zeros_like(H)
-    log_h[obs] = np.log(dH[obs] / dt[obs])
+    log_h[runs.obs] = np.log(dH / runs.dt)
     return float(np.sum(e * H - y * (z + log_h)))
 
 
@@ -174,11 +172,11 @@ def _hessian(xt, e, H, ev, S0, d) -> np.ndarray:
     """Hessian of the profile loss over w.
 
     xt diag(e H) xt.T, accumulated over column blocks that stay in cache,
-    minus the sum over events of d m m.T, where m = S1 / S0 is the
-    risk-set mean of the features at the event and d its event count
-    (``y[ev]``).  S1, the risk-set sum of x exp(z), is formed only at the
-    event rows ``ev``: segment sums between consecutive events, then a
-    reverse cumulative sum over events.
+    minus the sum over event times of d m m.T, where m = S1 / S0 is the
+    risk-set mean of the features at the time and d its event count
+    (``_Runs.y[ev]``).  S1, the risk-set sum of x exp(z), is formed only
+    at ``ev``, the first rows of the runs with events: segment sums
+    between consecutive ones, then a reverse cumulative sum over them.
     """
     S1 = np.add.reduceat(xt * e, ev, axis=1)[:, ::-1].cumsum(axis=1)[:, ::-1]
     m = S1 / S0
@@ -201,27 +199,28 @@ def _w_objective(w, xa, y, H):
 
 
 def compute_H(w: np.ndarray, dataset: Dataset) -> np.ndarray:
-    """Per-sample cumulative hazard H(t_i) at fixed coefficients.
-
-    H(t_i) = sum_{j<=i} y_j / sum_{k>=j} exp(w.x_k): one backward pass for
-    the risk-set sums, one forward prefix sum.  Non-decreasing by
-    construction.
+    """Per-sample cumulative hazard H(t_i) at fixed coefficients: Breslow's
+    estimator, sum over distinct times T_j <= t_i of d_j / sum_{t_k >= T_j}
+    exp(w.x_k), with d_j the events at T_j.  One backward pass for the
+    risk-set sums, one forward prefix sum.  Non-decreasing, and equal
+    across rows of equal t.
     """
-    y, _ = _prepared(dataset)
+    y, t = _prepared(dataset)
     if y.sum() == 0:
         raise ValueError("all samples censored: H would be identically zero")
-    return _hazard(_linear(augment(dataset.x), np.asarray(w, dtype=float))[1], y)[1]
+    e = _linear(augment(dataset.x), np.asarray(w, dtype=float))[1]
+    return _hazard(e, _runs(t, y).y)[1]
 
 
 def loss(w: np.ndarray, H: np.ndarray, dataset: Dataset) -> float:
     """Negative log-likelihood with the piecewise-constant baseline hazard.
 
-    h(t_i) is the slope of H over (t_{i-1}, t_i]; its log enters only at
-    observed samples.
+    h at an observed time T_j is the slope of H over (T_{j-1}, T_j], between
+    consecutive distinct times; its log enters once per event at T_j.
     """
     y, t = _prepared(dataset)
     z, e = _linear(augment(dataset.x), np.asarray(w, dtype=float))
-    return _loss(z, e, np.asarray(H, dtype=float), y, t)
+    return _loss(z, e, np.asarray(H, dtype=float), y, _runs(t, y))
 
 
 def _number(value) -> bool:  # JSON reads true and false as numbers; they are not
@@ -255,9 +254,9 @@ class HazardModel:
     with ``mean`` and ``std`` those of the training columns, so queries take
     raw feature rows.  The baseline cumulative hazard H0 is the only part
     that depends on ``family``.  For "npglm", ``event_times``/``H`` tabulate
-    it at the distinct (tie-resolved) training times; it is linear between
-    knots, starts at (0, 0), and is flat past the last knot, the training
-    horizon.  For "exponential" (shape 1) and "weibull" it is t**shape.
+    it at the distinct training times, censored ones included; it is linear
+    between knots, starts at (0, 0), and is flat past the last knot, the
+    training horizon.  For "exponential" (shape 1) and "weibull" it is t**shape.
     ``loss_trace`` and ``converged`` report the fit.  Construction checks every field.
     """
 
@@ -304,11 +303,6 @@ class HazardModel:
     @property
     def d(self) -> int:
         return len(self.w) - 1
-
-    @property
-    def horizon(self) -> float:
-        """Last training time of a tabulated baseline."""
-        return float(self.event_times[-1])
 
     def H0(self, t):
         """Baseline cumulative hazard at times t >= 0 (scalar or array)."""
@@ -398,13 +392,6 @@ def _fit_features(dataset: Dataset):
     return ((columns - mean[:, None]) / std[:, None]).T, mean, std
 
 
-def _dedupe_knots(t: np.ndarray, H: np.ndarray):
-    """Collapse duplicate times (censored ties) keeping the last H value."""
-    keep = np.ones(len(t), dtype=bool)
-    keep[:-1] = np.diff(t) > 0
-    return t[keep], H[keep]
-
-
 def _hash(keys: np.ndarray, bits: int, seed: int) -> np.ndarray:
     """A ``bits``-bit hash of each column of the uint64 array ``keys``:
     multiply-add over its entries, then an xor-shift-multiply finish.
@@ -426,7 +413,9 @@ def _counted(t: np.ndarray, y: np.ndarray, xt: np.ndarray):
     adjacent rows share (t, y).  ``xt`` is x transposed.
 
     Rows come sorted by t, so rows of equal (t, y) form a run, and a group
-    lies within one run; its merged row keeps the run's place in the order.
+    lies within one run; its merged row keeps the run's place in the order,
+    so merged rows have the same distinct times, risk sets and events per
+    time (``_runs``) as the rows they count.
     Each round hashes (run, x) into a table of at least as many slots as
     rows left, keeps one row per slot, and merges every row whose bits equal
     its slot's row (-0.0 counts as 0.0).  Rows that met a collision go to
@@ -509,13 +498,15 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
     P(w) = loss(w, H(w)), with H(w) the Breslow estimator.
 
     Starts from w = 0.  The bias is pinned at 0 and left out of the
-    Newton system: it cancels out of P, and H absorbs exp(bias).  The
-    descent runs on counted rows: rows equal in (tie-resolved t, y, x)
-    merge into one row weighted by their count (``_counted``), which
-    leaves P unchanged.  When rows merged, one per-row pass at the
-    returned w gives the saved H and the last loss-trace entry, so they
-    equal ``compute_H`` and ``loss`` at that w, on the features of
-    ``_fit_features``.
+    Newton system: it cancels out of P, and H absorbs exp(bias).  Tied
+    times are Breslow's: the events at one time share its risk set and one
+    jump of H, whatever the order of their rows.  The descent runs on
+    counted rows: rows equal in (t, y, x) merge into one row weighted by
+    their count (``_counted``), which leaves P unchanged.  When rows
+    merged, one per-row pass at the returned w gives the saved H and the
+    last loss-trace entry, so they equal ``compute_H`` and ``loss`` at
+    that w, on the features of ``_fit_features``.  The model keeps one
+    knot per distinct training time.
     """
     if dataset.n_observed == 0:
         raise ValueError("cannot fit: dataset has no observed samples")
@@ -526,29 +517,30 @@ def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> Ha
     counted = _counted(t, y, xt)
     # without a merge every count is 1.0, and c * e is e exactly
     rows, c = counted if counted is not None else (slice(None), np.ones(len(t)))
-    xa_c, xt_c, t_c, cy = xa[rows], xt[:, rows], t[rows], c * y[rows]
-    ev = np.flatnonzero(cy)
+    xa_c, xt_c, cy = xa[rows], xt[:, rows], c * y[rows]
+    runs = _runs(t[rows], cy)
+    ev = np.flatnonzero(runs.y)
 
     def profile(v):
         z, e = _linear(xa_c, np.append(v, 0.0))
         ce = c * e
-        risk, H = _hazard(ce, cy)
-        return _loss(z, ce, H, cy, t_c), (ce, risk[ev], H)
+        risk, H = _hazard(ce, runs.y)
+        return _loss(z, ce, H, cy, runs), (ce, risk[ev], H)
 
     def derivatives(state):
         ce, S0, H = state
-        return _gradient(xt_c, ce, H, cy), _hessian(xt_c, ce, H, ev, S0, cy[ev])
+        return _gradient(xt_c, ce, H, cy), _hessian(xt_c, ce, H, ev, S0, runs.y[ev])
 
     v, (_, _, H), trace, converged = _descend(np.zeros(dataset.d), profile,
                                               derivatives, config)
     w = np.append(v, 0.0)
     if counted is not None:  # counted sums round differently from compute_H's and loss's
         z, e = _linear(xa, w)
-        H = _hazard(e, y)[1]
-        trace[-1] = _loss(z, e, H, y, t)
-    knots_t, knots_H = _dedupe_knots(t, H)
+        runs = _runs(t, y)
+        H = _hazard(e, runs.y)[1]
+        trace[-1] = _loss(z, e, H, y, runs)
     return HazardModel(
-        w=w, mean=mean, std=std, event_times=knots_t, H=knots_H,
+        w=w, mean=mean, std=std, event_times=t[runs.starts], H=H[runs.starts],
         unit=unit, loss_trace=trace, converged=converged,
     )
 

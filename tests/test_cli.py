@@ -18,7 +18,7 @@ from hazardnet.graph import load_graph_file, load_schema
 from hazardnet.metapaths import metapath_matrix, parse_metapath, read_metapath_file
 from hazardnet.npglm import HazardModel
 
-from conftest import EXPECTED_ROWS, WINDOW
+from conftest import EXPECTED_ROWS, METAPATH_FILE, SCHEMA_DOC, WINDOW
 
 
 def run(*argv):
@@ -203,6 +203,61 @@ class TestFitRowOrder:
                    "--out", tmp_path / "m.json") == 2
         assert f"{path}: rows 0 and 1 are out of order" in caplog.text
         assert not (tmp_path / "m.json").exists()
+
+
+def integer_birth_edges(rng, n_authors=30, n_papers=120, years=12):
+    """(link type, src, dst, birth) records of a small author-paper-venue
+    graph with papers born in whole years, so many pairs first co-author
+    in the same year."""
+    edges = []
+    for p, birth in enumerate(np.sort(rng.integers(1, years + 1, size=n_papers))):
+        for a in rng.choice(n_authors, size=int(rng.integers(1, 4)), replace=False):
+            edges.append(("write", f"a{a}", f"p{p}", birth))
+        edges.append(("publish", f"v{rng.integers(3)}", f"p{p}", birth))
+        for q in rng.choice(p, size=min(p, int(rng.integers(0, 3))), replace=False):
+            edges.append(("cite", f"p{p}", f"p{q}", birth))
+    return edges
+
+
+def relabeled(edges, rng):
+    """An isomorphic copy: node numbers permuted within each type, records shuffled."""
+    numbers = {}
+    for _, *nodes, _ in edges:
+        for node in nodes:
+            numbers.setdefault(node[0], set()).add(int(node[1:]))
+    new = {kind: dict(zip(sorted(ids), rng.permutation(len(ids)))) for kind, ids in numbers.items()}
+
+    def rename(node):
+        return f"{node[0]}{new[node[0]][int(node[1:])]}"
+
+    out = [(link, rename(src), rename(dst), birth) for link, src, dst, birth in edges]
+    return [out[i] for i in rng.permutation(len(out))]
+
+
+def test_npglm_fit_invariant_to_node_labels(tmp_path):
+    # Observed times are whole years, so events tie and build_dataset orders
+    # tied rows by pair id, which the node numbering sets.  Breslow's ties
+    # have no order, so both copies fit the same model up to rounding.
+    rng = np.random.default_rng(5)
+    edges = integer_birth_edges(rng)
+    (tmp_path / "schema.json").write_text(json.dumps(SCHEMA_DOC))
+    (tmp_path / "paths.txt").write_text(METAPATH_FILE)
+    models = []
+    for i, copy in enumerate((edges, relabeled(edges, rng))):
+        graph, features, model = (tmp_path / f"{i}-{name}"
+                                  for name in ("edges.tsv", "features.csv", "model.json"))
+        graph.write_text("".join("\t".join(map(str, edge)) + "\n" for edge in copy))
+        assert run("features", "--graph", graph, "--schema", tmp_path / "schema.json",
+                   "--metapaths", tmp_path / "paths.txt", "--t0", 0, "--delta", 2,
+                   "--snapshots", 3, "--omega", 6, "--out", features) == 0
+        assert run("fit", "--model", "npglm", "--input", features, "--out", model) == 0
+        models.append(HazardModel.load(model))
+    ds = load_dataset(features)
+    assert ds.n_observed > len(np.unique(ds.t[ds.y == 1])) > 1  # tied events
+    first, second = models
+    assert len(first.event_times) == len(np.unique(ds.t))
+    for key in ("w", "event_times", "H"):
+        assert_allclose(getattr(second, key), getattr(first, key), rtol=0, atol=1e-12)
 
 
 class TestFitPredictQuery:
@@ -667,6 +722,18 @@ class TestSweep:
         assert all(t["loss_trace"] and "avg_log_likelihood" in t for t in traces)
         assert sorted(t["model"] for t in traces) == ["expglm"] * 4 + ["npglm"] * 4
 
+    def test_two_workers_match_one(self, tmp_path, monkeypatch):
+        # the process pool runs the same cells as the in-process loop
+        rows = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HAZARDNET_THREADS", workers)
+            out = tmp_path / f"out-{workers}"
+            assert run("sweep", "--config", self.config_doc(tmp_path, out_dir=str(out))) == 0
+            with open(out / "results.csv") as fh:
+                rows.append([{k: v for k, v in r.items() if not k.startswith("fit_seconds")}
+                             for r in csv.DictReader(fh)])
+        assert rows[0] == rows[1] and len(rows[0]) == 4
+
     def test_repetition_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HAZARDNET_THREADS", "1")
         config = self.config_doc(tmp_path, models=["expglm"],
@@ -814,6 +881,7 @@ def test_import_leaves_scipy_optimize_unloaded(fixture_dir, tmp_path):
     # numpy product, so no command needs scipy, whose import alone costs
     # about 0.2 s and 22 MB.  With scipy blocked, the whole pipeline runs
     # through the CLI and leaves numpy.ma, which scipy used to load, unloaded.
+    # Only sweep starts a process pool, so no other command loads one.
     features, model, pred, report = (tmp_path / name for name in
                                      ("features.csv", "model.json", "pred.csv", "eval.json"))
     commands = [
@@ -831,7 +899,9 @@ def test_import_leaves_scipy_optimize_unloaded(fixture_dir, tmp_path):
         "import hazardnet, hazardnet.cli",
         f"rcs = [hazardnet.cli.main(argv) for argv in {[[str(a) for a in c] for c in commands]!r}]",
         "print(json.dumps({'rcs': rcs, 'numpy.ma': 'numpy.ma' in sys.modules,",
-        "                  'scipy': sorted(m for m in sys.modules if m.startswith('scipy.'))}))",
+        "                  'scipy': sorted(m for m in sys.modules if m.startswith('scipy.')),",
+        "                  'pool': [m for m in ('concurrent.futures.process', 'multiprocessing')",
+        "                           if m in sys.modules]}))",
     ])
     src = str(Path(hazardnet.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -840,6 +910,6 @@ def test_import_leaves_scipy_optimize_unloaded(fixture_dir, tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
-        "rcs": [0, 0, 0, 0], "numpy.ma": False, "scipy": []}
+        "rcs": [0, 0, 0, 0], "numpy.ma": False, "scipy": [], "pool": []}
     assert load_dataset(features).n == len(EXPECTED_ROWS)
     assert set(json.loads(report.read_text())) >= {"mae", "mdae", "ci"}

@@ -18,11 +18,10 @@ from hazardnet.npglm import (
     quantile,
     quantile_times,
     ranged_probability,
-    resolve_ties,
     sample_time,
 )
 from hazardnet import npglm
-from hazardnet.npglm import (_counted, _fit_features, _gradient, _hazard, _hessian,
+from hazardnet.npglm import (_counted, _fit_features, _gradient, _hazard, _hessian, _runs,
                              _w_objective)
 from hazardnet.synthetic import SynthConfig, generate
 
@@ -63,25 +62,6 @@ def compute_H_oracle(w, dataset):
     return H
 
 
-def resolve_ties_oracle(t, y):
-    """Group-by-group loop over the observed rows."""
-    t = np.asarray(t, dtype=float).copy()
-    eps = 1e-9 * float(t.max()) if len(t) else 0.0
-    observed = np.flatnonzero(np.asarray(y) == 1)
-    if eps == 0.0 or observed.size < 2:
-        return t
-    values = t[observed]
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] != values[start]:
-            m = i - start
-            if m > 1:
-                ranks = np.arange(m)
-                t[observed[start:i]] = values[start] - eps * (m - 1 - ranks)
-            start = i
-    return t
-
-
 def partial_likelihood_oracle(w, x, y, t):
     """Negative Cox partial log-likelihood and its gradient, summed event
     by event over the risk set {k : t_k >= t_i}."""
@@ -97,13 +77,13 @@ def partial_likelihood_oracle(w, x, y, t):
 
 
 def fit_partial_likelihood_oracle(dataset):
-    """Feature coefficients minimizing the partial likelihood over the
-    tie-resolved times, by L-BFGS-B at tight tolerance."""
+    """Feature coefficients minimizing the partial likelihood, with
+    Breslow's risk sets at tied times, by L-BFGS-B at tight tolerance."""
     if dataset.d == 0:
         return np.zeros(0)
     res = minimize(
         partial_likelihood_oracle, np.zeros(dataset.d),
-        args=(dataset.x, dataset.y, resolve_ties(dataset.t, dataset.y)),
+        args=(dataset.x, dataset.y, dataset.t),
         jac=True, method="L-BFGS-B",
         options={"maxiter": 10000, "gtol": 1e-12, "ftol": 1e-16},
     )
@@ -136,42 +116,6 @@ class TestLink:
         assert_allclose(link_g(z), np.exp(z))
 
 
-class TestResolveTies:
-    def test_observed_duplicates_spread_backward(self):
-        t = np.array([1.0, 2.0, 2.0, 3.0])
-        y = np.array([1, 1, 1, 1])
-        out = resolve_ties(t, y)
-        eps = 1e-9 * 3.0
-        assert_allclose(out, [1.0, 2.0 - eps, 2.0, 3.0])
-        assert np.all(np.diff(out) > 0)
-
-    def test_observed_never_pass_censored(self):
-        # observed at the shared value stays at it; only earlier duplicates move
-        t = np.array([2.0, 2.0, 2.0])
-        y = np.array([1, 1, 0])
-        out = resolve_ties(t, y)
-        assert out[1] == 2.0 and out[2] == 2.0
-        assert out[0] < 2.0
-
-    def test_distinct_times_untouched(self):
-        t = np.array([1.0, 2.0, 3.0])
-        assert_array_equal(resolve_ties(t, np.array([1, 1, 1])), t)
-
-    def test_censored_duplicates_untouched(self):
-        t = np.array([1.0, 5.0, 5.0])
-        assert_array_equal(resolve_ties(t, np.array([1, 0, 0])), t)
-
-    def test_matches_loop_oracle_exactly(self):
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            n = int(rng.integers(1, 60))
-            # few distinct values, so observed and censored ties are common
-            t = np.sort(rng.integers(1, int(rng.integers(2, 12)), size=n)
-                        * rng.uniform(0.1, 3.0))
-            y = (rng.uniform(size=n) < rng.uniform(0.2, 1.0)).astype(np.int64)
-            assert_array_equal(resolve_ties(t, y), resolve_ties_oracle(t, y))
-
-
 class TestComputeH:
     def test_all_observed_example(self):
         ds = make_dataset([1.0, 2.0, 3.0], [1, 1, 1])
@@ -191,6 +135,21 @@ class TestComputeH:
             ds = random_dataset(rng, n, d)
             w = rng.normal(size=d + 1)
             assert_array_equal(compute_H(w, ds), compute_H_oracle(w, ds))
+
+    def test_tied_example(self):
+        # the two events at t = 2 share one jump, over the risk set of both
+        ds = make_dataset([1.0, 2.0, 2.0, 3.0], [1, 1, 1, 0])
+        H = compute_H(np.zeros(1), ds)
+        assert_allclose(H, [1 / 4, 1 / 4 + 2 / 3, 1 / 4 + 2 / 3, 1 / 4 + 2 / 3], rtol=1e-15)
+
+    def test_equal_within_runs(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            t, y, x = tied_rows(rng, int(rng.integers(2, 200)), 2, 3)
+            y[0] = 1
+            H = compute_H(rng.normal(size=3), make_dataset(t, y, x))
+            last = np.searchsorted(t, t, side="right") - 1  # each row's run's last row
+            assert_array_equal(H, H[last])
 
     def test_nelson_aalen_reduction(self):
         # w = 0 and everything observed: the classic cumulative hazard steps
@@ -232,19 +191,22 @@ class TestLoss:
 
     def test_term_by_term_oracle(self):
         rng = np.random.default_rng(23)
-        ds = random_dataset(rng, 40, 2)
-        w = rng.normal(size=3)
-        H = compute_H(w, ds)
-        xa = np.hstack([ds.x, np.ones((ds.n, 1))])
-        z = xa @ w
-        total = 0.0
-        prev_H, prev_t = 0.0, 0.0
-        for i in range(ds.n):
-            total += np.exp(z[i]) * H[i] - ds.y[i] * z[i]
-            if ds.y[i] == 1:
-                total -= np.log((H[i] - prev_H) / (ds.t[i] - prev_t))
-            prev_H, prev_t = H[i], ds.t[i]
-        assert_allclose(loss(w, H, ds), total, rtol=1e-12)
+        # distinct times, then tied ones: an event adds the log slope of H
+        # since the previous distinct time
+        for ds in (random_dataset(rng, 40, 2), make_dataset(*tied_rows(rng, 40, 2, 3, events=0.5))):
+            w = rng.normal(size=3)
+            H = compute_H(w, ds)
+            xa = np.hstack([ds.x, np.ones((ds.n, 1))])
+            z = xa @ w
+            total = 0.0
+            prev_H, prev_t = 0.0, 0.0
+            for i in range(ds.n):
+                if i and ds.t[i] != ds.t[i - 1]:
+                    prev_H, prev_t = H[i - 1], ds.t[i - 1]
+                total += np.exp(z[i]) * H[i] - ds.y[i] * z[i]
+                if ds.y[i] == 1:
+                    total -= np.log((H[i] - prev_H) / (ds.t[i] - prev_t))
+            assert_allclose(loss(w, H, ds), total, rtol=1e-12)
 
     def test_zero_increment_rejected(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
@@ -302,20 +264,26 @@ class TestProfile:
 
     def test_hessian_matches_finite_differences(self):
         rng = np.random.default_rng(61)
-        for _ in range(20):
+        for case in range(40):  # distinct times, then tied ones
             n, d = int(rng.integers(5, 60)), int(rng.integers(1, 5))
-            ds = random_dataset(rng, n, d)
+            if case >= 20:
+                t, y, x = tied_rows(rng, n, d, 3, events=0.5)
+                y[0] = 1
+                ds = make_dataset(t, y, x + rng.normal(size=x.shape))
+            else:
+                ds = random_dataset(rng, n, d)
             xt, y = ds.x.T.copy(), ds.y.astype(float)
-            ev = np.flatnonzero(y)
+            runs = _runs(ds.t, y)
+            ev = np.flatnonzero(runs.y)
 
             def pieces(w):
                 e = np.exp(ds.x @ w)
-                risk, H = _hazard(e, y)
+                risk, H = _hazard(e, runs.y)
                 return e, risk[ev], H, _gradient(xt, e, H, y)
 
             w = rng.normal(size=d) * 0.5
             e, S0, H, _ = pieces(w)
-            hess = _hessian(xt, e, H, ev, S0, y[ev])
+            hess = _hessian(xt, e, H, ev, S0, runs.y[ev])
             eps = 1e-6
             for j in range(d):
                 step = np.zeros(d)
@@ -336,7 +304,7 @@ class TestFitMatchesPartialLikelihoodOracle:
         assert_allclose(model.w[:-1], w_ref, rtol=0, atol=1e-5)
         # the saved baseline and loss are compute_H's and loss's at model.w
         H = compute_H(model.w, ds)
-        knots = np.append(np.diff(resolve_ties(ds.t, ds.y)) > 0, True)
+        knots = np.append(np.diff(ds.t) > 0, True)
         assert_array_equal(model.H, H[knots])
         assert model.loss_trace[-1] == loss(model.w, H, ds)
         w_ref = np.append(w_ref, 0.0)
@@ -350,6 +318,13 @@ class TestFitMatchesPartialLikelihoodOracle:
         for _ in range(40):
             n, d = int(rng.integers(20, 400)), int(rng.integers(0, 6))
             self.check(random_dataset(rng, n, d))
+
+    def test_tied_datasets(self):
+        rng = np.random.default_rng(113)
+        for _ in range(20):
+            t, y, x = tied_rows(rng, 300, int(rng.integers(1, 4)), 3)
+            y[0] = 1
+            self.check(make_dataset(t, y, x))
 
     def test_zero_variance_column(self):
         # a constant feature standardizes to zeros: its gradient and its
@@ -502,7 +477,7 @@ class TestFitOnCountedRows:
             # the saved baseline and loss are compute_H's and loss's at model.w
             ds = Dataset(x=_fit_features(raw)[0], y=raw.y, t=raw.t, pairs=raw.pairs)
             H = compute_H(model.w, ds)
-            knots = np.append(np.diff(resolve_ties(ds.t, ds.y)) > 0, True)
+            knots = np.append(np.diff(ds.t) > 0, True)
             assert_array_equal(model.H, H[knots])
             assert model.loss_trace[-1] == loss(model.w, H, ds)
 
@@ -546,6 +521,33 @@ class TestFit:
         model = fit(make_dataset(t, y, x))
         assert np.all(np.diff(model.event_times) > 0)
         assert np.all(np.diff(model.H) >= 0)
+
+    def test_one_knot_per_distinct_time(self):
+        # censored-only times (most censored rows sit at t = 6) keep a knot too
+        rng = np.random.default_rng(109)
+        for _ in range(10):
+            t, y, x = tied_rows(rng, 300, 2, 3)
+            y[0] = 1
+            model = fit(make_dataset(t, y, x))
+            assert_array_equal(model.event_times, t[np.append(True, np.diff(t) > 0)])
+
+    def test_invariant_to_row_order_within_runs(self):
+        # Breslow's ties have no order: shuffling the rows of each run of
+        # equal (t, y) moves the fit by rounding only, with and without
+        # rows to merge
+        rng = np.random.default_rng(107)
+        for case in range(10):
+            n, d = int(rng.integers(100, 1500)), int(rng.integers(1, 4))
+            t, y, x = tied_rows(rng, n, d, 3, events=0.3)
+            y[0] = 1
+            if case % 2:
+                x = x + rng.normal(size=x.shape)
+            model = fit(make_dataset(t, y, x))
+            order = np.lexsort((rng.permutation(n), -y, t))
+            shuffled = fit(make_dataset(t[order], y[order], x[order]))
+            assert_allclose(shuffled.w, model.w, rtol=0, atol=1e-12)
+            assert_array_equal(shuffled.event_times, model.event_times)
+            assert_allclose(shuffled.H, model.H, rtol=0, atol=1e-12)
 
     def test_deterministic(self):
         out = generate(SynthConfig(n_observed=150, n_censored=50, d=2,
@@ -606,10 +608,6 @@ class TestModelValidation:
     def test_code_built_standardization_checked(self, mean, std, key):
         with pytest.raises(ValueError, match=f"'standardization.{key}' must hold 2 values"):
             HazardModel(w=[0.5, 0.1, 0.0], mean=mean, std=std, family="exponential")
-
-    def test_horizon(self):
-        m = toy_model()
-        assert m.horizon == 2.0
 
 
 def toy_model(bias=0.0):
