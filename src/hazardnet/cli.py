@@ -238,15 +238,21 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _read_predictions(path) -> np.ndarray:
-    """The t_pred column; a value that is not a finite time >= 0 raises
-    ValueError naming the file, line and column."""
+def _read_predictions(path, pairs) -> np.ndarray:
+    """The t_pred column.  A value that is not a finite time >= 0, or, when
+    the file has src and dst columns, a pair that is not ``pairs`` at the
+    same row, raises ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "t_pred" not in reader.fieldnames:
             raise ValueError(f"{path} lacks a t_pred column")
+        paired = {"src", "dst"} <= set(reader.fieldnames)
         times = []
-        for row in reader:
+        for i, row in enumerate(reader):
+            if paired and i < len(pairs) and (row["src"], row["dst"]) != tuple(map(str, pairs[i])):
+                raise ValueError(f"{path}: line {reader.line_num}: pair "
+                                 f"({row['src']}, {row['dst']}) is not truth row {i}'s "
+                                 f"pair {tuple(pairs[i])}")
             raw = row["t_pred"]
             try:
                 value = float(raw)
@@ -262,19 +268,25 @@ def _read_predictions(path) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     truth = load_dataset(args.truth)
-    t_pred = _read_predictions(args.pred)
+    t_pred = _read_predictions(args.pred, truth.pairs)
     if len(t_pred) != truth.n:
         raise ValueError(
             f"{len(t_pred)} predictions for {truth.n} truth rows")
     report = evaluate(truth.t, truth.y, t_pred, thresholds=args.thresholds)
+    header, values = report.flat_row()
+    old = None  # the header of an existing --csv-out; an empty file has none
+    if args.csv_out and Path(args.csv_out).exists():
+        with open(args.csv_out, "r", encoding="utf-8", newline="") as fh:
+            old = next(csv.reader(fh), None)
+    if old is not None and old != header:
+        raise ValueError(f"{args.csv_out}: header {','.join(old)} differs from this "
+                         f"report's header {','.join(header)}; nothing appended")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.csv_out:
-        header, values = report.flat_row()
-        new = not Path(args.csv_out).exists()
         with open(args.csv_out, "a", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            if new:
+            if old is None:
                 writer.writerow(header)
             writer.writerow([repr(v) for v in values])
     log.info("eval: mae=%.4g ci=%.4g -> %s", report.mae, report.ci, args.out)

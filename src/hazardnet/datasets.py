@@ -83,11 +83,36 @@ class WindowConfig:
         return self.t0 + self.delta * np.arange(self.k + 1)
 
 
+def _header(d: int) -> list[str]:
+    """The dataset CSV's column names for d features."""
+    return ["src", "dst", "y", "t"] + [f"x_{j}" for j in range(d)]
+
+
+def _first_fault(x, y, t, header):
+    """(row, "column name: value rule") of the first value that breaks a row
+    rule, or None: y first, then t, then the features, named by ``header``."""
+    for j, values, ok, rule in (
+            (2, y, (y == 0) | (y == 1), "is not 0 or 1"),
+            (3, t, np.isfinite(t) & (t > 0), "is not a positive finite time")):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            return i, f"column {header[j]}: {values[i].item()!r} {rule}"
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        return int(i), f"column {header[4 + j]}: {x[i, j].item()!r} is not finite"
+    return None
+
+
 @dataclass
 class Dataset:
-    """Samples sorted ascending by t; observed before censored on ties, then by pair.
+    """One row (x, y, t) per node pair: raw features, event flag, recorded time.
 
-    ``x`` is N x d raw features, ``y`` in {0,1}, ``t`` positive.
+    ``x`` is an N x d float array of finite raw features, ``y`` is 0 or 1 and
+    ``t`` a positive finite time.  A row that breaks a rule raises
+    DatasetError naming its row and column; ``load_dataset`` names the
+    file's line instead.  ``build_dataset`` and ``synth`` write the rows
+    sorted by t, observed before censored at equal t, then by pair, and
+    the NP-GLM fit checks that order.
     """
 
     x: np.ndarray
@@ -97,15 +122,17 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=np.int64)
         self.t = np.asarray(self.t, dtype=float)
+        y = np.asarray(self.y)
         n = len(self.t)
-        if self.x.shape[0] != n or self.y.shape[0] != n or len(self.pairs) != n:
+        if self.x.ndim != 2:
+            raise DatasetError(f"x must be 2-D with one row per t, got shape {self.x.shape}")
+        if self.x.shape[0] != n or len(y) != n or len(self.pairs) != n:
             raise DatasetError("x, y, t, pairs must have equal lengths")
-        if n and not np.all((self.y == 0) | (self.y == 1)):
-            raise DatasetError("y entries must be 0 or 1")
-        if n and not np.all(self.t > 0):
-            raise DatasetError("recorded times must be positive")
+        fault = _first_fault(self.x, y, self.t, _header(self.d))
+        if fault:
+            raise DatasetError(f"row {fault[0]}, {fault[1]}")
+        self.y = np.asarray(y, dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -315,8 +342,6 @@ def build_dataset(features: dict[tuple[int, int], np.ndarray],
     if missing:
         raise DatasetError(f"{len(missing)} labeled pairs lack feature vectors")
     x = np.asarray([features[p] for p in pairs], dtype=float)
-    if x.ndim != 2:
-        raise DatasetError("feature vectors must share one dimension")
     y = np.asarray([rec[1] for rec in labels], dtype=np.int64)
     t = np.asarray([rec[2] for rec in labels], dtype=float)
     if y.sum() == 0:
@@ -333,7 +358,7 @@ _SAVE_CHUNK = 1024
 def save_dataset(path, dataset: Dataset):
     """Write the labeled dataset CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(["src", "dst", "y", "t"] + [f"x_{j}" for j in range(dataset.d)])
+        csv.writer(fh).writerow(_header(dataset.d))
         for a in range(0, dataset.n, _SAVE_CHUNK):
             b = a + _SAVE_CHUNK
             keys = (f"{src},{dst},{y}," for (src, dst), y
@@ -347,28 +372,6 @@ def _int64(raw: str) -> int:
     if not -2**63 <= value < 2**63:
         raise ValueError(f"{raw!r} overflows int64")
     return value
-
-
-def _parses(convert, raw: str) -> bool:
-    try:
-        convert(raw)
-    except ValueError:
-        return False
-    return True
-
-
-def _first_bad_value(y, t, x, header):
-    """(row index, "column ...: message") of the first rejected y, t or feature, or None."""
-    for name, values, ok, rule in (
-            ("y", y, (y == 0) | (y == 1), "is not 0 or 1"),
-            ("t", t, np.isfinite(t) & (t > 0), "is not a positive finite time")):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            return i, f"column {name}: {values[i].item()!r} {rule}"
-    if not np.isfinite(x).all():
-        i, j = np.argwhere(~np.isfinite(x))[0]
-        return int(i), f"column {header[4 + j]}: {x[i, j].item()!r} is not finite"
-    return None
 
 
 def _raise_first_fault(path, header):
@@ -385,22 +388,22 @@ def _raise_first_fault(path, header):
             if len(row) != 4 + d:
                 raise DatasetError(f"{path}: line {reader.line_num}: row with "
                                    f"{len(row)} fields, expected {4 + d}")
-            try:
-                _int64(row[0]), _int64(row[1])  # src and dst must parse
-                ys.append(_int64(row[2]))
-                ts.append(float(row[3]))
-                xs.append([float(v) for v in row[4:]])
-            except ValueError:
-                j = next(j for j, raw in enumerate(row)
-                         if not _parses(_int64 if j < 3 else float, raw))
-                kind = "a 64-bit integer" if j < 3 else "a number"
-                raise DatasetError(f"{path}: line {reader.line_num}, column {header[j]}: "
-                                   f"{row[j]!r} is not {kind}") from None
+            values = []
+            for j, raw in enumerate(row):
+                try:
+                    values.append((_int64 if j < 3 else float)(raw))
+                except ValueError:
+                    kind = "a 64-bit integer" if j < 3 else "a number"
+                    raise DatasetError(f"{path}: line {reader.line_num}, column {header[j]}: "
+                                       f"{raw!r} is not {kind}") from None
+            ys.append(values[2])
+            ts.append(values[3])
+            xs.append(values[4:])
             lines.append(reader.line_num)
     x = np.asarray(xs, dtype=float) if xs else np.empty((0, d))
-    bad = _first_bad_value(np.asarray(ys, dtype=np.int64), np.asarray(ts, dtype=float), x, header)
-    if bad is not None:
-        raise DatasetError(f"{path}: line {lines[bad[0]]}, {bad[1]}")
+    fault = _first_fault(x, np.asarray(ys, dtype=np.int64), np.asarray(ts, dtype=float), header)
+    if fault:
+        raise DatasetError(f"{path}: line {lines[fault[0]]}, {fault[1]}")
 
 
 def load_dataset(path) -> Dataset:
@@ -408,9 +411,8 @@ def load_dataset(path) -> Dataset:
 
     The body is parsed in one ``np.loadtxt`` call.  A malformed row raises
     ``DatasetError`` naming the file and line, and the column where one is
-    at fault: a wrong field count, a field that does not parse, y outside
-    {0, 1}, a t that is not a positive finite time, or a non-finite
-    feature.
+    at fault: a wrong field count, a field that does not parse, or a value
+    that breaks a ``Dataset`` row rule.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
@@ -423,13 +425,10 @@ def load_dataset(path) -> Dataset:
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 body = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
                                   quotechar='"', ndmin=1)
-        except ValueError as exc:
-            fault = str(exc)
-        else:
-            bad = _first_bad_value(body["y"], body["t"], body["x"], header)
-            fault = bad and bad[1]
-    if fault:
-        _raise_first_fault(path, header)
-        raise DatasetError(f"{path}: {fault}")
-    return Dataset(x=np.ascontiguousarray(body["x"]), y=body["y"].copy(), t=body["t"].copy(),
-                   pairs=list(zip(body["src"].tolist(), body["dst"].tolist())))
+            return Dataset(x=np.ascontiguousarray(body["x"]), y=body["y"].copy(),
+                           t=body["t"].copy(),
+                           pairs=list(zip(body["src"].tolist(), body["dst"].tolist())))
+        except ValueError as exc:  # a DatasetError from a row rule included
+            fault = exc
+    _raise_first_fault(path, header)
+    raise DatasetError(f"{path}: {fault}")

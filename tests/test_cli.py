@@ -685,6 +685,39 @@ class TestEval:
         assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
                    "--out", tmp_path / "r.json") == 2
 
+    def test_csv_out_with_other_header_exits_2(self, tmp_path, synth_dir, caplog):
+        truth = synth_dir / "dataset.csv"
+        pred = tmp_path / "p.csv"
+        pred.write_text("t_pred\n" + "1.0\n" * load_dataset(truth).n)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("")  # an empty file counts as new
+        assert run("eval", "--pred", pred, "--truth", truth, "--out", tmp_path / "a.json",
+                   "--csv-out", rows) == 0
+        before = rows.read_text()
+        assert before.splitlines()[0] == "mae,mre,rmse,msle,mdae,ci"
+        out = tmp_path / "b.json"
+        assert run("eval", "--pred", pred, "--truth", truth, "--thresholds", 1, 2,
+                   "--out", out, "--csv-out", rows) == 2
+        assert (f"{rows}: header mae,mre,rmse,msle,mdae,ci differs from this report's "
+                "header mae,mre,rmse,msle,mdae,acc@1,acc@2,ci" in caplog.text)
+        assert rows.read_text() == before and not out.exists()
+
+    def test_prediction_for_another_pair_exits_2(self, tmp_path, synth_dir, caplog):
+        truth = synth_dir / "dataset.csv"
+        pairs = load_dataset(truth).pairs
+        pred = tmp_path / "p.csv"
+        lines = [f"{a},{b},1.0" for a, b in pairs]
+        lines[3], lines[5] = lines[5], lines[3]
+        pred.write_text("src,dst,t_pred\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        assert run("eval", "--pred", pred, "--truth", truth, "--out", out) == 2
+        assert (f"{pred}: line 5: pair {pairs[5]} is not truth row 3's pair {pairs[3]}"
+                in caplog.text)
+        assert not out.exists()
+        # without src and dst the rows are paired by position, as before
+        pred.write_text("t_pred\n" + "1.0\n" * len(pairs))
+        assert run("eval", "--pred", pred, "--truth", truth, "--out", out) == 0
+
 
 class TestSweep:
     def config_doc(self, tmp_path, **over):

@@ -115,13 +115,52 @@ class TestDataset:
         with pytest.raises(DatasetError):
             self.make(t=np.array([1.0, 2.0]))
 
-    def test_bad_labels(self):
-        with pytest.raises(DatasetError):
-            self.make(y=np.array([1, 2, 0]))
+    def faults(self, tmp_path, **over):
+        """The DatasetError from make(**over), and the part after the line
+        number of load_dataset's error on the same rows written as a CSV."""
+        with pytest.raises(DatasetError) as built:
+            self.make(**over)
+        kw = dict(vars(self.make()), **over)
+        path = tmp_path / "rows.csv"
+        path.write_text("src,dst,y,t,x_0,x_1\n" + "".join(
+            f"{a},{b},{y},{t!r},{x0!r},{x1!r}\n" for (a, b), y, t, (x0, x1)
+            in zip(kw["pairs"], *(np.asarray(kw[k]).tolist() for k in "ytx"))))
+        with pytest.raises(DatasetError) as loaded:
+            load_dataset(path)
+        return str(built.value), str(loaded.value).split(", ", 1)[1]
 
-    def test_nonpositive_times(self):
-        with pytest.raises(DatasetError):
-            self.make(t=np.array([0.0, 1.0, 2.0]))
+    def test_bad_labels(self, tmp_path):
+        built, loaded = self.faults(tmp_path, y=np.array([1, 2, 0]))
+        assert built == "row 1, " + loaded == "row 1, column y: 2 is not 0 or 1"
+        # a CSV stops 1.5 at parsing ("'1.5' is not a 64-bit integer"); in
+        # code it breaks the same rule as 2 rather than being cast to 1
+        built, _ = self.faults(tmp_path, y=np.array([1.5, 0, 1]))
+        assert built == "row 0, column y: 1.5 is not 0 or 1"
+
+    def test_nonpositive_times(self, tmp_path):
+        for i, value in enumerate([0.0, -1.0, np.inf, np.nan]):
+            t = np.array([1.0, 2.0, 3.0])
+            t[i % 3] = value
+            built, loaded = self.faults(tmp_path, t=t)
+            assert built == f"row {i % 3}, " + loaded
+            assert loaded == f"column t: {value!r} is not a positive finite time"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature(self, tmp_path, value):
+        x = np.ones((3, 2))
+        x[2, 1] = value
+        built, loaded = self.faults(tmp_path, x=x)
+        assert built == "row 2, " + loaded == f"row 2, column x_1: {value!r} is not finite"
+
+    def test_one_dimensional_x(self):
+        with pytest.raises(DatasetError, match=r"x must be 2-D .* got shape \(3,\)"):
+            self.make(x=np.ones(3))
+
+    def test_accepts_bool_and_whole_float_labels(self):
+        for y in (np.array([True, False, True]), np.array([1.0, 0.0, 1.0])):
+            ds = self.make(y=y)
+            assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0, 1]
+        assert self.make(x=np.zeros((3, 0))).d == 0
 
     def test_raw_x_passthrough(self):
         ds = self.make()
