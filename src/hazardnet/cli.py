@@ -39,13 +39,12 @@ from .datasets import (
 from .graph import GraphError, load_graph_file, load_schema, prefixed
 from .metapaths import MetaPathError, endpoint_types, parse_metapath, read_metapath_file
 from .metrics import evaluate
-from .npglm import HazardModel, fit_parametric
+from .npglm import HazardModel
 from .synthetic import DISTRIBUTIONS, SynthConfig, draw_dataset, generate, save_truth
 
 log = logging.getLogger("hazardnet")
 
-MODEL_NAMES = ("npglm", "expglm", "wblglm")
-_PARAMETRIC_FAMILY = {"expglm": "exponential", "wblglm": "weibull"}
+MODEL_FAMILIES = {"npglm": "npglm", "expglm": "exponential", "wblglm": "weibull"}
 
 
 def env_threads() -> int | None:
@@ -62,9 +61,7 @@ def env_threads() -> int | None:
 
 
 def _fit_model(dataset, name: str, unit: str = ""):
-    if name == "npglm":
-        return npglm.fit(dataset, unit=unit)
-    return fit_parametric(dataset, family=_PARAMETRIC_FAMILY[name], unit=unit)
+    return npglm._fit(dataset, MODEL_FAMILIES[name], npglm.FitConfig(), unit)
 
 
 def _predict_medians(model, dataset):
@@ -351,7 +348,7 @@ class ExperimentConfig:
             raise ValueError("model, N, and censoring grids must be non-empty")
         if min(self.n_grid) < 1:
             raise ValueError("every N in n_grid must be >= 1")
-        bad = [m for m in self.models if m not in MODEL_NAMES]
+        bad = [m for m in self.models if m not in MODEL_FAMILIES]
         if bad:
             raise ValueError(f"unknown models in config: {bad}")
         for c in self.censoring_grid:
@@ -513,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("fit", help="fit a model to a dataset CSV")
-    p.add_argument("--model", required=True, choices=MODEL_NAMES)
+    p.add_argument("--model", required=True, choices=MODEL_FAMILIES)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--unit", default="")

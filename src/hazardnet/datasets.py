@@ -28,7 +28,6 @@ from .metapaths import MetaPath, endpoint_types, metapath_counts, new_instance_p
 __all__ = [
     "WindowConfig",
     "PrefixCache",
-    "pair_arrays",
     "Dataset",
     "DatasetError",
     "candidate_pairs",
@@ -37,7 +36,6 @@ __all__ = [
     "dynamic_series",
     "aggregate_stack",
     "aggregate_expsmooth",
-    "check_alpha",
     "build_dataset",
     "save_dataset",
     "load_dataset",

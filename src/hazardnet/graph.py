@@ -20,12 +20,10 @@ __all__ = [
     "LinkType",
     "TemporalGraph",
     "GraphError",
-    "prefixed",
     "load_schema",
     "load_graph",
     "load_graph_file",
     "CountMatrix",
-    "adjacency_counts",
     "time_aware_adjacency",
 ]
 

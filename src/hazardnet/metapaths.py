@@ -26,10 +26,8 @@ __all__ = [
     "MetaPath",
     "MetaPathError",
     "parse_metapath",
-    "endpoint_types",
     "metapath_counts",
     "metapath_matrix",
-    "new_instance_pairs",
     "read_metapath_file",
 ]
 

@@ -9,9 +9,9 @@ loss, is the negative Cox partial log-likelihood plus a constant, and
 ``fit`` runs damped Newton steps on it over w.  The Exponential and
 Weibull baselines are the same model with H0(t) = t**shape:
 ``fit_parametric`` runs the same Newton loop on their negative censored
-log-likelihood over (w, log shape).  Inference (interval probabilities,
-quantiles, sampling) runs off H0 and its inverse only, so one
-implementation serves all three families.
+log-likelihood over (w, log shape), through the same ``_fit`` on counted
+rows.  Inference (interval probabilities, quantiles, sampling) runs off H0
+and its inverse only, so one implementation serves all three families.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +61,7 @@ def link_g(z):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the damped Newton fit, which fits every family.
+    """Knobs of the damped Newton fit; ``fit_parametric`` uses the defaults.
 
     ``threshold`` stops the fit once a Newton iteration changes the loss
     by less; ``max_outer`` caps Newton iterations, one loss-trace entry
@@ -290,6 +291,8 @@ class HazardModel:
                 raise ValueError(f"model key 'shape' must be a number, got {self.shape!r}")
             if not 0 < self.shape < np.inf:
                 raise ValueError(f"model key 'shape' must be positive and finite, got {self.shape}")
+            if self.family == "exponential" and self.shape != 1:
+                raise ValueError(f"model key 'shape' must be 1 for exponential, got {self.shape}")
             self.shape = float(self.shape)
             return
         self.event_times = _numbers("event_times", self.event_times, "be a strictly increasing "
@@ -412,10 +415,10 @@ def _counted(t: np.ndarray, y: np.ndarray, xt: np.ndarray):
     None when no two rows are equal; that check alone is done when no two
     adjacent rows share (t, y).  ``xt`` is x transposed.
 
-    Rows come sorted by t, so rows of equal (t, y) form a run, and a group
-    lies within one run; its merged row keeps the run's place in the order,
-    so merged rows have the same distinct times, risk sets and events per
-    time (``_runs``) as the rows they count.
+    Groups lie within runs of adjacent rows of equal (t, y), so unsorted
+    rows may leave equal rows apart.  A merged row keeps its run's place in
+    the order: on rows sorted by t, merged rows have the same distinct times,
+    risk sets and events per time (``_runs``) as the rows they count.
     Each round hashes (run, x) into a table of at least as many slots as
     rows left, keeps one row per slot, and merges every row whose bits equal
     its slot's row (-0.0 counts as 0.0).  Rows that met a collision go to
@@ -493,118 +496,124 @@ def _descend(theta, evaluate, derivatives, config: FitConfig):
     return theta, state, trace, False
 
 
-def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> HazardModel:
-    """Damped Newton descent (``_descend``) on the profile loss
-    P(w) = loss(w, H(w)), with H(w) the Breslow estimator.
+def _profile(xa, xt, c, y, t):
+    """``fit``'s objective, the profile loss over w less its bias, on rows weighing c."""
+    cy = c * y
+    runs = _runs(t, cy)
+    ev = runs.first[np.diff(runs.first, prepend=-1) > 0]  # where runs.y > 0
 
-    Starts from w = 0.  The bias is pinned at 0 and left out of the
-    Newton system: it cancels out of P, and H absorbs exp(bias).  Tied
-    times are Breslow's: the events at one time share its risk set and one
-    jump of H, whatever the order of their rows.  The descent runs on
-    counted rows: rows equal in (t, y, x) merge into one row weighted by
-    their count (``_counted``), which leaves P unchanged.  When rows
-    merged, one per-row pass at the returned w gives the saved H and the
-    last loss-trace entry, so they equal ``compute_H`` and ``loss`` at
-    that w, on the features of ``_fit_features``.  The model keeps one
-    knot per distinct training time.
-    """
-    if dataset.n_observed == 0:
-        raise ValueError("cannot fit: dataset has no observed samples")
-    x, mean, std = _fit_features(dataset)
-    y, t = _prepared(dataset)
-    xa = augment(x)
-    xt = np.ascontiguousarray(x.T)
-    counted = _counted(t, y, xt)
-    # without a merge every count is 1.0, and c * e is e exactly
-    rows, c = counted if counted is not None else (slice(None), np.ones(len(t)))
-    xa_c, xt_c, cy = xa[rows], xt[:, rows], c * y[rows]
-    runs = _runs(t[rows], cy)
-    ev = np.flatnonzero(runs.y)
-
-    def profile(v):
-        z, e = _linear(xa_c, np.append(v, 0.0))
-        ce = c * e
+    def evaluate(v):
+        z, ce = _linear(xa, np.append(v, 0.0))
+        ce *= c
         risk, H = _hazard(ce, runs.y)
         return _loss(z, ce, H, cy, runs), (ce, risk[ev], H)
 
     def derivatives(state):
         ce, S0, H = state
-        return _gradient(xt_c, ce, H, cy), _hessian(xt_c, ce, H, ev, S0, runs.y[ev])
+        return _gradient(xt, ce, H, cy), _hessian(xt, ce, H, ev, S0, runs.y[ev])
 
-    v, (_, _, H), trace, converged = _descend(np.zeros(dataset.d), profile,
-                                              derivatives, config)
-    w = np.append(v, 0.0)
-    if counted is not None:  # counted sums round differently from compute_H's and loss's
-        z, e = _linear(xa, w)
-        runs = _runs(t, y)
-        H = _hazard(e, runs.y)[1]
-        trace[-1] = _loss(z, e, H, y, runs)
-    return HazardModel(
-        w=w, mean=mean, std=std, event_times=t[runs.starts], H=H[runs.starts],
-        unit=unit, loss_trace=trace, converged=converged,
-    )
+    def fields(v, state):  # one knot per distinct time
+        return dict(w=np.append(v, 0.0), event_times=t[runs.starts], H=state[2][runs.starts])
+
+    return np.zeros(len(xt)), evaluate, derivatives, fields
 
 
-def _terms(theta, xa, y, t, log_t, learn_shape):
-    """Negative log-likelihood over theta = (w[, log shape]), its gradient,
-    and s = exp(z) t**shape, each power and exponential taken once."""
-    w, log_a = (theta[:-1], theta[-1]) if learn_shape else (theta, 0.0)
-    a = np.exp(log_a)
-    z, e = _linear(xa, w)
-    s = e * t ** a
-    value = float(np.sum(s - y * z)) - float(np.sum(y * (log_a + (a - 1.0) * log_t)))
-    grad = xa.T @ (s - y)
-    if learn_shape:
-        r = a * log_t  # d log(t**a) / d log a
-        grad = np.append(grad, np.sum((s - y) * r) - np.sum(y))
-    return value, grad, s
-
-
-def _negative_ll(theta, xa, y, t, log_t, learn_shape):
-    """Negative log-likelihood over theta = (w[, log shape]) and its
-    gradient: the loss over w at H = t**shape, minus the shape terms."""
-    return _terms(theta, xa, y, t, log_t, learn_shape)[:2]
-
-
-def fit_parametric(dataset: Dataset, family: str = "weibull",
-                   unit: str = "") -> HazardModel:
-    """Maximum-likelihood fit of one parametric family.
-
-    Runs ``_descend`` under the default ``FitConfig`` from zero
-    coefficients and unit shape, on the features of ``_fit_features``.
-    """
-    if family not in PARAMETRIC_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if dataset.n_observed == 0:
-        raise ValueError("cannot fit: dataset has no observed samples")
-    x, mean, std = _fit_features(dataset)
-    xa = augment(x)
-    xat = np.ascontiguousarray(xa.T)
-    y = dataset.y.astype(float)
-    t = dataset.t
+def _parametric(xa, xat, c, y, t, learn_shape):
+    """``fit_parametric``'s objective, ``_terms``, on rows weighing c."""
     log_t = np.log(t)
-    learn_shape = family == "weibull"
+    d = xa.shape[1]
 
     def evaluate(theta):
-        value, grad, s = _terms(theta, xa, y, t, log_t, learn_shape)
+        value, grad, s = _terms(theta, xa, y, t, log_t, learn_shape, c)
         return value, (theta, grad, s)
 
     def derivatives(state):
-        theta, grad, s = state  # s = exp(z) t**a weighs the w block
-        d = xa.shape[1]
+        theta, grad, s = state  # s = c exp(z) t**a weighs the w block
         hess = np.zeros((len(theta), len(theta)))
         _gram(xat, s, hess[:d, :d])
         if learn_shape:
             r = np.exp(theta[-1]) * log_t
             hess[-1, :-1] = hess[:-1, -1] = xat @ (s * r)
-            hess[-1, -1] = np.sum(s * r * (1.0 + r) - y * r)
+            hess[-1, -1] = np.sum(s * r * (1.0 + r) - c * y * r)
         return grad, hess
 
-    theta0 = np.zeros(xa.shape[1] + learn_shape)
-    theta, _, trace, converged = _descend(theta0, evaluate, derivatives, FitConfig())
-    return HazardModel(w=theta[:xa.shape[1]], mean=mean, std=std, family=family,
-                       shape=float(np.exp(theta[-1])) if learn_shape else 1.0,
-                       unit=unit, loss_trace=trace, converged=converged)
+    def fields(theta, state):
+        return dict(w=theta[:d], shape=float(np.exp(theta[-1])) if learn_shape else 1.0)
+
+    return np.zeros(d + learn_shape), evaluate, derivatives, fields
+
+
+def _fit(dataset: Dataset, family: str, config: FitConfig, unit: str) -> HazardModel:
+    """Damped Newton descent (``_descend``) on counted rows: rows equal in
+    (t, y, x) merge into one row weighted by their count (``_counted``),
+    which leaves every family's objective unchanged.  ``objective`` gives
+    theta0 (zero coefficients, unit shape), ``_descend``'s two callables and
+    the model's fields at theta.  If rows merged, a per-row pass at the
+    fitted theta gives the last loss-trace entry and the NP-GLM's H."""
+    if dataset.n_observed == 0:
+        raise ValueError("cannot fit: dataset has no observed samples")
+    x, mean, std = _fit_features(dataset)
+    xa = augment(x)
+    if family == "npglm":
+        y, t = _prepared(dataset)
+        xt, objective = np.ascontiguousarray(x.T), _profile
+    else:  # rows in any order; the bias row of xt is the last
+        y, t = dataset.y.astype(float), dataset.t
+        xt = np.ascontiguousarray(xa.T)
+        objective = partial(_parametric, learn_shape=family == "weibull")
+    counted = _counted(t, y, xt[:dataset.d])
+    # without a merge every count is 1.0, and c * e is e exactly
+    rows, c = counted if counted is not None else (slice(None), 1.0)
+    theta0, evaluate, derivatives, fields = objective(xa[rows], xt[:, rows], c, y[rows], t[rows])
+    theta, state, trace, converged = _descend(theta0, evaluate, derivatives, config)
+    if counted is not None:  # counted sums round differently from per-row ones
+        _, evaluate, _, fields = objective(xa, xt, 1.0, y, t)
+        trace[-1], state = evaluate(theta)
+    return HazardModel(mean=mean, std=std, family=family, unit=unit, loss_trace=trace,
+                       converged=converged, **fields(theta, state))
+
+
+def fit(dataset: Dataset, config: FitConfig = FitConfig(), unit: str = "") -> HazardModel:
+    """NP-GLM fit (``_fit``) on the profile loss P(w) = loss(w, H(w)), with
+    H(w) the Breslow estimator.  The bias is pinned at 0 and left out of the
+    Newton system: it cancels out of P, and H absorbs exp(bias).  Tied times
+    are Breslow's: the events at one time share its risk set and one jump of
+    H.  The model keeps one knot per distinct time; its H and last loss are
+    ``compute_H``'s and ``loss``'s at its w on the standardized features."""
+    return _fit(dataset, "npglm", config, unit)
+
+
+def _terms(theta, xa, y, t, log_t, learn_shape, c=1.0):
+    """Negative log-likelihood of rows weighing c (``_counted``) over theta
+    = (w[, log shape]), its gradient, and s = c exp(z) t**shape, each power
+    and exponential taken once."""
+    w, log_a = (theta[:-1], theta[-1]) if learn_shape else (theta, 0.0)
+    a = np.exp(log_a)
+    z, e = _linear(xa, w)
+    s = e * t ** a
+    s *= c
+    cy = c * y
+    value = float(np.sum(s - cy * z)) - float(np.sum(cy * (log_a + (a - 1.0) * log_t)))
+    grad = xa.T @ (s - cy)
+    if learn_shape:
+        r = a * log_t  # d log(t**a) / d log a
+        grad = np.append(grad, np.sum((s - cy) * r) - np.sum(cy))
+    return value, grad, s
+
+
+def _negative_ll(theta, xa, y, t, log_t, learn_shape, c=1.0):
+    """Negative log-likelihood over theta = (w[, log shape]) and its
+    gradient: the loss over w at H = t**shape, minus the shape terms."""
+    return _terms(theta, xa, y, t, log_t, learn_shape, c)[:2]
+
+
+def fit_parametric(dataset: Dataset, family: str = "weibull",
+                   unit: str = "") -> HazardModel:
+    """Maximum-likelihood fit (``_fit``) of one parametric family, under
+    the default ``FitConfig``."""
+    if family not in PARAMETRIC_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return _fit(dataset, family, FitConfig(), unit)
 
 
 def _row_g(model: HazardModel, x):

@@ -571,6 +571,7 @@ class TestParentFormatModels:
         ("npglm", "converged", "false", "model key 'converged' must be true or false, got 'false'"),
         ("npglm", "standardization", {"mean": [0.0, 1.0], "std": [2.0, 0.0]},
          "model key 'standardization.std' must hold 2 values, one per feature of 'w', each > 0"),
+        ("exponential", "shape", 2.5, "model key 'shape' must be 1 for exponential, got 2.5"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, caplog, family, key, value, message):
         path = tmp_path / "model.json"

@@ -23,7 +23,10 @@ from hazardnet.npglm import (
     ranged_probability,
     sample_time,
 )
+from hazardnet import npglm
 from hazardnet.synthetic import SynthConfig, generate
+
+from test_npglm import make_dataset, tied_rows
 
 X0 = np.zeros((1, 0))
 
@@ -57,16 +60,35 @@ class TestGradients:
             y = (rng.uniform(size=n) > 0.3).astype(float)
             t = rng.uniform(0.1, 4.0, size=n)
             theta = rng.normal(size=d + 1 + (1 if learn_shape else 0)) * 0.5
-            args = (xa, y, t, np.log(t), learn_shape)
-            _, grad = _negative_ll(theta, *args)
-            eps = 1e-6
-            for j in range(len(theta)):
-                step = np.zeros(len(theta))
-                step[j] = eps
-                fp, _ = _negative_ll(theta + step, *args)
-                fm, _ = _negative_ll(theta - step, *args)
-                assert_allclose(grad[j], (fp - fm) / (2 * eps),
-                                rtol=1e-5, atol=1e-7)
+            c = rng.integers(1, 6, size=n).astype(float)  # counts of merged rows
+            for weights in ((), (c,)):
+                args = (xa, y, t, np.log(t), learn_shape, *weights)
+                _, grad = _negative_ll(theta, *args)
+                eps = 1e-6
+                for j in range(len(theta)):
+                    step = np.zeros(len(theta))
+                    step[j] = eps
+                    fp, _ = _negative_ll(theta + step, *args)
+                    fm, _ = _negative_ll(theta - step, *args)
+                    assert_allclose(grad[j], (fp - fm) / (2 * eps),
+                                    rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("learn_shape", [False, True])
+    def test_weights_equal_repeated_rows(self, learn_shape):
+        rng = np.random.default_rng(23)
+        for _ in range(8):
+            n, d = 30, 3
+            xa = np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))])
+            y = (rng.uniform(size=n) > 0.3).astype(float)
+            t = rng.uniform(0.1, 4.0, size=n)
+            theta = rng.normal(size=d + 1 + (1 if learn_shape else 0)) * 0.5
+            counts = rng.integers(1, 6, size=n)
+            value, grad = _negative_ll(theta, xa, y, t, np.log(t), learn_shape,
+                                       counts.astype(float))
+            xr, yr, tr = (np.repeat(a, counts, axis=0) for a in (xa, y, t))
+            want_value, want_grad = _negative_ll(theta, xr, yr, tr, np.log(tr), learn_shape)
+            assert_allclose(value, want_value, rtol=1e-12)
+            assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
 
 class TestRecovery:
@@ -161,6 +183,63 @@ class TestFitMatchesRecomputingFit:
         assert model.loss_trace == trace
         assert model.converged == converged
         assert len(trace) > 2
+
+
+class TestParametricFitOnCountedRows:
+    """On heavily duplicated rows the parametric fits descend on counted
+    rows and then take one per-row pass for the last loss-trace entry."""
+
+    @pytest.mark.parametrize("family", ["exponential", "weibull"])
+    def test_matches_per_row_fit(self, family, monkeypatch):
+        rng = np.random.default_rng(109)
+        cases = []
+        for _ in range(6):
+            n, d = int(rng.integers(2000, 4000)), int(rng.integers(1, 4))
+            t, y, x = tied_rows(rng, n, d, 3, events=0.3)
+            y[0] = 1
+            rows, _ = npglm._counted(t, y.astype(float), np.ascontiguousarray(x.T))
+            assert len(rows) < n / 4
+            cases.append(make_dataset(t, y, x))
+        descents = []
+        real = npglm._descend
+        monkeypatch.setattr(npglm, "_descend",
+                            lambda *a: descents.append(real(*a)) or descents[-1])
+        models = [fit_parametric(ds, family=family) for ds in cases]
+        thetas = [theta for theta, *_ in descents]
+        monkeypatch.setattr(npglm, "_counted", lambda t, y, xt: None)
+        for ds, model, theta in zip(cases, models, thetas):
+            per_row = fit_parametric(ds, family=family)
+            assert_allclose(model.w, per_row.w, rtol=0, atol=1e-10)
+            assert_allclose(model.shape, per_row.shape, rtol=1e-10)
+            assert len(model.loss_trace) == len(per_row.loss_trace)
+            assert model.converged == per_row.converged
+            # the last entry is the per-row loss at the descent's theta
+            xa = augment(_fit_features(ds)[0])
+            value, _ = _negative_ll(theta, xa, ds.y.astype(float), ds.t, np.log(ds.t),
+                                    family == "weibull")
+            assert model.loss_trace[-1] == value
+            assert_array_equal(model.w, theta[:ds.d + 1])
+
+    @pytest.mark.parametrize("family", ["exponential", "weibull"])
+    def test_untied_rows_take_no_merge(self, family, monkeypatch):
+        calls = []
+        real = npglm._counted
+        monkeypatch.setattr(npglm, "_counted", lambda *a: calls.append(real(*a)) or calls[-1])
+        fit_parametric(exponential_dataset(300, 3, seed=11)[0], family=family)
+        assert calls == [None]
+
+    @pytest.mark.parametrize("family", ["exponential", "weibull"])
+    def test_unsorted_rows(self, family):
+        # reversed rows still form runs of equal (t, y), so they merge;
+        # shuffled rows mostly do not
+        rng = np.random.default_rng(113)
+        t, y, x = tied_rows(rng, 2000, 2, 3, events=0.3)
+        want = fit_parametric(make_dataset(t, y, x), family=family)
+        for order in (np.arange(len(t))[::-1], rng.permutation(len(t))):
+            model = fit_parametric(make_dataset(t[order], y[order], x[order]), family=family)
+            assert model.converged
+            assert_allclose(model.w, want.w, rtol=0, atol=1e-10)
+            assert_allclose(model.shape, want.shape, rtol=1e-10)
 
 
 def lbfgs_reference(dataset, family):
@@ -322,6 +401,11 @@ class TestValidationAndSerialization:
     def test_nonpositive_shape_rejected(self):
         with pytest.raises(ValueError):
             toy(shape=0.0)
+
+    def test_exponential_shape_must_be_one(self):
+        with pytest.raises(ValueError, match="model key 'shape' must be 1 for exponential"):
+            toy(family="exponential", shape=2.5)
+        assert toy(family="exponential", shape=1).shape == 1.0
 
     def test_all_censored_rejected(self):
         ds = Dataset(x=np.zeros((2, 1)), y=np.zeros(2, dtype=np.int64),
