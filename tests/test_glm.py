@@ -60,8 +60,8 @@ class TestGradients:
             y = (rng.uniform(size=n) > 0.3).astype(float)
             t = rng.uniform(0.1, 4.0, size=n)
             theta = rng.normal(size=d + 1 + (1 if learn_shape else 0)) * 0.5
-            c = rng.integers(1, 6, size=n).astype(float)  # counts of merged rows
-            for weights in ((), (c,)):
+            counts = rng.integers(1, 6, size=n)  # of merged rows
+            for weights in ((), (counts.astype(float),)):
                 args = (xa, y, t, np.log(t), learn_shape, *weights)
                 _, grad = _negative_ll(theta, *args)
                 eps = 1e-6
@@ -72,23 +72,11 @@ class TestGradients:
                     fm, _ = _negative_ll(theta - step, *args)
                     assert_allclose(grad[j], (fp - fm) / (2 * eps),
                                     rtol=1e-5, atol=1e-7)
-
-    @pytest.mark.parametrize("learn_shape", [False, True])
-    def test_weights_equal_repeated_rows(self, learn_shape):
-        rng = np.random.default_rng(23)
-        for _ in range(8):
-            n, d = 30, 3
-            xa = np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))])
-            y = (rng.uniform(size=n) > 0.3).astype(float)
-            t = rng.uniform(0.1, 4.0, size=n)
-            theta = rng.normal(size=d + 1 + (1 if learn_shape else 0)) * 0.5
-            counts = rng.integers(1, 6, size=n)
-            value, grad = _negative_ll(theta, xa, y, t, np.log(t), learn_shape,
-                                       counts.astype(float))
+            # weighted rows give what the rows repeated would give
+            value, _ = _negative_ll(theta, *args)
             xr, yr, tr = (np.repeat(a, counts, axis=0) for a in (xa, y, t))
-            want_value, want_grad = _negative_ll(theta, xr, yr, tr, np.log(tr), learn_shape)
-            assert_allclose(value, want_value, rtol=1e-12)
-            assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+            assert_allclose(value, _negative_ll(theta, xr, yr, tr, np.log(tr), learn_shape)[0],
+                            rtol=1e-12)
 
 
 class TestRecovery:
