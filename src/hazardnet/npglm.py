@@ -111,13 +111,12 @@ class _Runs(NamedTuple):
     events share one hazard jump at the run's first row.  ``y`` is the
     event weights with each run's total moved onto its first row (equal to
     the weights when every run is one row), ``starts`` the first row of
-    each run, ``obs`` the rows with an event, ``first`` the first row of
-    each one's run, and ``dt`` its time less the previous distinct time."""
+    each run, ``ev`` the first row of each run with events, and ``dt`` the
+    time at ``ev`` less the previous distinct time."""
 
     starts: np.ndarray
     y: np.ndarray
-    obs: np.ndarray
-    first: np.ndarray
+    ev: np.ndarray
     dt: np.ndarray
 
 
@@ -125,11 +124,10 @@ def _runs(t: np.ndarray, y: np.ndarray) -> _Runs:
     new = np.ones(len(t), dtype=bool)
     new[1:] = t[1:] != t[:-1]
     starts = np.flatnonzero(new)
-    obs = np.flatnonzero(y)
-    first = starts[np.cumsum(new)[obs] - 1]
     moved = np.zeros_like(y)
     moved[starts] = np.add.reduceat(y, starts)
-    return _Runs(starts, moved, obs, first, np.diff(t, prepend=0.0)[first])
+    ev = starts[moved[starts] > 0]
+    return _Runs(starts, moved, ev, np.diff(t, prepend=0.0)[ev])
 
 
 # Array-level pieces of the loss.  ``z`` is the clamped linear predictor
@@ -153,14 +151,12 @@ def _hazard(e: np.ndarray, y: np.ndarray):
 
 
 def _loss(z, e, H, y, runs: _Runs) -> float:
-    """sum(e H - y z) less the log baseline hazard at each event: the slope
-    of H from the previous distinct time to the first row of its run."""
-    dH = np.diff(H, prepend=0.0)[runs.first]
+    """sum(e H - y z) less each event run's events times its log baseline
+    hazard: the slope of H from the previous distinct time to the run."""
+    dH = H[runs.ev] - np.where(runs.ev > 0, H[runs.ev - 1], 0.0)
     if np.any(dH <= 0):
         raise ValueError("zero hazard increment at an observed event")
-    log_h = np.zeros_like(H)
-    log_h[runs.obs] = np.log(dH / runs.dt)
-    return float(np.sum(e * H - y * (z + log_h)))
+    return float(np.sum(e * H - y * z)) - float(np.sum(runs.y[runs.ev] * np.log(dH / runs.dt)))
 
 
 def _gradient(xt, e, H, y) -> np.ndarray:
@@ -500,17 +496,16 @@ def _profile(xa, xt, c, y, t):
     """``fit``'s objective, the profile loss over w less its bias, on rows weighing c."""
     cy = c * y
     runs = _runs(t, cy)
-    ev = runs.first[np.diff(runs.first, prepend=-1) > 0]  # where runs.y > 0
 
     def evaluate(v):
         z, ce = _linear(xa, np.append(v, 0.0))
         ce *= c
         risk, H = _hazard(ce, runs.y)
-        return _loss(z, ce, H, cy, runs), (ce, risk[ev], H)
+        return _loss(z, ce, H, cy, runs), (ce, risk[runs.ev], H)
 
     def derivatives(state):
         ce, S0, H = state
-        return _gradient(xt, ce, H, cy), _hessian(xt, ce, H, ev, S0, runs.y[ev])
+        return _gradient(xt, ce, H, cy), _hessian(xt, ce, H, runs.ev, S0, runs.y[runs.ev])
 
     def fields(v, state):  # one knot per distinct time
         return dict(w=np.append(v, 0.0), event_times=t[runs.starts], H=state[2][runs.starts])

@@ -22,7 +22,7 @@ from hazardnet.npglm import (
 )
 from hazardnet import npglm
 from hazardnet.npglm import (_counted, _fit_features, _gradient, _hazard, _hessian, _runs,
-                             _w_objective)
+                             _w_objective, augment)
 from hazardnet.synthetic import SynthConfig, generate
 
 
@@ -290,6 +290,73 @@ class TestProfile:
                 step[j] = eps
                 fd = (pieces(w + step)[3] - pieces(w - step)[3]) / (2 * eps)
                 assert_allclose(hess[:, j], fd, rtol=1e-5, atol=1e-7)
+
+
+def per_event_row_loss(w, H, ds):
+    """The loss summed per event row: each observed row adds the log slope
+    of H at the first row of its run, through an n-length log_h array."""
+    y = ds.y.astype(float)
+    z = np.clip(np.hstack([ds.x, np.ones((ds.n, 1))]) @ w, -50, 50)
+    new = np.append(True, ds.t[1:] != ds.t[:-1])
+    obs = np.flatnonzero(y)
+    first = np.flatnonzero(new)[np.cumsum(new)[obs] - 1]
+    log_h = np.zeros(ds.n)
+    log_h[obs] = np.log(np.diff(H, prepend=0.0)[first] / np.diff(ds.t, prepend=0.0)[first])
+    return float(np.sum(np.exp(z) * H - y * (z + log_h)))
+
+
+class TestEventRuns:
+    """The loss and the Hessian read one event structure, ``_Runs.ev``."""
+
+    def test_loss_matches_per_event_row_reference(self):
+        rng = np.random.default_rng(211)
+        for case in range(40):  # distinct times, then tied ones
+            n, d = int(rng.integers(2, 80)), int(rng.integers(1, 4))
+            if case < 20:
+                ds = random_dataset(rng, n, d)
+            else:
+                t, y, x = tied_rows(rng, n, d, 3, events=0.5)
+                y[0] = 1
+                ds = make_dataset(t, y, x)
+            w = rng.normal(size=d + 1)
+            H = compute_H(w, ds)
+            assert_allclose(loss(w, H, ds), per_event_row_loss(w, H, ds), rtol=1e-13)
+
+    def test_counted_weights_match_expanded_rows(self):
+        rng = np.random.default_rng(223)
+        for _ in range(20):
+            n, d = int(rng.integers(50, 400)), int(rng.integers(1, 3))
+            t, y, x = tied_rows(rng, n, d, 2, events=0.3)
+            y[0] = 1
+            rows, c = _counted(t, y, np.ascontiguousarray(x.T))
+            w = rng.normal(size=d + 1)
+            values = []
+            for weight, keep in ((1.0, slice(None)), (c, rows)):
+                z, e = npglm._linear(augment(x[keep]), w)
+                cy = weight * y[keep]
+                runs = _runs(t[keep], cy)
+                H = _hazard(weight * e, runs.y)[1]
+                values.append(npglm._loss(z, weight * e, H, cy, runs))
+            assert_allclose(values[1], values[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("t, y, ev", [
+        ([1.0, 2.0, 2.0, 3.0], [1, 0, 0, 1], [0, 3]),  # event on row 0
+        ([1.0, 1.0, 2.0, 2.0, 3.0], [0, 0, 0, 1, 1], [2, 4]),  # a run of censored rows only
+        ([1.0, 2.0, 2.0], [0, 0, 0], []),  # no events
+        ([1.0, 1.0, 1.0, 4.0], [0, 1, 1, 0], [0]),  # events off a run's first row
+        ([1.0, 2.0, 2.0, 5.0], [2.0, 0.0, 3.0, 0.0], [0, 1]),  # counted weights
+    ])
+    def test_ev_is_the_first_row_of_each_run_with_events(self, t, y, ev):
+        runs = _runs(np.asarray(t), np.asarray(y, dtype=float))
+        assert_array_equal(runs.ev, ev)
+        assert_array_equal(runs.ev, np.flatnonzero(runs.y))
+        assert_array_equal(runs.dt, np.diff(t, prepend=0.0)[ev])
+
+    def test_event_on_row_zero_takes_its_hazard_from_zero(self):
+        ds = make_dataset([2.0, 3.0, 3.0], [1, 1, 0])
+        H = compute_H(np.zeros(1), ds)  # [1/3, 1/3 + 1/2, 1/3 + 1/2]
+        expected = np.sum(H) - np.log((1 / 3) / 2.0) - np.log((1 / 2) / 1.0)
+        assert_allclose(loss(np.zeros(1), H, ds), expected, rtol=1e-14)
 
 
 class TestFitMatchesPartialLikelihoodOracle:
