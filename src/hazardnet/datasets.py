@@ -77,8 +77,11 @@ class WindowConfig:
         return self.t0 + self.phi + self.omega
 
     def snapshot_plan(self) -> np.ndarray:
-        """The k+1 snapshot times t0, t0+delta, ..., t0+k*delta."""
-        return self.t0 + self.delta * np.arange(self.k + 1)
+        """The k+1 snapshot times t0, t0+delta, ..., t0+(k-1)*delta and
+        ``feature_end``, which t0+k*delta may miss by a rounding error."""
+        times = self.t0 + self.delta * np.arange(self.k + 1)
+        times[-1] = self.feature_end
+        return times
 
 
 def _header(d: int) -> list[str]:
@@ -152,8 +155,8 @@ class Dataset:
 
 def _sort_order(t, y, pairs):
     # ascending t; observed (y=1) before censored on ties; pair id last
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return np.lexsort((pairs[:, 1], pairs[:, 0], -y, t))
+    rows, cols = _pair_columns(pairs)
+    return np.lexsort((cols, rows, -y, t))
 
 
 class PrefixCache:
@@ -167,15 +170,21 @@ class PrefixCache:
         return 0
 
 
+def _pair_columns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column int64 index arrays of ``pairs``; one list pass per
+    column is faster than numpy's conversion of the list of tuples."""
+    return (np.asarray([p[0] for p in pairs], dtype=np.int64),
+            np.asarray([p[1] for p in pairs], dtype=np.int64))
+
+
 def pair_arrays(pairs, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of ``pairs``.
+    """Row and column index arrays of ``pairs`` (``_pair_columns``).
 
     A pair outside ``[0, shape[0]) x [0, shape[1])`` raises DatasetError
     naming the first such pair: a negative index would otherwise wrap
     around to another node.
     """
-    rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    rows, cols = _pair_columns(pairs)
     outside = (rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])
     if outside.any():
         i = int(np.argmax(outside))

@@ -46,10 +46,13 @@ __all__ = [
 # features keep fits far from the boundary.
 _CLAMP = 50.0
 
-# Samples per block of the Hessian product.  At d = 10 a block and its
-# weighted copy (0.7 MB) stay in a 2 MB L2 cache, where one full-width
-# product at 1e5 rows streams an 8.8 MB temporary through memory.
-_HESSIAN_BLOCK = 4096
+# Matrix elements per block of a BLAS product over the samples (``_blocks``).
+# The OpenBLAS 0.3.31 in numpy 2.4's wheels hands a matrix-vector product
+# of 460,800 elements or more to a worker thread, which then spins between
+# calls; where it shares the fit's core, all of the fit runs at half speed.
+# Blocks this size stay on the calling thread, and at d = 10 a block and
+# its weighted copy (0.5 MB) stay in a 2 MB L2 cache.
+_BLOCK = 1 << 15
 
 
 def link_g(z):
@@ -137,8 +140,18 @@ def _runs(t: np.ndarray, y: np.ndarray) -> _Runs:
 # rows (``_counted``): given c e for e and c y for y, where c counts the
 # equal rows merged into each, it returns the per-row sums.
 
+def _blocks(n: int, width: int):
+    """Slices of range(n) of _BLOCK // width each, for products whose
+    other dimension is ``width``."""
+    step = max(_BLOCK // max(width, 1), 1)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def _linear(xa: np.ndarray, w: np.ndarray):
-    z = np.clip(xa @ w, -_CLAMP, _CLAMP)
+    z = np.empty(len(xa))
+    for rows in _blocks(*xa.shape):
+        np.matmul(xa[rows], w, out=z[rows])
+    np.clip(z, -_CLAMP, _CLAMP, out=z)
     return z, np.exp(z)
 
 
@@ -162,7 +175,15 @@ def _loss(z, e, H, y, runs: _Runs) -> float:
 def _gradient(xt, e, H, y) -> np.ndarray:
     """xt (e H - y): the gradient of the loss over w at fixed H; at the
     Breslow H(w) also the gradient of the profile loss (envelope theorem)."""
-    return xt @ (e * H - y)
+    return _matvec(xt, e * H - y)
+
+
+def _matvec(xt, r) -> np.ndarray:
+    """xt @ r, summed over column blocks (``_blocks``)."""
+    out = np.zeros(len(xt))
+    for cols in _blocks(len(r), len(xt)):
+        out += xt[:, cols] @ r[cols]
+    return out
 
 
 def _hessian(xt, e, H, ev, S0, d) -> np.ndarray:
@@ -177,14 +198,14 @@ def _hessian(xt, e, H, ev, S0, d) -> np.ndarray:
     """
     S1 = np.add.reduceat(xt * e, ev, axis=1)[:, ::-1].cumsum(axis=1)[:, ::-1]
     m = S1 / S0
-    return _gram(xt, e * H, -((m * d) @ m.T))
+    return _gram(xt, e * H, _gram(m, -d, np.zeros((len(xt), len(xt)))))
 
 
 def _gram(xt, s, out):
-    """Add xt diag(s) xt.T to ``out``, over column blocks that stay in cache."""
-    for lo in range(0, len(s), _HESSIAN_BLOCK):
-        block = xt[:, lo:lo + _HESSIAN_BLOCK]
-        out += (block * s[lo:lo + _HESSIAN_BLOCK]) @ block.T
+    """Add xt diag(s) xt.T to ``out``, over column blocks (``_blocks``)."""
+    for cols in _blocks(len(s), len(xt)):
+        block = xt[:, cols]
+        out += (block * s[cols]) @ block.T
     return out
 
 
@@ -528,7 +549,7 @@ def _parametric(xa, xat, c, y, t, learn_shape):
         _gram(xat, s, hess[:d, :d])
         if learn_shape:
             r = np.exp(theta[-1]) * log_t
-            hess[-1, :-1] = hess[:-1, -1] = xat @ (s * r)
+            hess[-1, :-1] = hess[:-1, -1] = _matvec(xat, s * r)
             hess[-1, -1] = np.sum(s * r * (1.0 + r) - c * y * r)
         return grad, hess
 
@@ -589,7 +610,7 @@ def _terms(theta, xa, y, t, log_t, learn_shape, c=1.0):
     s *= c
     cy = c * y
     value = float(np.sum(s - cy * z)) - float(np.sum(cy * (log_a + (a - 1.0) * log_t)))
-    grad = xa.T @ (s - cy)
+    grad = _matvec(xa.T, s - cy)
     if learn_shape:
         r = a * log_t  # d log(t**a) / d log a
         grad = np.append(grad, np.sum((s - cy) * r) - np.sum(cy))

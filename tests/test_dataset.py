@@ -43,6 +43,21 @@ class TestWindowConfig:
         w = WindowConfig(t0=0.5, phi=2.0, omega=1.0, delta=0.5, k=4)
         assert_array_equal(w.snapshot_plan(), [0.5, 1.0, 1.5, 2.0, 2.5])
 
+    def test_last_snapshot_is_the_feature_end(self):
+        # 3 * 0.1 is 0.30000000000000004, within the tolerance of phi = 0.3;
+        # a link born at 0.3 counts at that time but not at the feature end
+        w = WindowConfig(t0=0, phi=0.3, omega=1, delta=0.1, k=3)
+        assert_array_equal(w.snapshot_plan(), [0.0, 0.1, 0.2, 0.3])
+        g = TemporalGraph(Schema(("A", "P"), (LinkType("write", "A", "P"),)))
+        for a, p, birth in (("a0", "p0", 0.1), ("a1", "p0", 0.1), ("a0", "p1", 0.3),
+                            ("a1", "p1", 0.3), ("a0", "p2", 0.5)):
+            g.add_link("write", a, p, birth)
+        g = g.freeze()
+        path = parse_metapath("write> <write", g.schema)
+        (series,) = dynamic_series(g, [path], w.snapshot_plan(), [(0, 1)])
+        end = metapath_matrix(g, path, w.feature_end)[0, 1]
+        assert series.counts[-1].tolist() == [end] == [1]
+
     @pytest.mark.parametrize("kwargs", [
         dict(t0=0, phi=0.0, omega=1, delta=1, k=1),
         dict(t0=0, phi=1.0, omega=0.0, delta=1, k=1),

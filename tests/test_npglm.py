@@ -359,6 +359,30 @@ class TestEventRuns:
         assert_allclose(loss(np.zeros(1), H, ds), expected, rtol=1e-14)
 
 
+class TestBlockedProducts:
+    """Products over the samples run in blocks of at most ``_BLOCK``
+    elements, which OpenBLAS keeps on the calling thread."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 15])
+    def test_match_whole_products(self, monkeypatch, block):
+        monkeypatch.setattr(npglm, "_BLOCK", block)
+        rng = np.random.default_rng(307)
+        for n, d in ((1, 1), (50, 3), (1000, 0), (1000, 10)):
+            xa = augment(rng.normal(size=(n, d)))
+            w, r = rng.normal(size=d + 1), rng.normal(size=n)
+            assert_allclose(npglm._linear(xa, w)[0], xa @ w, rtol=1e-12, atol=1e-12)
+            assert_allclose(npglm._matvec(xa.T, r), xa.T @ r, rtol=1e-12, atol=1e-12)
+            gram = npglm._gram(xa.T, r, np.zeros((d + 1, d + 1)))
+            assert_allclose(gram, (xa.T * r) @ xa, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [0, 1, 3, 11, 40])
+    def test_blocks_cover_the_samples_once(self, width):
+        blocks = npglm._blocks(100_000, width)
+        covered = np.concatenate([np.arange(100_000)[b] for b in blocks])
+        assert_array_equal(covered, np.arange(100_000))
+        assert all((b.stop - b.start) * width <= npglm._BLOCK for b in blocks)
+
+
 class TestFitMatchesPartialLikelihoodOracle:
     """The Newton fit lands where L-BFGS-B on the partial likelihood does."""
 
