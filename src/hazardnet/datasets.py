@@ -57,6 +57,9 @@ class WindowConfig:
     k: int
 
     def __post_init__(self):
+        for name in ("t0", "delta", "phi", "omega"):  # delta first: the CLI derives phi
+            if not np.isfinite(getattr(self, name)):
+                raise DatasetError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.phi > 0:
             raise DatasetError("phi must be positive")
         if not self.omega > 0:
@@ -223,18 +226,20 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     outside the node index range raises DatasetError.  ``cache`` is
     accepted and ignored.
 
-    Counts change only at link births, so the change points are the
-    births of the target's link types inside the observation window, and
-    each is evaluated at a snapshot tau strictly before the next birth.
-    One full count matrix, at the feature-window end, gives the pairs
-    already related.  After that only the links born at each change point
-    b are walked: the pairs that can become related at b are the
-    endpoints of instances alive at its tau that use a link born at b.
-    This is exact with link deaths.  Take a pair first related at tau_k
-    through an instance that uses no link born at b_k.  Its links were
-    all born before b_k, so before tau_{k-1}, as no birth falls between
-    the two; and none dies before tau_k > tau_{k-1}.  So the instance was
-    alive at tau_{k-1}, and the pair was related there.
+    Instances appear only at link births, so a pair forms at the first
+    change point b after which one of its instances is alive: the
+    feature-window end or a birth of the target's link types inside the
+    observation window.  Each b is checked at tau = nextafter(b), where
+    the links alive are exactly those born at or before b that die after
+    b.  One full count matrix, at the first tau, gives the pairs already
+    related.  After that only the links born at each b are walked: the
+    pairs that can become related at b are the endpoints of instances
+    alive at its tau that use a link born at b.  This is exact with link
+    deaths.  Take a pair first related at tau_k through an instance that
+    uses no link born at b_k.  Its links were all born at or before
+    b_{k-1}, as no birth falls between the two, and none dies at or
+    before b_k.  So the instance was alive at tau_{k-1}, and the pair was
+    related there.
     """
     if not candidates:
         raise DatasetError("empty candidate list")
@@ -247,16 +252,13 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     # target's constituent link types inside the observation window.
     births = graph.birth_times(step_types)
     points = np.append(t_end, births[(births > t_end) & (births <= window.observation_end)])
-    # Counts only change at link births, so a snapshot strictly between a
-    # change point and the next birth sees exactly the links born up to
-    # and including the change point.
-    later = np.append(births, np.inf)[np.searchsorted(births, points, side="right")]
-    taus = np.where(np.isfinite(later), (points + later) / 2.0, points + 1.0)
+    # Each change point is checked at the instant after it.
+    taus = np.nextafter(points, np.inf)
 
     # Distinct candidates as sorted keys row * n_cols + col; ``copies``
     # maps every candidate, duplicates included, to its key.
     keys, copies = np.unique(rows * n_cols + cols, return_inverse=True)
-    # Already related by the end of the feature window (instance born <= t_end).
+    # Already related at the feature-window end: an instance alive just after it.
     related0 = metapath_counts(graph, target, float(taus[0])).at(keys) > 0
     first_time = np.full(len(keys), np.inf)
     for b, start, end in new_instance_pairs(graph, target, points, taus):

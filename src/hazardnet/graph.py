@@ -172,6 +172,9 @@ class TemporalGraph:
         if self._frozen:
             raise GraphError("graph is frozen; links cannot be added after load")
         lt = self.schema.link_type(link_type)
+        for field, node_id in (("src", src_id), ("dst", dst_id)):
+            if not str(node_id).strip():
+                raise GraphError(f"link {link_type}: blank {field} node id {node_id!r}")
         birth = _timestamp("birth", birth)
         death = np.inf if death is None else _timestamp("death", death)
         if death <= birth:

@@ -163,6 +163,14 @@ class TestFeatures:
         args[args.index("--t0") + 1] = 100.0
         assert run(*args) == 2
 
+    @pytest.mark.parametrize("option, value", [("--t0", "nan"), ("--omega", "inf"),
+                                               ("--delta", "inf")])
+    def test_non_finite_window_exits_2(self, fixture_dir, tmp_path, caplog, option, value):
+        args = list(self.feature_args(fixture_dir, tmp_path / "f.csv"))
+        args[args.index(option) + 1] = value
+        assert run(*args) == 2
+        assert f"{option[2:]} must be finite, got {float(value)!r}" in caplog.text
+
 
 @pytest.fixture
 def synth_dir(tmp_path):

@@ -69,6 +69,17 @@ class TestWindowConfig:
         with pytest.raises(DatasetError):
             WindowConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("t0", dict(t0=np.nan, phi=1.0, omega=1, delta=1, k=1)),
+        ("t0", dict(t0=-np.inf, phi=1.0, omega=1, delta=1, k=1)),
+        ("phi", dict(t0=0, phi=np.inf, omega=1, delta=1, k=1)),
+        ("delta", dict(t0=0, phi=np.inf, omega=1, delta=np.inf, k=1)),
+        ("omega", dict(t0=0, phi=1.0, omega=np.inf, delta=1, k=1)),
+    ])
+    def test_non_finite_field_named(self, field, kwargs):
+        with pytest.raises(DatasetError, match=rf"^{field} must be finite, got "):
+            WindowConfig(**kwargs)
+
 
 class TestStandardization:
     """The fits standardize a dataset's features with ``_fit_features``;
@@ -317,12 +328,11 @@ class TestCandidatePairs:
 
 def change_points(graph, target, window):
     """The feature-window end and the target's link births in the
-    observation window, each with its snapshot tau before the next birth."""
+    observation window, each with its tau, the instant after it."""
     t_end = window.feature_end
     births = graph.birth_times(sorted({name for name, _ in target.steps}))
     points = np.append(t_end, births[(births > t_end) & (births <= window.observation_end)])
-    later = np.append(births, np.inf)[np.searchsorted(births, points, side="right")]
-    return points, np.where(np.isfinite(later), (points + later) / 2.0, points + 1.0)
+    return points, np.nextafter(points, np.inf)
 
 
 def label_pairs_oracle(graph, target, window, candidates):
@@ -349,7 +359,7 @@ def label_pairs_oracle(graph, target, window, candidates):
 
 def dying_graph(rng):
     """Random graph on a half-unit birth grid where many links die 0.1 after
-    a grid point: before the snapshot of a change point born there."""
+    a grid point: after a change point born there, before the next birth."""
     sizes = {"A": int(rng.integers(2, 8)), "P": int(rng.integers(2, 8)),
              "V": int(rng.integers(1, 3))}
     g = TemporalGraph(GRAPH_SCHEMA)
@@ -368,14 +378,25 @@ def dying_graph(rng):
     return g.freeze()
 
 
-def deaths_before_snapshot(graph, target, window):
-    """Links of the target's types that die between a change point in the
-    observation window and its snapshot tau."""
-    points, taus = change_points(graph, target, window)
-    deaths = np.concatenate([graph.links_of(name).death
-                             for name in {name for name, _ in target.steps}])
-    return int(sum(((deaths > b) & (deaths < tau)).sum()
-                   for b, tau in zip(points[1:], taus[1:])))
+def deaths_before_next_birth(graph, target, window):
+    """Links of the target's types that die after a change point, the
+    feature-window end included, and before the next birth of those types:
+    an instance they end is alive only just after the change point."""
+    step_types = sorted({name for name, _ in target.steps})
+    points, _ = change_points(graph, target, window)
+    births = graph.birth_times(step_types)
+    later = np.append(births, np.inf)[np.searchsorted(births, points, side="right")]
+    deaths = np.concatenate([graph.links_of(name).death for name in step_types])
+    return int(sum(((deaths > b) & (deaths < nxt)).sum()
+                   for b, nxt in zip(points, later) if np.isfinite(nxt)))
+
+
+def random_window(rng):
+    """A window of k = 1 or 2 snapshots, starting in [0, 5)."""
+    k = int(rng.integers(1, 3))
+    delta = float(rng.choice([0.5, 1.0, 2.0]))
+    return WindowConfig(t0=float(rng.uniform(0, 5)), phi=k * delta,
+                        omega=float(rng.uniform(0.5, 6)), delta=delta, k=k)
 
 
 class TestLabelPairsMatchesOracle:
@@ -387,10 +408,7 @@ class TestLabelPairsMatchesOracle:
         for i in range(n):
             g = random_graph(rng) if i % 2 else dying_graph(rng)
             target = parse_metapath(AUTHOR_PATHS[i % len(AUTHOR_PATHS)], GRAPH_SCHEMA)
-            k = int(rng.integers(1, 3))
-            delta = float(rng.choice([0.5, 1.0, 2.0]))
-            window = WindowConfig(t0=float(rng.uniform(0, 5)), phi=k * delta,
-                                  omega=float(rng.uniform(0.5, 6)), delta=delta, k=k)
+            window = random_window(rng)
             n_a = g.node_count("A")
             cands = [(a, b) for a in range(n_a) for b in range(n_a)]
             cands += [cands[j] for j in rng.integers(len(cands), size=len(cands) // 3)]
@@ -404,7 +422,7 @@ class TestLabelPairsMatchesOracle:
             assert label_pairs(g, target, window, cands) == want, (target.expr, window)
             targets.add(target.expr)
             observed += sum(y for _, y, _ in want)
-            dying += deaths_before_snapshot(g, target, window)
+            dying += deaths_before_next_birth(g, target, window)
         assert targets == set(AUTHOR_PATHS)
         assert observed > 500 and dying > 100, (observed, dying)
 
@@ -413,6 +431,51 @@ class TestLabelPairsMatchesOracle:
             cands = sorted(set(cands))
             assert label_pairs(g, target, window, cands) == \
                 label_pairs_oracle(g, target, window, cands)
+
+
+def with_coauthorship(graph, birth):
+    """A copy of ``graph`` (node ids are the indices) plus one paper written
+    at ``birth`` by two new authors."""
+    g = TemporalGraph(GRAPH_SCHEMA)
+    for node_type in GRAPH_SCHEMA.node_types:
+        for i in range(graph.node_count(node_type)):
+            g.node_index(node_type, str(i))
+    for lt in GRAPH_SCHEMA.link_types:
+        store = graph.links_of(lt.name)
+        for src, dst, b, d in zip(store.src, store.dst, store.birth, store.death):
+            g.add_link(lt.name, str(src), str(dst), b, d if np.isfinite(d) else None)
+    g.add_link("write", "new author 0", "new paper", birth)
+    g.add_link("write", "new author 1", "new paper", birth)
+    return g.freeze()
+
+
+class TestLabelInstant:
+    """A pair is labeled at the first change point after which one of its
+    target instances is alive; links of other pairs never matter."""
+
+    @pytest.mark.parametrize("unrelated_birth", [12.2, 18.0])
+    def test_unrelated_birth_leaves_label(self, unrelated_birth):
+        # a0 and a1 co-author p0 at 12.0, and a0's link dies at 12.5
+        g = TemporalGraph(GRAPH_SCHEMA)
+        g.add_link("write", "a0", "p0", 12.0, 12.5)
+        g.add_link("write", "a1", "p0", 12.0)
+        g.add_link("write", "a2", "p1", unrelated_birth)
+        g.add_link("write", "a3", "p1", unrelated_birth)
+        window = WindowConfig(t0=0.0, phi=10.0, omega=10.0, delta=5.0, k=2)
+        path = parse_metapath("write> <write", GRAPH_SCHEMA)
+        assert label_pairs(g.freeze(), path, window, [(0, 1)]) == [((0, 1), 1, 2.0)]
+
+    def test_new_coauthorship_leaves_every_label(self):
+        rng = np.random.default_rng(5)
+        for i in range(300):
+            g = dying_graph(rng)
+            target = parse_metapath(AUTHOR_PATHS[i % len(AUTHOR_PATHS)], GRAPH_SCHEMA)
+            window = random_window(rng)
+            birth = float(rng.uniform(window.feature_end, window.observation_end))
+            n_a = g.node_count("A")
+            cands = [(a, b) for a in range(n_a) for b in range(n_a)]
+            assert label_pairs(with_coauthorship(g, birth), target, window, cands) == \
+                label_pairs(g, target, window, cands), (i, target.expr, window, birth)
 
 
 class TestPairRange:

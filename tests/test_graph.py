@@ -146,6 +146,14 @@ class TestTemporalGraph:
         with pytest.raises(GraphError):
             g.add_link("write", "a0", "p0", float("nan"))
 
+    @pytest.mark.parametrize("field, src, dst", [("src", "", "p0"), ("src", " \t", "p0"),
+                                                 ("dst", "a0", " ")])
+    def test_blank_node_id_rejected(self, field, src, dst):
+        g = TemporalGraph(SCHEMA)
+        with pytest.raises(GraphError, match=f"blank {field} node id"):
+            g.add_link("write", src, dst, 1.0)
+        assert g.node_count("A") == g.node_count("P") == 0
+
     def test_link_count(self):
         g = small_graph()
         assert g.link_count == 4
@@ -184,6 +192,15 @@ class TestLoadGraph:
     def test_unknown_link_type_with_line_number(self):
         with pytest.raises(GraphError, match="line 1"):
             load_graph(SCHEMA, ["publish\tv\tp\t1.0"])
+
+    @pytest.mark.parametrize("record, message", [
+        ("write\t\tp0\t1.0", "line 2: link write: blank src node id ''"),
+        ("write\ta1\t \t1.0", "line 2: link write: blank dst node id ' '"),
+    ])
+    def test_blank_node_id_with_line_number(self, record, message):
+        with pytest.raises(GraphError) as excinfo:
+            load_graph(SCHEMA, ["write\ta0\tp0\t1.0", record])
+        assert str(excinfo.value) == message
 
     def test_load_graph_file_names_file(self, tmp_path):
         path = tmp_path / "edges.tsv"
