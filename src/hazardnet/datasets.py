@@ -200,11 +200,9 @@ def candidate_pairs(graph: TemporalGraph, feature_paths: list[MetaPath],
                     window: WindowConfig,
                     cache: PrefixCache | None = None) -> list[tuple[int, int]]:
     """Pairs with at least one nonzero feature count at the feature-window end,
-    sorted.  The paths must share endpoint types; ``cache`` is accepted and
-    ignored.
+    sorted.  There must be at least one path, and all must share endpoint
+    types; ``cache`` is accepted and ignored.
     """
-    if not feature_paths:
-        return []
     n_cols = graph.node_count(endpoint_types(feature_paths)[1])
     # counts are positive, so the pairs are the union of the paths' entries
     keys = _distinct(np.concatenate([metapath_counts(graph, path, window.feature_end).keys
@@ -227,41 +225,32 @@ def label_pairs(graph: TemporalGraph, target: MetaPath, window: WindowConfig,
     accepted and ignored.
 
     Instances appear only at link births, so a pair forms at the first
-    change point b after which one of its instances is alive: the
-    feature-window end or a birth of the target's link types inside the
-    observation window.  Each b is checked at tau = nextafter(b), where
-    the links alive are exactly those born at or before b that die after
-    b.  One full count matrix, at the first tau, gives the pairs already
-    related.  After that only the links born at each b are walked: the
-    pairs that can become related at b are the endpoints of instances
-    alive at its tau that use a link born at b.  This is exact with link
-    deaths.  Take a pair first related at tau_k through an instance that
-    uses no link born at b_k.  Its links were all born at or before
-    b_{k-1}, as no birth falls between the two, and none dies at or
-    before b_k.  So the instance was alive at tau_{k-1}, and the pair was
-    related there.
+    birth b after which one of its instances is alive, checked at
+    nextafter(b), where the links alive are those born at or before b
+    that die after b.  One full count matrix, just after the
+    feature-window end, gives the pairs already related.  Then each link
+    of the target's types born in the observation window is walked just
+    after its own birth, and a pair's label is the earliest birth from
+    which it is reached.  This is exact with link deaths.  Take a pair
+    first related at some tau after the window end, and let b < tau be the
+    birth of the last-born link of an instance alive at tau.  Each of its
+    links is born at or before b and dies at or after tau, so the instance
+    is alive at nextafter(b): the pair was related at the window end, or
+    the walk from that link reaches it at b if b is in the window.
     """
     if not candidates:
         raise DatasetError("empty candidate list")
-    step_types = sorted({name for name, _ in target.steps})
     n_cols = graph.node_count(target.target)
     rows, cols = pair_arrays(candidates, (graph.node_count(target.source), n_cols))
 
     t_end = window.feature_end
-    # Change points: the feature-window end, then the births of the
-    # target's constituent link types inside the observation window.
-    births = graph.birth_times(step_types)
-    points = np.append(t_end, births[(births > t_end) & (births <= window.observation_end)])
-    # Each change point is checked at the instant after it.
-    taus = np.nextafter(points, np.inf)
-
     # Distinct candidates as sorted keys row * n_cols + col; ``copies``
     # maps every candidate, duplicates included, to its key.
     keys, copies = np.unique(rows * n_cols + cols, return_inverse=True)
     # Already related at the feature-window end: an instance alive just after it.
-    related0 = metapath_counts(graph, target, float(taus[0])).at(keys) > 0
+    related0 = metapath_counts(graph, target, float(np.nextafter(t_end, np.inf))).at(keys) > 0
     first_time = np.full(len(keys), np.inf)
-    for b, start, end in new_instance_pairs(graph, target, points, taus):
+    for b, start, end in new_instance_pairs(graph, target, t_end, window.observation_end):
         found = start * n_cols + end
         at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
         hit = keys[at] == found

@@ -175,6 +175,8 @@ class TemporalGraph:
         for field, node_id in (("src", src_id), ("dst", dst_id)):
             if not str(node_id).strip():
                 raise GraphError(f"link {link_type}: blank {field} node id {node_id!r}")
+            if str(node_id).strip() != str(node_id):
+                raise GraphError(f"link {link_type}: whitespace-padded {field} node id {node_id!r}")
         birth = _timestamp("birth", birth)
         death = np.inf if death is None else _timestamp("death", death)
         if death <= birth:
@@ -350,15 +352,20 @@ class CountMatrix:
                             shape=self.shape)
 
 
+def _alive(birth, death, tau):
+    """Whether a link is alive at ``tau``: born before it, dead at or after it."""
+    return (birth < tau) & (tau <= death)
+
+
 def adjacency_counts(graph: TemporalGraph, link_type: str, tau: float) -> CountMatrix:
-    """Count matrix of links alive at ``tau``: birth < tau and tau <= death.
+    """Count matrix of the links alive at ``tau`` (``_alive``).
 
     Entry (a, b) counts the parallel links of this type between a and b.
     """
     lt = graph.schema.link_type(link_type)
     store = graph.links_of(link_type)
     shape = (graph.node_count(lt.src), graph.node_count(lt.dst))
-    alive = (store.birth < tau) & (tau <= store.death)
+    alive = _alive(store.birth, store.death, tau)
     return CountMatrix.from_entries(store.src[alive], store.dst[alive],
                                     np.ones(int(alive.sum()), dtype=np.int64), shape)
 

@@ -6,9 +6,9 @@ backward.  Its count matrix at a timestamp is the left-to-right product
 of the per-step adjacency ``CountMatrix`` at that timestamp, in numpy
 int64; even-length palindromic paths are folded to ``X @ X.T`` of their
 half product.  No product is kept between calls.  The instances that use
-newly born links are found by a walk from those links alone, with no
-product at all; it expands its frontier with the same CSR grouping and
-``_ranges`` as the product.
+a newly born link are found by a walk from that link alone, at the
+instant after its birth, with no product at all; it expands its frontier
+with the same CSR grouping and ``_ranges`` as the product.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from operator import matmul
 
 import numpy as np
 
-from .graph import (CountMatrix, GraphError, Schema, TemporalGraph, _distinct, _indptr,
-                    _ranges, adjacency_counts)
+from .graph import (CountMatrix, GraphError, Schema, TemporalGraph, _alive, _distinct,
+                    _indptr, _ranges, adjacency_counts)
 
 __all__ = [
     "MetaPath",
@@ -166,7 +166,7 @@ class _Hops:
         pos = _ranges(start, count)
         tag = np.repeat(tag, count)
         tau = tag_tau[tag]
-        alive = (self.birth[pos] < tau) & (tau <= self.death[pos])
+        alive = _alive(self.birth[pos], self.death[pos], tau)
         key = _distinct(tag[alive] * self.n_nbr + self.nbr[pos[alive]])
         return key // self.n_nbr, key % self.n_nbr
 
@@ -175,11 +175,11 @@ class _Hops:
 _LINK_BATCH = 512
 
 
-def new_instance_pairs(graph: TemporalGraph, path: MetaPath, points, taus):
-    """Yield (b, start, end) arrays of the instances of ``path`` that use a
-    link born at a change point ``b = points[m]``, m >= 1, with every link
-    alive at that change point's snapshot ``taus[m]``.  ``points`` must hold
-    every birth of the path's link types in ``(points[0], points[-1]]``.
+def new_instance_pairs(graph: TemporalGraph, path: MetaPath, start: float, stop: float):
+    """Yield (b, src, dst) arrays: for each instance of ``path`` that uses a
+    link born at b in ``(start, stop]`` and is alive at the instant after
+    b, ``nextafter(b)``, that birth and the instance's end nodes.  The links
+    alive then are those born at or before b that die after it.
 
     A new link at step i is walked backward over steps i-1..1 and forward
     over steps i+1..L; frontier rows carry the index of the link they
@@ -202,15 +202,15 @@ def new_instance_pairs(graph: TemporalGraph, path: MetaPath, points, taus):
 
     for i, (name, direction) in enumerate(steps):
         store = graph.links_of(name)
-        new = np.flatnonzero((store.birth > points[0]) & (store.birth <= points[-1]))
-        point = np.searchsorted(points, store.birth[new])  # exact: births are points
-        alive = store.death[new] >= taus[point]
-        new, point = new[alive], point[alive]
+        new = np.flatnonzero((store.birth > start) & (store.birth <= stop))
+        # a link is alive at the instant after its birth, as add_link keeps death > birth
+        birth = store.birth[new]
+        tau = np.nextafter(birth, np.inf)
         first, last = ((store.src, store.dst) if direction == FORWARD
                        else (store.dst, store.src))
         for lo in range(0, len(new), _LINK_BATCH):
-            links, tag_point = new[lo:lo + _LINK_BATCH], point[lo:lo + _LINK_BATCH]
-            tag_tau = taus[tag_point]
+            batch = slice(lo, lo + _LINK_BATCH)
+            links, tag_tau = new[batch], tau[batch]
             tags = np.arange(len(links))
             back_tag, back_node = tags, first[links]
             for step in reversed(steps[:i]):
@@ -221,7 +221,7 @@ def new_instance_pairs(graph: TemporalGraph, path: MetaPath, points, taus):
             # join the walks on their tag; fwd_tag is sorted
             at = np.searchsorted(fwd_tag, back_tag, side="left")
             count = np.searchsorted(fwd_tag, back_tag, side="right") - at
-            yield (points[np.repeat(tag_point[back_tag], count)],
+            yield (np.repeat(birth[batch][back_tag], count),
                    np.repeat(back_node, count), fwd_node[_ranges(at, count)])
 
 

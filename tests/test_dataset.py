@@ -325,6 +325,14 @@ class TestCandidatePairs:
             candidate_pairs(g, paths, WindowConfig(t0=0.0, phi=4.0, omega=2.0,
                                                    delta=2.0, k=2))
 
+    def test_no_paths_rejected_like_dynamic_series(self):
+        g = random_graph(np.random.default_rng(0))
+        window = WindowConfig(t0=0.0, phi=4.0, omega=2.0, delta=2.0, k=2)
+        with pytest.raises(MetaPathError, match="at least one meta-path is required"):
+            candidate_pairs(g, [], window)
+        with pytest.raises(MetaPathError, match="at least one meta-path is required"):
+            dynamic_series(g, [], window.snapshot_plan(), [(0, 0)])
+
 
 def change_points(graph, target, window):
     """The feature-window end and the target's link births in the

@@ -154,6 +154,16 @@ class TestTemporalGraph:
             g.add_link("write", src, dst, 1.0)
         assert g.node_count("A") == g.node_count("P") == 0
 
+    @pytest.mark.parametrize("field, src, dst", [("src", "a0 ", "p0"), ("src", "\ta0", "p0"),
+                                                 ("dst", "a0", " p0 ")])
+    def test_padded_node_id_rejected(self, field, src, dst):
+        g = TemporalGraph(SCHEMA)
+        node_id = src if field == "src" else dst
+        with pytest.raises(GraphError) as excinfo:
+            g.add_link("write", src, dst, 1.0)
+        assert str(excinfo.value) == f"link write: whitespace-padded {field} node id {node_id!r}"
+        assert g.node_count("A") == g.node_count("P") == 0
+
     def test_link_count(self):
         g = small_graph()
         assert g.link_count == 4
@@ -196,6 +206,8 @@ class TestLoadGraph:
     @pytest.mark.parametrize("record, message", [
         ("write\t\tp0\t1.0", "line 2: link write: blank src node id ''"),
         ("write\ta1\t \t1.0", "line 2: link write: blank dst node id ' '"),
+        ("write\ta0 \tp1\t2.0", "line 2: link write: whitespace-padded src node id 'a0 '"),
+        ("write\ta1\t p0\t2.0", "line 2: link write: whitespace-padded dst node id ' p0'"),
     ])
     def test_blank_node_id_with_line_number(self, record, message):
         with pytest.raises(GraphError) as excinfo:

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_array_equal
 
+from hazardnet import metapaths
 from hazardnet.datasets import PairSeries, PrefixCache, WindowConfig, dynamic_series
 from hazardnet.graph import LinkType, Schema, TemporalGraph, time_aware_adjacency
 from hazardnet.metapaths import (
@@ -12,6 +13,7 @@ from hazardnet.metapaths import (
     MetaPathError,
     metapath_counts,
     metapath_matrix,
+    new_instance_pairs,
     parse_metapath,
     read_metapath_file,
 )
@@ -262,6 +264,96 @@ class TestCountEngine:
         dense = metapath_matrix(g, p, 5.0).todense()
         keys = np.arange(dense.size)
         assert_array_equal(m.at(keys), dense.ravel())
+
+
+def instance_pairs_oracle(graph, path, start, stop):
+    """The (b, src, dst) triples ``new_instance_pairs`` must yield, by
+    enumerating every instance link by link: one triple per link of an
+    instance born at b in (start, stop] while every link of the instance
+    is alive at nextafter(b)."""
+    hops = []  # per step: node -> [(next node, birth, death)] over its links
+    for name, direction in path.steps:
+        store = graph.links_of(name)
+        first, last = (store.src, store.dst) if direction == FORWARD else (store.dst, store.src)
+        out = {}
+        for u, v, birth, death in zip(first.tolist(), last.tolist(),
+                                      store.birth.tolist(), store.death.tolist()):
+            out.setdefault(u, []).append((v, birth, death))
+        hops.append(out)
+    found = set()
+
+    def extend(origin, node, links):
+        if len(links) == len(hops):
+            for b, _ in links:
+                tau = np.nextafter(b, np.inf)
+                if start < b <= stop and all(x < tau <= y for x, y in links):
+                    found.add((b, origin, node))
+            return
+        for nxt, birth, death in hops[len(links)].get(node, []):
+            # no instance with a link born after stop, or with one link dead
+            # by another's birth, can qualify; skipping them keeps this quick
+            if birth <= stop and all(birth < y and x < death for x, y in links):
+                extend(origin, nxt, links + [(birth, death)])
+
+    for origin in hops[0]:
+        extend(origin, origin, [])
+    return found
+
+
+def walked_triples(graph, path, start, stop):
+    return {(float(b), int(s), int(e))
+            for bs, ss, es in new_instance_pairs(graph, path, start, stop)
+            for b, s, e in zip(bs, ss, es)}
+
+
+class TestNewInstancePairs:
+    """The walk from new links against every instance enumerated link by link."""
+
+    def boundary_graph(self):
+        g = TemporalGraph(SCHEMA)
+        g.add_link("write", "a0", "p0", 1.0)
+        g.add_link("write", "a1", "p0", 2.0)  # born at start: never walked
+        g.add_link("write", "a0", "p1", 3.0)
+        g.add_link("write", "a2", "p1", 5.0)  # born at stop: walked
+        g.add_link("write", "a3", "p2", 4.0)  # two links of one instance, one birth
+        g.add_link("write", "a4", "p2", 4.0)
+        g.add_link("write", "a5", "p3", 3.5, np.nextafter(3.5, np.inf))  # alive one instant
+        g.add_link("write", "a6", "p3", 3.5)
+        g.add_link("write", "a7", "p3", 4.5)
+        g.add_link("write", "a8", "p1", 6.0)  # after stop
+        return g.freeze()
+
+    def test_boundaries_ties_and_one_instant_links(self):
+        g = self.boundary_graph()
+        p = parse_metapath("write> <write", SCHEMA)
+        got = walked_triples(g, p, 2.0, 5.0)
+        assert got == instance_pairs_oracle(g, p, 2.0, 5.0)
+        a = [g.node_index("A", f"a{i}") for i in range(9)]
+        assert {b for b, _, _ in got} == {3.0, 3.5, 4.0, 4.5, 5.0}
+        assert (5.0, a[2], a[0]) in got and (5.0, a[2], a[2]) in got
+        assert {(4.0, a[3], a[4]), (4.0, a[4], a[3])} <= got
+        assert (3.5, a[5], a[6]) in got
+        assert not any(a[5] in (s, e) for b, s, e in got if b != 3.5)
+        assert not any(a[1] in (s, e) or a[8] in (s, e) for _, s, e in got)
+
+    @pytest.mark.parametrize("batch", [512, 3])
+    def test_random_graphs_equal_enumeration(self, batch, monkeypatch):
+        monkeypatch.setattr(metapaths, "_LINK_BATCH", batch)
+        rng = np.random.default_rng(11)
+        # every engine path but the five-step one, whose enumeration is slow
+        exprs = [e for kind in sorted(ENGINE_PATHS) for e in ENGINE_PATHS[kind]
+                 if len(e.split()) <= 4]
+        walked = 0
+        for _ in range(25):
+            g = random_link_graph(rng)
+            start = 0.5 * int(rng.integers(1, 12))
+            stop = start + 0.5 * int(rng.integers(0, 10))
+            for expr in exprs:
+                p = parse_metapath(expr, SCHEMA)
+                got = walked_triples(g, p, start, stop)
+                assert got == instance_pairs_oracle(g, p, start, stop)
+                walked += len(got)
+        assert walked > 1000
 
 
 class TestSnapshots:
