@@ -64,15 +64,6 @@ def _fit_model(dataset, name: str, unit: str = ""):
     return npglm._fit(dataset, MODEL_FAMILIES[name], npglm.FitConfig(), unit)
 
 
-def _predict_medians(model, dataset):
-    """Median predicted times plus horizon flags for every dataset row."""
-    if dataset.d != model.d:
-        raise DatasetError(
-            f"model expects {model.d} features, dataset has {dataset.d}"
-        )
-    return npglm.quantile_times(model, dataset.x, 0.5)
-
-
 def cmd_synth(args) -> int:
     config = SynthConfig(n_observed=args.n_observed, n_censored=args.n_censored,
                          d=args.dim, dist=args.dist, seed=args.seed)
@@ -149,7 +140,8 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = HazardModel.load(args.model_file)
     dataset = load_dataset(args.input)
-    times, exceeded = _predict_medians(model, dataset)
+    with prefixed(args.input):
+        times, exceeded = npglm.quantile_times(model, dataset.x, 0.5)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "t_pred", "horizon_exceeded"])
@@ -159,7 +151,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _parse_query_x(args, d: int) -> np.ndarray:
+def _parse_query_x(args) -> np.ndarray:
     raw = args.x
     if raw.startswith("row:"):
         if not args.input:
@@ -182,8 +174,6 @@ def _parse_query_x(args, d: int) -> np.ndarray:
                 raise ValueError(f"--x feature x_{i}: {value!r} is not a number") from None
             if not np.isfinite(x[i]):
                 raise ValueError(f"--x feature x_{i}: {value!r} is not finite")
-    if len(x) != d:
-        raise ValueError(f"model expects {d} features, got {len(x)}")
     return x
 
 
@@ -205,7 +195,7 @@ def _op_arguments(op: str, values, names, kind) -> list:
 
 def cmd_query(args) -> int:
     model = HazardModel.load(args.model_file)
-    x = _parse_query_x(args, model.d)
+    x = _parse_query_x(args)
     op, rest = args.op[0], args.op[1:]
     if op == "ranged":
         t_a, t_b = _op_arguments(op, rest, ("t_a", "t_b"), float)
@@ -266,9 +256,6 @@ def _read_predictions(path, pairs) -> np.ndarray:
 def cmd_eval(args) -> int:
     truth = load_dataset(args.truth)
     t_pred = _read_predictions(args.pred, truth.pairs)
-    if len(t_pred) != truth.n:
-        raise ValueError(
-            f"{len(t_pred)} predictions for {truth.n} truth rows")
     report = evaluate(truth.t, truth.y, t_pred, thresholds=args.thresholds)
     header, values = report.flat_row()
     old = None  # the header of an existing --csv-out; an empty file has none
@@ -396,7 +383,7 @@ def _run_cell(job: dict) -> dict:
                                    seed=job["seed"] + 1_000_003)
             test = draw_dataset(np.random.default_rng(test_cfg.seed), test_cfg,
                                 drawn.true_w, drawn.true_b)
-            times, _ = _predict_medians(model, test)
+            times, _ = npglm.quantile_times(model, test.x, 0.5)
             report = evaluate(test.t, test.y, times)
             out["test_mae"] = report.mae
             out["test_ci"] = report.ci

@@ -15,6 +15,7 @@ increments.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import compress
@@ -57,15 +58,15 @@ class WindowConfig:
     k: int
 
     def __post_init__(self):
-        for name in ("t0", "delta", "phi", "omega"):  # delta first: the CLI derives phi
+        # k and delta first: the CLI derives phi from them
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise DatasetError(f"k must be a whole number >= 1, got {self.k!r}")
+        for name in ("t0", "delta", "phi", "omega"):
             if not np.isfinite(getattr(self, name)):
                 raise DatasetError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.phi > 0:
-            raise DatasetError("phi must be positive")
-        if not self.omega > 0:
-            raise DatasetError("omega must be positive")
-        if self.k < 1 or not self.delta > 0:
-            raise DatasetError("k must be >= 1 and delta positive")
+        for name in ("delta", "phi", "omega"):
+            if not getattr(self, name) > 0:
+                raise DatasetError(f"{name} must be positive, got {getattr(self, name)!r}")
         if abs(self.k * self.delta - self.phi) > 1e-9 * max(1.0, abs(self.phi)):
             raise DatasetError(
                 f"k * delta = {self.k * self.delta} does not equal phi = {self.phi}"

@@ -148,13 +148,17 @@ class TemporalGraph:
         }
         self._frozen = False
 
+    def _ids(self, node_type: str) -> dict[str, int]:
+        try:
+            return self._nodes[node_type]
+        except KeyError:
+            raise GraphError(f"unknown node type {node_type!r}") from None
+
     def node_count(self, node_type: str) -> int:
-        if node_type not in self._nodes:
-            raise GraphError(f"unknown node type {node_type!r}")
-        return len(self._nodes[node_type])
+        return len(self._ids(node_type))
 
     def node_index(self, node_type: str, node_id: str) -> int:
-        ids = self._nodes[node_type]
+        ids = self._ids(node_type)
         idx = ids.get(node_id)
         if idx is None:
             if self._frozen:
@@ -201,12 +205,14 @@ class TemporalGraph:
 
     def links_of(self, link_type: str) -> _LinkStore:
         self.schema.link_type(link_type)
+        if not self._frozen:
+            raise GraphError("graph is not frozen; call freeze() before reading links")
         return self._links[link_type]
 
     def birth_times(self, link_types: list[str] | None = None) -> np.ndarray:
         """Sorted distinct birth timestamps over the given (or all) link types."""
-        names = link_types if link_types is not None else list(self._links)
-        parts = [self._links[n].birth for n in names]
+        names = link_types if link_types is not None else [lt.name for lt in self.schema.link_types]
+        parts = [self.links_of(n).birth for n in names]
         if not parts:
             return np.empty(0)
         return _distinct(np.concatenate(parts))

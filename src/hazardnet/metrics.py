@@ -57,7 +57,8 @@ def _check_lengths(t_true, y, t_pred):
     y = np.asarray(y)
     t_pred = np.asarray(t_pred, dtype=float)
     if not (len(t_true) == len(y) == len(t_pred)):
-        raise ValueError("truth and prediction lengths differ")
+        raise ValueError(f"truth and prediction lengths differ: {len(t_true)} true times, "
+                         f"{len(y)} event flags, {len(t_pred)} predictions")
     return t_true, y, t_pred
 
 

@@ -339,10 +339,14 @@ class HazardModel:
 
     def score(self, x) -> np.ndarray:
         """Linear predictor w.x + bias for raw-space feature rows: shape
-        (n,) for n rows, (1,) for one row given 1-D or as (1, d)."""
+        (n,) for n rows, (1,) for one row given 1-D or as (1, d).  Any
+        other shape, such as a row of another width, raises ValueError."""
         x = np.asarray(x, dtype=float)
         if x.ndim < 2:  # np.atleast_2d and @ would cost more on one row
             x = x.reshape(1, -1)
+        if x.shape[1:] != self.mean.shape:
+            width = x.shape[1] if x.ndim == 2 else x.shape[1:]
+            raise ValueError(f"model expects {self.d} features, got {width}")
         return np.dot((x - self.mean) / self.std, self.w[:-1]) + self.w[-1]
 
     def raw_coefficients(self) -> tuple[np.ndarray, float]:
@@ -399,15 +403,22 @@ def _fit_features(dataset: Dataset):
     query rows.  A constant column (min == max) gets its value as mean and
     std 1, so it standardizes to exactly 0; its computed std is a rounding
     error, and dividing by it would turn a query's tiny deviation into a
-    huge score.
+    huge score.  A column whose mean or std overflows raises ValueError
+    naming it.
     Statistics and scaling run over one contiguous copy of each column
     (over axis 0 of the row-major table they cost five times as much), so
     x is the transpose of a C-contiguous (d, n) array."""
     columns = np.ascontiguousarray(dataset.x.T)
     low = columns.min(axis=1)
     constant = low == columns.max(axis=1)
-    mean = np.where(constant, low, columns.mean(axis=1))
-    std = columns.std(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        mean = np.where(constant, low, columns.mean(axis=1))
+        std = columns.std(axis=1)
+    overflow = ~np.isfinite(mean) | ~(constant | np.isfinite(std))
+    if overflow.any():
+        j = int(np.argmax(overflow))
+        raise ValueError(f"column x_{j}: values too large to standardize "
+                         f"(mean {float(mean[j])!r}, std {float(std[j])!r})")
     std = np.where(~constant & (std > 0), std, 1.0)
     return ((columns - mean[:, None]) / std[:, None]).T, mean, std
 

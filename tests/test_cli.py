@@ -163,6 +163,28 @@ class TestFeatures:
         args[args.index("--t0") + 1] = 100.0
         assert run(*args) == 2
 
+    @pytest.mark.parametrize("files, options, message", [
+        ({"paths.txt": "target: write> <write\n"}, {},
+         "the meta-path file lists no feature paths"),
+        ({"edges.tsv": "# no links\n"}, {}, "graph has no links"),
+        ({"schema.json": "{"}, {}, "schema document is not valid JSON"),
+        ({}, {"--t0": -4.0}, "no candidate pairs reachable by the feature paths"),
+        ({}, {"--snapshots": 0}, "k must be a whole number >= 1, got 0"),
+        ({}, {"--delta": 0}, "delta must be positive, got 0.0"),
+        ({}, {"--delta": -1}, "delta must be positive, got -1.0"),
+    ], ids=["no-feature-paths", "no-links", "schema-not-json", "no-candidates",
+            "no-snapshots", "zero-delta", "negative-delta"])
+    def test_bad_input_exits_2(self, fixture_dir, tmp_path, caplog, files, options, message):
+        for name, text in files.items():
+            (fixture_dir / name).write_text(text)
+        out = tmp_path / "f.csv"
+        args = list(self.feature_args(fixture_dir, out))
+        for option, value in options.items():
+            args[args.index(option) + 1] = value
+        assert run(*args) == 2
+        assert message in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, value", [("--t0", "nan"), ("--omega", "inf"),
                                                ("--delta", "inf")])
     def test_non_finite_window_exits_2(self, fixture_dir, tmp_path, caplog, option, value):
@@ -197,6 +219,24 @@ class TestMalformedDataset:
                    "--out", tmp_path / "m.json") == 2
         where = f"{path}: line 4" + (f", column {column}:" if column else ":")
         assert where in caplog.text
+
+    # a column whose mean or std overflows: not a RuntimeWarning, and not
+    # blamed on the model's std or on the loss
+    @pytest.mark.parametrize("model", ["npglm", "expglm", "wblglm"])
+    @pytest.mark.parametrize("rows", [
+        "0,1,1,1.0,0,2e154\n1,2,1,2.0,0,0\n2,3,0,3.0,0,1\n",
+        "0,1,1,1.0,0,1e308\n1,2,1,2.0,0,1e308\n2,3,0,3.0,0,0\n",
+        # numpy's pairwise sum of 16 values adds inf to -inf: the mean is NaN
+        "".join(f"{i},{i + 1},1,{i + 1}.0,0,{v}\n"
+                for i, v in enumerate(2 * ([1e308, -1e308] + [0] * 6))),
+    ], ids=["std-overflows", "mean-overflows", "mean-nan"])
+    def test_fit_names_column_too_large_to_standardize(self, tmp_path, caplog, model, rows):
+        path = tmp_path / "big.csv"
+        path.write_text("src,dst,y,t,x_0,x_1\n" + rows)
+        out = tmp_path / "m.json"
+        assert run("fit", "--model", model, "--input", path, "--out", out) == 2
+        assert f"{path}: column x_1: values too large to standardize" in caplog.text
+        assert not out.exists()
 
 
 class TestFitRowOrder:
@@ -391,6 +431,36 @@ class TestFitPredictQuery:
         assert run("query", "--model-file", model_file, "--x", "0,0,0", "--op", *op) == 2
         assert message in caplog.text
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("args, message", [
+        (("--x", "row:200", "--input", "DATASET"), "row 200 outside dataset of 200 rows"),
+        (("--x", "0,0,0", "--op", "sample", 0, 42), "sample count must be >= 1"),
+        (("--x", "0,0"), "model expects 3 features, got 2"),
+        (("--x", "0,0,0,0"), "model expects 3 features, got 4"),
+    ], ids=["row-outside", "no-samples", "too-few-features", "too-many-features"])
+    def test_query_bad_input_exits_2(self, tmp_path, synth_dir, capsys, caplog, args, message):
+        model_file = tmp_path / "m.json"
+        run("fit", "--model", "npglm", "--input", synth_dir / "dataset.csv",
+            "--out", model_file)
+        capsys.readouterr()
+        args = [synth_dir / "dataset.csv" if a == "DATASET" else a for a in args]
+        if "--op" not in args:
+            args += ["--op", "quantile", 0.5]
+        assert run("query", "--model-file", model_file, *args) == 2
+        assert message in caplog.text
+        assert capsys.readouterr().out == ""
+
+    def test_predict_narrower_dataset_exits_2(self, tmp_path, synth_dir, caplog):
+        model_file = tmp_path / "m.json"
+        run("fit", "--model", "npglm", "--input", synth_dir / "dataset.csv",
+            "--out", model_file)
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("src,dst,y,t,x_0\n0,1,1,1.0,0.5\n1,2,0,3.0,-0.5\n")
+        out = tmp_path / "p.csv"
+        assert run("predict", "--model-file", model_file, "--input", narrow,
+                   "--out", out) == 2
+        assert f"{narrow}: model expects 3 features, got 1" in caplog.text
+        assert not out.exists()
 
     def test_missing_model_file_exits_1(self, tmp_path):
         assert run("predict", "--model-file", tmp_path / "absent.json",
@@ -688,11 +758,22 @@ class TestEval:
                 in caplog.text)
         assert not out.exists()
 
-    def test_length_mismatch_exits_2(self, tmp_path, synth_dir):
+    def test_length_mismatch_exits_2(self, tmp_path, synth_dir, caplog):
         pred = tmp_path / "short.csv"
         pred.write_text("t_pred\n1.0\n")
         assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
                    "--out", tmp_path / "r.json") == 2
+        assert ("truth and prediction lengths differ: 200 true times, 200 event flags, "
+                "1 predictions" in caplog.text)
+
+    def test_no_t_pred_column_exits_2(self, tmp_path, synth_dir, caplog):
+        pred = tmp_path / "p.csv"
+        pred.write_text("src,dst,time\n0,0,1.0\n")
+        out = tmp_path / "r.json"
+        assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
+                   "--out", out) == 2
+        assert f"{pred} lacks a t_pred column" in caplog.text
+        assert not out.exists()
 
     def test_csv_out_with_other_header_exits_2(self, tmp_path, synth_dir, caplog):
         truth = synth_dir / "dataset.csv"
@@ -816,6 +897,8 @@ class TestSweep:
                                            "('0.5' is not a number)"),
         ({"censoring_grid": [False]}, "bad value for 'censoring_grid': [False] "
                                       "(False is not a number)"),
+        ({"n_grid": []}, "model, N, and censoring grids must be non-empty"),
+        ({"models": []}, "model, N, and censoring grids must be non-empty"),
     ])
     def test_bad_field_exits_2_before_any_cell(self, tmp_path, caplog, over, message):
         config = self.config_doc(tmp_path, **(over if isinstance(over, dict) else {}))

@@ -58,15 +58,25 @@ class TestWindowConfig:
         end = metapath_matrix(g, path, w.feature_end)[0, 1]
         assert series.counts[-1].tolist() == [end] == [1]
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(t0=0, phi=0.0, omega=1, delta=1, k=1),
-        dict(t0=0, phi=1.0, omega=0.0, delta=1, k=1),
-        dict(t0=0, phi=1.0, omega=1, delta=-1, k=1),
-        dict(t0=0, phi=1.0, omega=1, delta=1, k=0),
-        dict(t0=0, phi=4.0, omega=1, delta=1, k=3),  # k*delta != phi
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(DatasetError):
+    INVALID = [
+        (dict(t0=0, phi=0.0, omega=1, delta=1, k=1), "phi must be positive, got 0.0"),
+        (dict(t0=0, phi=1.0, omega=0.0, delta=1, k=1), "omega must be positive, got 0.0"),
+        (dict(t0=0, phi=1.0, omega=1, delta=-1, k=1), "delta must be positive, got -1"),
+        (dict(t0=0, phi=1.0, omega=1, delta=1, k=0), "k must be a whole number >= 1, got 0"),
+        (dict(t0=0, phi=4.0, omega=1, delta=1, k=3),
+         "k * delta = 3 does not equal phi = 4.0"),
+        # the CLI passes phi = k * delta: the field at fault is named, not phi
+        (dict(t0=0, phi=0, omega=1, delta=1, k=0), "k must be a whole number >= 1, got 0"),
+        (dict(t0=0, phi=0.0, omega=1, delta=0.0, k=2), "delta must be positive, got 0.0"),
+        (dict(t0=0, phi=-2.0, omega=1, delta=-1.0, k=2), "delta must be positive, got -1.0"),
+        # not four snapshots [0, 2, 4, 5]
+        (dict(t0=0, phi=5, omega=1, delta=2, k=2.5), "k must be a whole number >= 1, got 2.5"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, message", INVALID,
+                             ids=[f"kwargs{i}" for i in range(len(INVALID))])
+    def test_invalid(self, kwargs, message):
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             WindowConfig(**kwargs)
 
     @pytest.mark.parametrize("field, kwargs", [

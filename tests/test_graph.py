@@ -179,6 +179,26 @@ class TestTemporalGraph:
         with pytest.raises(GraphError):
             g.add_link("write", "a0", "p1", 9.0)
 
+    @pytest.mark.parametrize("read, message", [
+        (lambda g: g.node_index("V", "v0"), "unknown node type 'V'"),
+        (lambda g: g.node_count("V"), "unknown node type 'V'"),
+        (lambda g: g.birth_times(["publish"]), "unknown link type 'publish'"),
+        (lambda g: g.links_of("publish"), "unknown link type 'publish'"),
+    ], ids=["node_index", "node_count", "birth_times", "links_of"])
+    def test_unknown_type_named(self, read, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            read(small_graph())
+
+    @pytest.mark.parametrize("read", [lambda g: g.links_of("write"),
+                                      lambda g: g.birth_times(["write"]),
+                                      lambda g: g.birth_times()],
+                             ids=["links_of", "birth_times", "all_birth_times"])
+    def test_links_read_before_freeze_rejected(self, read):
+        g = TemporalGraph(SCHEMA)
+        g.add_link("write", "a0", "p0", 1.0)
+        with pytest.raises(GraphError, match="^graph is not frozen; call freeze"):
+            read(g)
+
 
 class TestLoadGraph:
     def test_comments_blanks_and_optional_death(self):

@@ -93,8 +93,9 @@ class TestPointMetrics:
             point_metrics([1.0, 2.0], [0, 0], [1.0, 2.0])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            point_metrics([1.0], [1, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^truth and prediction lengths differ: "
+                           "1 true times, 2 event flags, 3 predictions$"):
+            point_metrics([1.0], [1, 1], [1.0, 2.0, 3.0])
 
 
 class TestMedian:

@@ -864,6 +864,29 @@ class TestSingleRowQueries:
         with pytest.raises(ValueError, match="expected one feature row, got 0"):
             SINGLE_ROW_QUERIES[op](toy_model(), np.zeros((0, 0)))
 
+    # d = 2 models of each family; a one-value row is not spread over both features
+    WIDTH_MODELS = {
+        "npglm": dict(family="npglm", event_times=[0.5, 2.0], H=[0.2, 1.0]),
+        "exponential": dict(family="exponential"),
+        "weibull": dict(family="weibull", shape=1.5),
+    }
+    ENTRY_POINTS = dict(SINGLE_ROW_QUERIES, score=lambda m, x: m.score(x),
+                        quantile_times=lambda m, x: quantile_times(m, x, 0.5))
+
+    @pytest.mark.parametrize("family", WIDTH_MODELS)
+    @pytest.mark.parametrize("op", ENTRY_POINTS)
+    @pytest.mark.parametrize("x, width", [
+        ([0.5], "1"), (np.zeros((4, 1)), "1"), ([0.5, 0.5, 0.5], "3"),
+        (np.zeros((1, 1, 2)), "(1, 2)"),
+    ], ids=["one-value", "one-column", "d+1", "3-D"])
+    def test_wrong_width_rejected(self, family, op, x, width):
+        model = HazardModel(w=[0.5, -0.25, 0.125], mean=[0.0, 1.0], std=[2.0, 1.0],
+                            **self.WIDTH_MODELS[family])
+        with pytest.raises(ValueError) as excinfo:
+            self.ENTRY_POINTS[op](model, x)
+        assert str(excinfo.value) == f"model expects 2 features, got {width}"
+        assert self.ENTRY_POINTS[op](model, [0.5, 0.5]) is not None
+
 
 class TestSerialization:
     def test_json_round_trip(self):
