@@ -196,14 +196,18 @@ def _op_arguments(op: str, values, names, kind) -> list:
 def cmd_query(args) -> int:
     model = HazardModel.load(args.model_file)
     x = _parse_query_x(args)
+    # a row of another width than the model's is the fault of both sources
+    model_and_row = f"{args.model_file} and {args.input if args.x.startswith('row:') else '--x'}"
     op, rest = args.op[0], args.op[1:]
     if op == "ranged":
         t_a, t_b = _op_arguments(op, rest, ("t_a", "t_b"), float)
-        answer = {"op": "ranged", "t_a": t_a, "t_b": t_b,
-                  "probability": npglm.ranged_probability(model, x, t_a, t_b)}
+        with prefixed(model_and_row):
+            probability = npglm.ranged_probability(model, x, t_a, t_b)
+        answer = {"op": "ranged", "t_a": t_a, "t_b": t_b, "probability": probability}
     elif op == "quantile":
         alpha, = _op_arguments(op, rest, ("alpha",), float)
-        est = npglm.quantile(model, x, alpha)
+        with prefixed(model_and_row):
+            est = npglm.quantile(model, x, alpha)
         answer = {"op": "quantile", "alpha": alpha, "time": est.time,
                   "horizon_exceeded": est.horizon_exceeded}
     elif op == "sample":
@@ -215,7 +219,8 @@ def cmd_query(args) -> int:
         u = rng.uniform(size=count)
         while not u.all():
             u = np.append(u[u != 0.0], rng.uniform(size=count - np.count_nonzero(u)))
-        times, exceeded = npglm.quantile_times(model, x, 1.0 - u)
+        with prefixed(model_and_row):
+            times, exceeded = npglm.quantile_times(model, x, 1.0 - u)
         answer = {"op": "sample", "seed": seed, "times": times.tolist(),
                   "horizon_exceeded": exceeded.tolist()}
     else:
@@ -256,7 +261,8 @@ def _read_predictions(path, pairs) -> np.ndarray:
 def cmd_eval(args) -> int:
     truth = load_dataset(args.truth)
     t_pred = _read_predictions(args.pred, truth.pairs)
-    report = evaluate(truth.t, truth.y, t_pred, thresholds=args.thresholds)
+    with prefixed(f"{args.pred} and {args.truth}"):
+        report = evaluate(truth.t, truth.y, t_pred, thresholds=args.thresholds)
     header, values = report.flat_row()
     old = None  # the header of an existing --csv-out; an empty file has none
     if args.csv_out and Path(args.csv_out).exists():
@@ -291,6 +297,14 @@ def _whole(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{value!r} is not a whole number")
+
+
+def _cell_draw(n: int, censoring: float, dim: int, dist: str, seed: int = 0) -> SynthConfig:
+    """The training draw of an (N, censoring) cell: round(N * censoring) of
+    its N rows are censored."""
+    n_censored = int(round(n * censoring))
+    return SynthConfig(n_observed=n - n_censored, n_censored=n_censored, d=dim, dist=dist,
+                       seed=seed)
 
 
 @dataclass(frozen=True)
@@ -341,6 +355,10 @@ class ExperimentConfig:
         for c in self.censoring_grid:
             if not 0 <= c < 1:
                 raise ValueError("censoring ratios must lie in [0, 1)")
+        for n in self.n_grid:  # a cell that leaves no row observed fails every repetition
+            for c in self.censoring_grid:
+                with prefixed(f"cell N={n}, censoring {c}"):
+                    _cell_draw(n, c, self.dim, self.dist)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -360,11 +378,7 @@ def _run_cell(job: dict) -> dict:
     out = dict(job)
     try:
         n = job["n"]
-        n_censored = int(round(n * job["censoring"]))
-        n_observed = n - n_censored
-        config = SynthConfig(n_observed=n_observed, n_censored=n_censored,
-                             d=job["dim"], dist=job["dist"], seed=job["seed"])
-        drawn = generate(config)
+        drawn = generate(_cell_draw(n, job["censoring"], job["dim"], job["dist"], job["seed"]))
         start = time.perf_counter()
         model = _fit_model(drawn.dataset, job["model"])
         out["fit_seconds"] = time.perf_counter() - start
@@ -542,7 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, MetaPathError, DatasetError, ValueError) as exc:
+    except ValueError as exc:  # GraphError, MetaPathError and DatasetError among them
         log.error("%s", exc)
         return 2
     except Exception as exc:

@@ -24,7 +24,6 @@ __all__ = [
     "load_graph",
     "load_graph_file",
     "CountMatrix",
-    "time_aware_adjacency",
 ]
 
 # Products whose entries could reach this magnitude are rejected rather
@@ -348,15 +347,6 @@ class CountMatrix:
                                         np.repeat(self.counts, count) * other.counts[pos],
                                         (self.shape[0], other.shape[1]))
 
-    def tocsr(self):
-        """This matrix as an int64 ``scipy.sparse.csr_array`` with sorted
-        indices.  scipy is imported here, so only callers of this view need it."""
-        import scipy.sparse as sp
-
-        rows, cols = self.entries()
-        return sp.csr_array((self.counts, cols, _indptr(rows, self.shape[0])),
-                            shape=self.shape)
-
 
 def _alive(birth, death, tau):
     """Whether a link is alive at ``tau``: born before it, dead at or after it."""
@@ -374,10 +364,3 @@ def adjacency_counts(graph: TemporalGraph, link_type: str, tau: float) -> CountM
     alive = _alive(store.birth, store.death, tau)
     return CountMatrix.from_entries(store.src[alive], store.dst[alive],
                                     np.ones(int(alive.sum()), dtype=np.int64), shape)
-
-
-def time_aware_adjacency(graph: TemporalGraph, link_type: str, tau: float):
-    """``adjacency_counts`` as an int64 ``scipy.sparse.csr_array``, with
-    indices sorted.  This view, like ``metapaths.metapath_matrix``, needs
-    scipy; the counting pipeline does not."""
-    return adjacency_counts(graph, link_type, tau).tocsr()

@@ -27,7 +27,6 @@ __all__ = [
     "MetaPathError",
     "parse_metapath",
     "metapath_counts",
-    "metapath_matrix",
     "read_metapath_file",
 ]
 
@@ -47,9 +46,6 @@ class MetaPath:
     source: str
     target: str
     expr: str
-
-    def __len__(self):
-        return len(self.steps)
 
     def __str__(self):
         return self.expr
@@ -136,13 +132,6 @@ def metapath_counts(graph: TemporalGraph, path: MetaPath, tau: float) -> CountMa
         x = _product_of(graph, path.steps[: len(path.steps) // 2], tau)
         return x @ x.T
     return _product_of(graph, path.steps, tau)
-
-
-def metapath_matrix(graph: TemporalGraph, path: MetaPath, tau: float):
-    """``metapath_counts`` as an int64 ``scipy.sparse.csr_array`` with sorted
-    indices.  This view, like ``graph.time_aware_adjacency``, needs scipy;
-    the counting pipeline does not."""
-    return metapath_counts(graph, path, tau).tocsr()
 
 
 class _Hops:

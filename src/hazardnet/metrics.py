@@ -40,7 +40,7 @@ class EvalReport:
         return json.dumps(self.to_dict())
 
     def flat_row(self) -> tuple[list[str], list[float]]:
-        """Header and value lists for one CSV row (sweep aggregation)."""
+        """Header and value lists for one CSV row (``eval --csv-out``)."""
         header = ["mae", "mre", "rmse", "msle", "mdae"]
         values = [self.mae, self.mre, self.rmse, self.msle, self.mdae]
         for thr in sorted(self.acc_at):

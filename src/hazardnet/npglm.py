@@ -496,15 +496,21 @@ def _descend(theta, evaluate, derivatives, config: FitConfig):
     non-finite trial fails).  The trace, one loss per iteration, never
     rises.  Stops when an iteration changes the loss by less than the
     threshold (also when no step can lower it by a representable amount),
-    or unconverged after ``max_outer`` iterations.
+    or unconverged after ``max_outer`` iterations.  A non-finite loss,
+    gradient or Hessian raises ValueError naming column t: the features are
+    standardized, the loss at the zero start depends on t and y alone, and
+    a finite NP-GLM loss bounds its derivatives, so only a parametric
+    family's t**shape can overflow.
     """
-    value, state = evaluate(theta)
-    if not np.isfinite(value):
-        raise FloatingPointError(
-            "non-finite loss while fitting; are the features standardized?")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        value, state = evaluate(theta)
     trace: list[float] = []
     for _ in range(config.max_outer):
-        grad, hess = derivatives(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad, hess = derivatives(state)
+        if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+            raise ValueError("column t: times too large to fit "
+                             "(non-finite loss, gradient or Hessian)")
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         slope = float(grad @ step)
         if slope >= 0:

@@ -23,6 +23,7 @@ count, shared-venue count):
 import json
 import textwrap
 
+import numpy as np
 import pytest
 
 SCHEMA_DOC = {
@@ -96,6 +97,14 @@ def fixture_graph(fixture_dir):
 
     schema = load_schema(fixture_dir / "schema.json")
     return schema, load_graph_file(schema, fixture_dir / "edges.tsv")
+
+
+def dense(m):
+    """A ``CountMatrix`` as a dense int64 array, the inverse of
+    ``test_graph.counts``."""
+    out = np.zeros(m.shape, dtype=np.int64)
+    out.flat[m.keys] = m.counts
+    return out
 
 
 # One line per acceptance criterion, filled in by test_acceptance.py and

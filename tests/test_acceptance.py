@@ -17,13 +17,13 @@ from numpy.testing import assert_array_equal
 from hazardnet import npglm
 from hazardnet.cli import main as cli_main
 from hazardnet.datasets import Dataset, load_dataset
-from hazardnet.graph import LinkType, Schema, TemporalGraph, time_aware_adjacency
-from hazardnet.metapaths import BACKWARD, FORWARD, metapath_matrix, parse_metapath
+from hazardnet.graph import LinkType, Schema, TemporalGraph
+from hazardnet.metapaths import BACKWARD, FORWARD, metapath_counts, parse_metapath
 from hazardnet.metrics import concordance_index
 from hazardnet.npglm import FitConfig, _negative_ll, compute_H, fit_parametric, link_g, quantile_times
 from hazardnet.synthetic import SynthConfig, generate
 
-from conftest import ACCEPTANCE_LINES, EXPECTED_ROWS, WINDOW
+from conftest import ACCEPTANCE_LINES, EXPECTED_ROWS, WINDOW, dense
 
 
 def report(num: int, ok: bool, detail: str):
@@ -177,10 +177,14 @@ _ORACLE_SCHEMA = Schema(
 
 
 def _dfs_count_oracle(graph, path, tau):
-    """Brute-force typed-walk enumeration over adjacency lists."""
+    """Brute-force typed-walk enumeration over adjacency built from the
+    stored links, sharing no code with the count engine."""
     mats = []
     for name, direction in path.steps:
-        m = time_aware_adjacency(graph, name, tau).todense()
+        lt, store = graph.schema.link_type(name), graph.links_of(name)
+        m = np.zeros((graph.node_count(lt.src), graph.node_count(lt.dst)), dtype=np.int64)
+        alive = (store.birth < tau) & (tau <= store.death)
+        np.add.at(m, (store.src[alive], store.dst[alive]), 1)  # parallel links add up
         mats.append(m if direction == FORWARD else m.T)
     out = np.zeros((mats[0].shape[0], mats[-1].shape[1]), dtype=np.int64)
 
@@ -198,6 +202,14 @@ def _dfs_count_oracle(graph, path, tau):
         for end, c in walk(start, 0).items():
             out[start, end] = c
     return out
+
+
+def _link_stamps(graph, path):
+    """Each birth and finite death of the path's link types: the times at
+    which its counts change, where the alive rule's boundary decides them."""
+    stores = [graph.links_of(name) for name, _ in path.steps]
+    stamps = np.concatenate([np.r_[s.birth, s.death] for s in stores])
+    return np.unique(stamps[np.isfinite(stamps)]).tolist()
 
 
 def _random_graph_and_path(rng):
@@ -252,12 +264,13 @@ def test_criterion_06_oracle_equivalence():
     assert_array_equal(compute_H(np.zeros(1), ds),
                        np.cumsum(1.0 / np.arange(n, 0, -1)))
 
-    # (c) meta-path counts vs typed-walk DFS enumeration
+    # (c) meta-path counts vs typed-walk DFS enumeration, at a random time
+    # and at each link stamp
     for _ in range(200):
         g, p = _random_graph_and_path(rng)
-        tau = float(rng.uniform(0, 12))
-        assert_array_equal(metapath_matrix(g, p, tau).todense(),
-                           _dfs_count_oracle(g, p, tau))
+        for tau in (float(rng.uniform(0, 12)), *_link_stamps(g, p)):
+            assert_array_equal(dense(metapath_counts(g, p, tau)),
+                               _dfs_count_oracle(g, p, tau))
 
     # (d) concordance index vs O(N^2) pair enumeration
     for _ in range(50):

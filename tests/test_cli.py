@@ -15,10 +15,10 @@ from hazardnet import npglm
 from hazardnet.cli import ExperimentConfig, _run_cell, env_threads, main
 from hazardnet.datasets import load_dataset
 from hazardnet.graph import load_graph_file, load_schema
-from hazardnet.metapaths import metapath_matrix, parse_metapath, read_metapath_file
+from hazardnet.metapaths import metapath_counts, parse_metapath, read_metapath_file
 from hazardnet.npglm import HazardModel
 
-from conftest import EXPECTED_ROWS, METAPATH_FILE, SCHEMA_DOC, WINDOW
+from conftest import EXPECTED_ROWS, METAPATH_FILE, SCHEMA_DOC, WINDOW, dense
 
 
 def run(*argv):
@@ -82,7 +82,7 @@ class TestFeatures:
         graph = load_graph_file(schema, fixture_dir / "edges.tsv")
         _, exprs = read_metapath_file(fixture_dir / "paths.txt")
         taus = [WINDOW["t0"] + i * WINDOW["delta"] for i in range(WINDOW["k"] + 1)]
-        counts = [[metapath_matrix(graph, parse_metapath(e, schema), tau) for tau in taus]
+        counts = [[dense(metapath_counts(graph, parse_metapath(e, schema), tau)) for tau in taus]
                   for e in exprs]
         for pair, row in zip(ds.pairs, ds.x):
             want = []
@@ -236,6 +236,23 @@ class TestMalformedDataset:
         out = tmp_path / "m.json"
         assert run("fit", "--model", model, "--input", path, "--out", out) == 2
         assert f"{path}: column x_1: values too large to standardize" in caplog.text
+        assert not out.exists()
+
+    # a time whose t**shape overflows the parametric derivatives: not a
+    # RuntimeWarning, and not a LAPACK message from the Newton step
+    @pytest.mark.parametrize("model", ["expglm", "wblglm"])
+    def test_parametric_fit_names_time_too_large(self, tmp_path, capfd, caplog, model):
+        assert run("synth", "--dist", "rayleigh", "--n-observed", 40, "--n-censored", 10,
+                   "--dim", 2, "--seed", 1, "--out", tmp_path) == 0
+        lines = (tmp_path / "dataset.csv").read_text().splitlines()
+        last = lines[-1].split(",")
+        last[3] = "1e308"
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(lines[:-1] + [",".join(last)]) + "\n")
+        out = tmp_path / "m.json"
+        assert run("fit", "--model", model, "--input", path, "--out", out) == 2
+        assert f"{path}: column t: times too large to fit" in caplog.text
+        assert "DLASCL" not in "".join(capfd.readouterr())
         assert not out.exists()
 
 
@@ -461,6 +478,20 @@ class TestFitPredictQuery:
                    "--out", out) == 2
         assert f"{narrow}: model expects 3 features, got 1" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("op", [("ranged", 0.5, 2.0), ("quantile", 0.5), ("sample", 3, 42)])
+    def test_query_narrower_row_names_model_and_dataset(self, tmp_path, synth_dir, capsys,
+                                                        caplog, op):
+        model_file = tmp_path / "m.json"
+        run("fit", "--model", "npglm", "--input", synth_dir / "dataset.csv",
+            "--out", model_file)
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("src,dst,y,t,x_0\n0,1,1,1.0,0.5\n")
+        capsys.readouterr()
+        assert run("query", "--model-file", model_file, "--x", "row:0", "--input", narrow,
+                   "--op", *op) == 2
+        assert f"{model_file} and {narrow}: model expects 3 features, got 1" in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_missing_model_file_exits_1(self, tmp_path):
         assert run("predict", "--model-file", tmp_path / "absent.json",
@@ -759,12 +790,15 @@ class TestEval:
         assert not out.exists()
 
     def test_length_mismatch_exits_2(self, tmp_path, synth_dir, caplog):
+        # the error spans both files, so it names both
+        truth = synth_dir / "dataset.csv"
         pred = tmp_path / "short.csv"
         pred.write_text("t_pred\n1.0\n")
-        assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
-                   "--out", tmp_path / "r.json") == 2
-        assert ("truth and prediction lengths differ: 200 true times, 200 event flags, "
-                "1 predictions" in caplog.text)
+        out = tmp_path / "r.json"
+        assert run("eval", "--pred", pred, "--truth", truth, "--out", out) == 2
+        assert (f"{pred} and {truth}: truth and prediction lengths differ: 200 true times, "
+                "200 event flags, 1 predictions" in caplog.text)
+        assert not out.exists()
 
     def test_no_t_pred_column_exits_2(self, tmp_path, synth_dir, caplog):
         pred = tmp_path / "p.csv"
@@ -899,6 +933,8 @@ class TestSweep:
                                       "(False is not a number)"),
         ({"n_grid": []}, "model, N, and censoring grids must be non-empty"),
         ({"models": []}, "model, N, and censoring grids must be non-empty"),
+        ({"n_grid": [60, 2], "censoring_grid": [0.0, 0.9]},
+         "cell N=2, censoring 0.9: n_observed must be >= 1"),
     ])
     def test_bad_field_exits_2_before_any_cell(self, tmp_path, caplog, over, message):
         config = self.config_doc(tmp_path, **(over if isinstance(over, dict) else {}))

@@ -25,13 +25,13 @@ from hazardnet.datasets import (
 from hazardnet.graph import LinkType, Schema, TemporalGraph
 from hazardnet.metapaths import (
     MetaPathError,
-    metapath_matrix,
+    metapath_counts,
     parse_metapath,
     read_metapath_file,
 )
 from hazardnet.npglm import HazardModel, _fit_features
 
-from conftest import EXPECTED_ROWS, WINDOW
+from conftest import EXPECTED_ROWS, WINDOW, dense
 
 
 class TestWindowConfig:
@@ -55,7 +55,7 @@ class TestWindowConfig:
         g = g.freeze()
         path = parse_metapath("write> <write", g.schema)
         (series,) = dynamic_series(g, [path], w.snapshot_plan(), [(0, 1)])
-        end = metapath_matrix(g, path, w.feature_end)[0, 1]
+        end = dense(metapath_counts(g, path, w.feature_end))[0, 1]
         assert series.counts[-1].tolist() == [end] == [1]
 
     INVALID = [
@@ -321,7 +321,7 @@ class TestCandidatePairs:
                                   delta=2.0, k=2)
             seen = set()
             for path in paths:
-                rows, cols = metapath_matrix(g, path, window.feature_end).nonzero()
+                rows, cols = dense(metapath_counts(g, path, window.feature_end)).nonzero()
                 seen.update(zip(rows.tolist(), cols.tolist()))
             got = candidate_pairs(g, paths, window)
             assert got == sorted(seen)
@@ -360,11 +360,11 @@ def label_pairs_oracle(graph, target, window, candidates):
     cols = np.asarray([p[1] for p in candidates], dtype=np.int64)
     t_end = window.feature_end
     points, taus = change_points(graph, target, window)
-    related0 = metapath_matrix(graph, target, float(taus[0]))[rows, cols] > 0
+    related0 = dense(metapath_counts(graph, target, float(taus[0])))[rows, cols] > 0
     formed = related0.copy()
     first_time = np.full(len(candidates), np.nan)
     for b, tau in zip(points[1:], taus[1:]):
-        counts = metapath_matrix(graph, target, float(tau))[rows, cols]
+        counts = dense(metapath_counts(graph, target, float(tau)))[rows, cols]
         newly = (~formed) & (counts > 0)
         first_time[newly] = b
         formed |= newly
@@ -608,10 +608,10 @@ class TestAggregation:
         times = window.snapshot_plan()
         series = dynamic_series(graph, paths, times, pairs)
         for i, tau in enumerate(times):
-            mats = [metapath_matrix(graph, p, float(tau)) for p in paths]
+            mats = [dense(metapath_counts(graph, p, float(tau))) for p in paths]
             for s in series:
                 assert s.counts[i].tolist() == [int(m[s.pair]) for m in mats]
-        finals = [metapath_matrix(graph, p, window.feature_end) for p in paths]
+        finals = [dense(metapath_counts(graph, p, window.feature_end)) for p in paths]
         for s in series:
             want = [m[s.pair] for m in finals]
             assert_array_equal(aggregate_stack(s), want)

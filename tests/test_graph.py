@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from numpy.testing import assert_array_equal
 
 from hazardnet.graph import (
@@ -11,12 +10,14 @@ from hazardnet.graph import (
     LinkType,
     Schema,
     TemporalGraph,
+    adjacency_counts,
     load_graph,
     load_graph_file,
     load_schema,
-    time_aware_adjacency,
 )
-from hazardnet.metapaths import metapath_matrix, parse_metapath
+from hazardnet.metapaths import metapath_counts, parse_metapath
+
+from conftest import dense
 
 SCHEMA = Schema(
     node_types=("A", "P"),
@@ -246,31 +247,31 @@ class TestTimeAwareAdjacency:
     def test_strict_birth_inclusive_death(self):
         g = small_graph()
         # birth < tau: the 2.0 edge is invisible at tau=2.0
-        m1 = time_aware_adjacency(g, "write", 2.0)
+        m1 = dense(adjacency_counts(g, "write", 2.0))
         assert m1[0, 0] == 1 and m1[1, 0] == 0
         # death >= tau keeps the edge: the (a1, p1) edge dies at 5.0
-        alive = time_aware_adjacency(g, "write", 5.0)
+        alive = dense(adjacency_counts(g, "write", 5.0))
         assert alive[1, 1] == 1
-        gone = time_aware_adjacency(g, "write", 5.1)
+        gone = dense(adjacency_counts(g, "write", 5.1))
         assert gone[1, 1] == 0
 
     def test_shape_is_type_counts(self):
         g = small_graph()
-        assert time_aware_adjacency(g, "write", 10.0).shape == (2, 2)
-        assert time_aware_adjacency(g, "cite", 10.0).shape == (2, 2)
+        assert adjacency_counts(g, "write", 10.0).shape == (2, 2)
+        assert adjacency_counts(g, "cite", 10.0).shape == (2, 2)
 
     def test_parallel_edges_accumulate(self):
         g = TemporalGraph(SCHEMA)
         g.add_link("write", "a0", "p0", 1.0)
         g.add_link("write", "a0", "p0", 2.0)
         g.freeze()
-        assert time_aware_adjacency(g, "write", 3.0)[0, 0] == 2
+        assert dense(adjacency_counts(g, "write", 3.0))[0, 0] == 2
 
 
-def counts(dense):
-    dense = np.asarray(dense, dtype=np.int64)
-    rows, cols = np.nonzero(dense)
-    return CountMatrix.from_entries(rows, cols, dense[rows, cols], dense.shape)
+def counts(array):
+    array = np.asarray(array, dtype=np.int64)
+    rows, cols = np.nonzero(array)
+    return CountMatrix.from_entries(rows, cols, array[rows, cols], array.shape)
 
 
 def sorted_distinct(keys):
@@ -278,7 +279,7 @@ def sorted_distinct(keys):
 
 
 class TestSparseCountMatrix:
-    """Count matrix views are plain int64 ``scipy.sparse.csr_array``."""
+    """The int64 ``CountMatrix``: sorted distinct entry keys and their counts."""
 
     def test_from_coo_merges_duplicates(self):
         g = TemporalGraph(SCHEMA)
@@ -286,14 +287,14 @@ class TestSparseCountMatrix:
         for birth in (1.0, 2.0, 2.5):
             g.add_link("write", "a0", "p1", birth)
         g.freeze()
-        m = time_aware_adjacency(g, "write", 3.0)
-        assert isinstance(m, sp.csr_array) and m.dtype == np.int64
-        assert m[0, 1] == 3
-        assert m.nnz == 2 and m.has_canonical_format
+        m = adjacency_counts(g, "write", 3.0)
+        assert m.counts.dtype == np.int64
+        assert dense(m)[0, 1] == 3
+        assert len(m.keys) == 2 and sorted_distinct(m.keys)
 
     def test_counts_at_vectorized(self):
-        m = time_aware_adjacency(small_graph(), "write", 10.0)
-        got = m[np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])]
+        m = adjacency_counts(small_graph(), "write", 10.0)
+        got = m.at(np.array([0, 1, 1, 0]) * m.shape[1] + np.array([0, 0, 1, 1]))
         assert isinstance(got, np.ndarray) and got.dtype == np.int64
         assert_array_equal(got, [1, 1, 0, 0])  # the (a1, p1) link died at 5.0
 
@@ -325,10 +326,9 @@ class TestSpmm:
     def test_transpose(self):
         # a backward step is the forward adjacency transposed
         g = small_graph()
-        backward = metapath_matrix(g, parse_metapath("<write", SCHEMA), 10.0)
-        forward = time_aware_adjacency(g, "write", 10.0)
-        assert isinstance(backward, sp.csr_array)
-        assert_array_equal(backward.todense(), forward.todense().T)
+        backward = metapath_counts(g, parse_metapath("<write", SCHEMA), 10.0)
+        forward = adjacency_counts(g, "write", 10.0)
+        assert_array_equal(dense(backward), dense(forward).T)
 
     def test_overflow_guard(self):
         a = counts([[2**40]])
@@ -343,4 +343,4 @@ class TestSpmm:
             db = rng.integers(0, 3, size=(m, k))
             product = counts(da) @ counts(db)
             assert product.counts.dtype == np.int64 and sorted_distinct(product.keys)
-            assert_array_equal(product.tocsr().todense(), da @ db)
+            assert_array_equal(dense(product), da @ db)

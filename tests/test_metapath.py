@@ -5,18 +5,19 @@ from numpy.testing import assert_array_equal
 
 from hazardnet import metapaths
 from hazardnet.datasets import PairSeries, PrefixCache, WindowConfig, dynamic_series
-from hazardnet.graph import LinkType, Schema, TemporalGraph, time_aware_adjacency
+from hazardnet.graph import LinkType, Schema, TemporalGraph
 from hazardnet.metapaths import (
     BACKWARD,
     FORWARD,
     MetaPath,
     MetaPathError,
     metapath_counts,
-    metapath_matrix,
     new_instance_pairs,
     parse_metapath,
     read_metapath_file,
 )
+
+from conftest import dense
 
 SCHEMA = Schema(
     node_types=("A", "P", "V"),
@@ -31,13 +32,17 @@ SCHEMA = Schema(
 def dfs_count_oracle(graph, path, tau):
     """Brute-force typed-walk enumeration, the independent counting route.
 
-    Walks adjacency lists step by step, trying every intermediate node;
+    Builds each step's dense adjacency from the stored links with its own
+    alive test, then walks it step by step, trying every intermediate node;
     returns a dense matrix of walk counts (one per edge multiplicity
     combination), which is what repeated matrix products compute.
     """
     mats = []
     for name, direction in path.steps:
-        m = time_aware_adjacency(graph, name, tau).todense()
+        lt, store = graph.schema.link_type(name), graph.links_of(name)
+        m = np.zeros((graph.node_count(lt.src), graph.node_count(lt.dst)), dtype=np.int64)
+        alive = (store.birth < tau) & (tau <= store.death)
+        np.add.at(m, (store.src[alive], store.dst[alive]), 1)  # parallel links add up
         mats.append(m if direction == FORWARD else m.T)
     n_src, n_dst = mats[0].shape[0], mats[-1].shape[1]
     out = np.zeros((n_src, n_dst), dtype=np.int64)
@@ -57,6 +62,14 @@ def dfs_count_oracle(graph, path, tau):
         for end, c in walk(start, 0).items():
             out[start, end] = c
     return out
+
+
+def link_stamps(graph, path):
+    """Each birth and finite death of the path's link types: the times at
+    which its counts change, where the alive rule's boundary decides them."""
+    stores = [graph.links_of(name) for name, _ in path.steps]
+    stamps = np.concatenate([np.r_[s.birth, s.death] for s in stores])
+    return np.unique(stamps[np.isfinite(stamps)]).tolist()
 
 
 def random_graph_and_path(rng):
@@ -150,30 +163,30 @@ class TestMetapathMatrix:
     def test_coauthor_counts(self):
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
-        m = metapath_matrix(g, p, 5.0)
+        m = dense(metapath_counts(g, p, 5.0))
         assert m[0, 1] == 1 and m[1, 0] == 1
         assert m[0, 0] == 1 and m[1, 1] == 2
 
     def test_time_slicing(self):
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
-        assert metapath_matrix(g, p, 2.0)[0, 1] == 0
-        assert metapath_matrix(g, p, 2.5)[0, 1] == 1
+        assert dense(metapath_counts(g, p, 2.0))[0, 1] == 0
+        assert dense(metapath_counts(g, p, 2.5))[0, 1] == 1
 
     def test_palindrome_equals_general_route(self):
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
         for tau in (0.5, 2.0, 3.2, 5.0):
-            assert_array_equal(metapath_matrix(g, p, tau).todense(),
+            assert_array_equal(dense(metapath_counts(g, p, tau)),
                                dfs_count_oracle(g, p, tau))
 
     def test_random_graphs_match_dfs_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
             g, p = random_graph_and_path(rng)
-            tau = float(rng.uniform(0, 12))
-            assert_array_equal(metapath_matrix(g, p, tau).todense(),
-                               dfs_count_oracle(g, p, tau))
+            for tau in (float(rng.uniform(0, 12)), *link_stamps(g, p)):
+                assert_array_equal(dense(metapath_counts(g, p, tau)),
+                                   dfs_count_oracle(g, p, tau))
 
 
 def scipy_product(graph, path, tau):
@@ -261,9 +274,9 @@ class TestCountEngine:
         g = two_author_graph()
         p = parse_metapath("write> <write", SCHEMA)
         m = metapath_counts(g, p, 5.0)
-        dense = metapath_matrix(g, p, 5.0).todense()
-        keys = np.arange(dense.size)
-        assert_array_equal(m.at(keys), dense.ravel())
+        want = dfs_count_oracle(g, p, 5.0)
+        keys = np.arange(want.size)
+        assert_array_equal(m.at(keys), want.ravel())
 
 
 def instance_pairs_oracle(graph, path, start, stop):
@@ -384,7 +397,7 @@ class TestSnapshots:
         series = dynamic_series(g, paths, times, pairs)
         assert [s.pair for s in series] == pairs
         for i, tau in enumerate(times):
-            mats = [metapath_matrix(g, p, float(tau)) for p in paths]
+            mats = [dense(metapath_counts(g, p, float(tau))) for p in paths]
             for s in series:
                 assert s.counts.dtype == np.int64
                 assert s.counts.shape == (len(times), len(paths))
