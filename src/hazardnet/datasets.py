@@ -285,11 +285,15 @@ def dynamic_series(graph: TemporalGraph, paths: list[MetaPath], times,
     k+1 snapshot times of ``WindowConfig.snapshot_plan()``.
 
     Entry (i, j) of each pair's ``counts`` is the count of path j
-    instances at ``times[i]``.  A pair outside the node index range
-    raises DatasetError.  ``cache`` and ``threads`` are accepted and
-    ignored.
+    instances at ``times[i]``.  Empty or non-finite ``times``, or a pair
+    outside the node index range, raise DatasetError.  ``cache`` and
+    ``threads`` are accepted and ignored.
     """
     source, target = endpoint_types(paths)
+    times = np.asarray(times, dtype=float)
+    if len(times) == 0 or not np.isfinite(times).all():
+        raise DatasetError(f"snapshot times must be a non-empty list of finite times, "
+                           f"got {times.tolist()!r}")
     if len(pairs) == 0:  # no pair to read, so no product to take
         return []
     n_cols = graph.node_count(target)
@@ -317,15 +321,24 @@ def aggregate_expsmooth(series: PairSeries, alpha: float) -> np.ndarray:
     """Exponentially weighted moving average over the snapshot increments.
 
     With x_i = counts[i] - counts[i-1], f_1 = x_1 and
-    f_i = alpha * x_i + (1 - alpha) * f_{i-1}; returns f_k.
+    f_i = alpha * x_i + (1 - alpha) * f_{i-1}; returns f_k.  A series of
+    fewer than 2 rows has no increment and raises DatasetError.
     """
     check_alpha(alpha)
-    c = series.counts
-    x = (c[1:] - c[:-1]).astype(float)
-    f = x[0]
-    for i in range(1, x.shape[0]):
-        f = alpha * x[i] + (1.0 - alpha) * f
-    return f
+    if len(series.counts) < 2:
+        raise DatasetError("exponential smoothing needs at least 2 snapshot rows, "
+                           f"got {len(series.counts)}")
+    # Python floats are IEEE doubles, so this equals numpy's arithmetic bit
+    # for bit, without numpy's per-call cost on a (k+1) x d array.
+    alpha = float(alpha)
+    beta = 1.0 - alpha
+    out = []
+    for c in series.counts.T.tolist():
+        f = float(c[1] - c[0])
+        for i in range(2, len(c)):
+            f = alpha * float(c[i] - c[i - 1]) + beta * f
+        out.append(f)
+    return np.array(out)
 
 
 def build_dataset(features: dict[tuple[int, int], np.ndarray],
@@ -355,15 +368,18 @@ _SAVE_CHUNK = 1024
 
 
 def save_dataset(path, dataset: Dataset):
-    """Write the labeled dataset CSV."""
+    """Write the labeled dataset CSV, each float as its ``repr`` so that
+    ``load_dataset`` reads back the same doubles."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(_header(dataset.d))
         for a in range(0, dataset.n, _SAVE_CHUNK):
             b = a + _SAVE_CHUNK
-            keys = (f"{src},{dst},{y}," for (src, dst), y
+            keys = (f"{src},{dst},{y}" for (src, dst), y
                     in zip(dataset.pairs[a:b], dataset.y[a:b].tolist()))
-            values = np.column_stack((dataset.t[a:b], dataset.x[a:b])).tolist()
-            fh.writelines(k + ",".join(map(repr, v)) + "\r\n" for k, v in zip(keys, values))
+            # one repr pass per column, then one write per block
+            columns = [map(repr, c) for c in (dataset.t[a:b].tolist(),
+                                               *dataset.x[a:b].T.tolist())]
+            fh.write("\r\n".join(map(",".join, zip(keys, *columns))) + "\r\n")
 
 
 def _int64(raw: str) -> int:

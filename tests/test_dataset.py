@@ -524,6 +524,12 @@ class TestPairRange:
         with pytest.raises(DatasetError, match=re.escape(f"pair {pair}")):
             dynamic_series(graph, [target], window.snapshot_plan(), [(0, 1), pair])
 
+    @pytest.mark.parametrize("times", [[], [np.nan, 1.0]])
+    def test_dynamic_series_rejects_degenerate_times(self, graph, times):
+        target, _ = self.args(graph)
+        with pytest.raises(DatasetError, match=re.escape(f"finite times, got {times}")):
+            dynamic_series(graph, [target], times, [(0, 1)])
+
 
 class TestLabelPairsMemory:
     """``label_pairs`` keeps no count matrix per change point."""
@@ -599,6 +605,28 @@ class TestAggregation:
         with pytest.raises(DatasetError):
             aggregate_expsmooth(self.series(), alpha)
 
+    def test_expsmooth_one_row_names_row_count(self):
+        ps = PairSeries((0, 1), np.array([[2, 0]]))
+        with pytest.raises(DatasetError, match="at least 2 snapshot rows, got 1"):
+            aggregate_expsmooth(ps, 0.5)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_expsmooth_bitwise_equals_whole_array_ewma(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        counts = rng.integers(0, 50, size=(60, k + 1, d))
+        big = rng.random(counts.shape) < 0.3  # above 2**53: float(count) rounds
+        counts[big] = rng.integers(2**53, 2**62, size=int(big.sum()))
+        x = np.diff(counts, axis=1).astype(float)  # int64 differences, no overflow here
+        for alpha in (0.1, 1 / 3, 0.5, 0.77, 0.999):
+            want = x[:, 0]
+            for i in range(1, k):
+                want = alpha * x[:, i] + (1 - alpha) * want
+            for c, w in zip(counts, want):
+                got = aggregate_expsmooth(PairSeries((0, 1), c), alpha)
+                assert got.dtype == np.float64 and got.shape == (d,)
+                assert_array_equal(got.view(np.uint64), w.view(np.uint64))
+
     def test_stack_matches_final_snapshot(self, fixture_graph, fixture_dir):
         schema, graph = fixture_graph
         _, exprs = read_metapath_file(fixture_dir / "paths.txt")
@@ -659,6 +687,16 @@ class TestPersistence:
         save_dataset(second, load_dataset(first))
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes().count(b"\r\n") == n + 1
+
+    def test_saved_bytes(self, tmp_path):
+        ds = Dataset(x=[[-0.0, 0.1], [1e16, 5e-324], [1e-05, -2.5]], y=[1, 0, 1],
+                     t=[1e-05, 0.1, 1e300], pairs=[(0, 1), (2, 3), (10, 4)])
+        path = tmp_path / "data.csv"
+        save_dataset(path, ds)
+        assert path.read_bytes() == (b"src,dst,y,t,x_0,x_1\r\n"
+                                     b"0,1,1,1e-05,-0.0,0.1\r\n"
+                                     b"2,3,0,0.1,1e+16,5e-324\r\n"
+                                     b"10,4,1,1e+300,1e-05,-2.5\r\n")
 
     def test_quoted_fields_and_blank_lines(self, tmp_path):
         plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
