@@ -198,15 +198,17 @@ def cmd_query(args) -> int:
     x = _parse_query_x(args)
     # a row of another width than the model's is the fault of both sources
     model_and_row = f"{args.model_file} and {args.input if args.x.startswith('row:') else '--x'}"
+    # numpy's overflow warnings are off: link_g clamps an infinite score, a
+    # NaN score raises, and an infinite time fails the JSON check below
     op, rest = args.op[0], args.op[1:]
     if op == "ranged":
         t_a, t_b = _op_arguments(op, rest, ("t_a", "t_b"), float)
-        with prefixed(model_and_row):
+        with prefixed(model_and_row), np.errstate(over="ignore", invalid="ignore"):
             probability = npglm.ranged_probability(model, x, t_a, t_b)
         answer = {"op": "ranged", "t_a": t_a, "t_b": t_b, "probability": probability}
     elif op == "quantile":
         alpha, = _op_arguments(op, rest, ("alpha",), float)
-        with prefixed(model_and_row):
+        with prefixed(model_and_row), np.errstate(over="ignore", invalid="ignore"):
             est = npglm.quantile(model, x, alpha)
         answer = {"op": "quantile", "alpha": alpha, "time": est.time,
                   "horizon_exceeded": est.horizon_exceeded}
@@ -219,14 +221,17 @@ def cmd_query(args) -> int:
         u = rng.uniform(size=count)
         while not u.all():
             u = np.append(u[u != 0.0], rng.uniform(size=count - np.count_nonzero(u)))
-        with prefixed(model_and_row):
+        with prefixed(model_and_row), np.errstate(over="ignore", invalid="ignore"):
             times, exceeded = npglm.quantile_times(model, x, 1.0 - u)
         answer = {"op": "sample", "seed": seed, "times": times.tolist(),
                   "horizon_exceeded": exceeded.tolist()}
     else:
         raise ValueError(f"unknown op {op!r} (expected ranged, quantile, or sample)")
-    json.dump(answer, sys.stdout)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(answer, allow_nan=False)
+    except ValueError:  # a time past the float range, as t**(1/shape) at a tiny shape
+        raise ValueError(f"{model_and_row}: the answer is not finite: {answer}") from None
+    sys.stdout.write(text + "\n")
     return 0
 
 
@@ -259,6 +264,9 @@ def _read_predictions(path, pairs) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
+    for value in args.thresholds:
+        if value != value:  # NaN would leave the acc@ columns in argument order
+            raise ValueError(f"--thresholds: {value!r} is not a number")
     truth = load_dataset(args.truth)
     t_pred = _read_predictions(args.pred, truth.pairs)
     with prefixed(f"{args.pred} and {args.truth}"):

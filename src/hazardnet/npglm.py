@@ -649,13 +649,21 @@ def fit_parametric(dataset: Dataset, family: str = "weibull",
     return _fit(dataset, family, FitConfig(), unit)
 
 
+def _nan_score(where: str) -> ValueError:
+    # finite features can still overflow w.x to inf - inf, or to inf * 0
+    return ValueError(f"{where} score w.x is NaN: its terms overflow")
+
+
 def _row_g(model: HazardModel, x):
     """g(w.x) for one feature row, given 1-D or as (1, d); any other row
-    count raises ValueError."""
+    count, or a NaN score, raises ValueError."""
     z = model.score(x)
     if len(z) != 1:
         raise ValueError(f"expected one feature row, got {len(z)}")
-    return link_g(z[0])
+    z = z[0]
+    if z != z:  # one float compare: np.isnan would cost more than a query
+        raise _nan_score("the feature row's")
+    return link_g(z)
 
 
 def ranged_probability(model: HazardModel, x, t_a: float, t_b: float) -> float:
@@ -680,10 +688,16 @@ def quantile_times(model: HazardModel, x, alpha):
     Inverts the baseline at target H0 = -log(1-alpha)/g(w.x); ``alpha``
     is one level or an array of them, broadcast against the rows.  With a
     tabulated baseline, rows whose target exceeds the tabulated range get
-    the training horizon back as a lower bound, flagged.
+    the training horizon back as a lower bound, flagged.  A row whose
+    score is NaN raises ValueError naming the row.
     """
     _check_alpha(alpha)
-    return model.H0_inverse(-np.log1p(-alpha) / link_g(model.score(x)))
+    with np.errstate(over="ignore", invalid="ignore"):  # link_g clamps inf; NaN raises below
+        z = model.score(x)
+    nan = np.isnan(z)
+    if nan.any():
+        raise _nan_score(f"row {int(np.argmax(nan))}'s" if np.ndim(x) == 2 else "the feature row's")
+    return model.H0_inverse(-np.log1p(-alpha) / link_g(z))
 
 
 def quantile(model: HazardModel, x, alpha: float) -> TimeEstimate:

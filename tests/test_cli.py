@@ -744,6 +744,84 @@ class TestParentFormatModels:
                    "--op", "quantile", 0.5) == 2
 
 
+# std 0.5 doubles a feature, so 1.7e308 overflows its term of w.x to inf
+OVERFLOW_DOC = {"family": "npglm", "w": [1.0, 1.0, 0.0], "event_times": KNOTS_T, "H": KNOTS_H,
+                "standardization": {"mean": [0.0, 0.0], "std": [0.5, 0.5]}}
+NAN_ROW = "1.7e308,-1.7e308"  # inf - inf
+QUERY_OPS = [("ranged", 0.5, 2.0), ("quantile", 0.5), ("sample", 3, 42)]
+OP_NAMES = [op[0] for op in QUERY_OPS]
+
+
+class TestScoreOverflow:
+    """Finite features whose score w.x overflows: an infinite score answers as
+    a clamped finite one, without a warning (pytest makes one an error, so
+    exit 1); a NaN score exits 2 naming the input and the row."""
+
+    @pytest.fixture
+    def model_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(OVERFLOW_DOC))
+        return path
+
+    def dataset(self, tmp_path, *rows):
+        path = tmp_path / "rows.csv"
+        path.write_text("src,dst,y,t,x_0,x_1\n"
+                        + "".join(f"{i},{i},1,1.0,{row}\n" for i, row in enumerate(rows)))
+        return path
+
+    def test_predict_nan_score_names_input_and_row(self, tmp_path, model_file, caplog):
+        data = self.dataset(tmp_path, "0,0", NAN_ROW)
+        out = tmp_path / "p.csv"
+        assert run("predict", "--model-file", model_file, "--input", data, "--out", out) == 2
+        assert f"{data}: row 1's score w.x is NaN: its terms overflow" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("op", QUERY_OPS, ids=OP_NAMES)
+    def test_query_nan_score_names_input_and_row(self, model_file, capsys, caplog, op):
+        capsys.readouterr()
+        assert run("query", "--model-file", model_file, "--x", NAN_ROW, "--op", *op) == 2
+        assert (f"{model_file} and --x: the feature row's score w.x is NaN: its terms overflow"
+                in caplog.text)
+        assert capsys.readouterr().out == ""
+
+    def test_predict_infinite_score_answers_as_clamped(self, tmp_path, model_file):
+        # 1e300 doubles to a finite score past link_g's clamp
+        data = self.dataset(tmp_path, "1.7e308,0", "1e300,0", "-1.7e308,0", "-1e300,0")
+        out = tmp_path / "p.csv"
+        assert run("predict", "--model-file", model_file, "--input", data, "--out", out) == 0
+        with open(out) as fh:
+            rows = [(r["t_pred"], r["horizon_exceeded"]) for r in csv.DictReader(fh)]
+        assert rows[0] == rows[1] and rows[2] == rows[3]
+        assert rows[0][1] == "0" and rows[2] == ("3.5", "1")
+
+    @pytest.mark.parametrize("op", QUERY_OPS, ids=OP_NAMES)
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_query_infinite_score_answers_as_clamped(self, model_file, capsys, op, sign):
+        answers = []
+        for x in (f"{sign}1.7e308,0", f"{sign}1e300,0"):
+            capsys.readouterr()
+            assert run("query", "--model-file", model_file, f"--x={x}", "--op", *op) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1]
+
+    @pytest.mark.parametrize("op", QUERY_OPS[1:], ids=OP_NAMES[1:])
+    def test_query_time_past_float_range_exits_2(self, tmp_path, capsys, caplog, op):
+        # g = exp(-50) and shape 0.05 put every quantile near (3.6e21)**20
+        path = tmp_path / "weibull.json"
+        path.write_text(json.dumps({**PARENT_DOCS["weibull"], "shape": 0.05}))
+        capsys.readouterr()
+        assert run("query", "--model-file", path, "--x=-1e300,0", "--op", *op) == 2
+        assert f"{path} and --x: the answer is not finite: " in caplog.text
+        assert capsys.readouterr().out == ""
+
+    def test_weibull_ranged_past_power_overflow(self, tmp_path, capsys):
+        path = tmp_path / "weibull.json"
+        path.write_text(json.dumps(PARENT_DOCS["weibull"]))
+        capsys.readouterr()
+        assert run("query", "--model-file", path, "--x", X, "--op", "ranged", 0, 1e308) == 0
+        assert json.loads(capsys.readouterr().out)["probability"] == 1.0
+
+
 class TestEval:
     def test_report_and_csv(self, tmp_path, synth_dir):
         model_file = tmp_path / "m.json"
@@ -788,6 +866,17 @@ class TestEval:
         assert (f"{pred}: line 3, column t_pred: {value!r} is not a finite time >= 0"
                 in caplog.text)
         assert not out.exists()
+
+    @pytest.mark.parametrize("thresholds", [("nan", 1.0), (1.0, "nan")])
+    def test_nan_threshold_exits_2(self, tmp_path, synth_dir, caplog, thresholds):
+        # sorted() is no total order with NaN, so the csv header would follow the argument order
+        pred = tmp_path / "p.csv"
+        pred.write_text("t_pred\n" + "1.0\n" * load_dataset(synth_dir / "dataset.csv").n)
+        out, rows = tmp_path / "r.json", tmp_path / "rows.csv"
+        assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
+                   "--thresholds", *thresholds, "--out", out, "--csv-out", rows) == 2
+        assert "--thresholds: nan is not a number" in caplog.text
+        assert not out.exists() and not rows.exists()
 
     def test_length_mismatch_exits_2(self, tmp_path, synth_dir, caplog):
         # the error spans both files, so it names both

@@ -31,6 +31,7 @@ from hazardnet.metapaths import (
 )
 from hazardnet.npglm import HazardModel, _fit_features
 
+from brute_force import SCHEMA
 from conftest import EXPECTED_ROWS, WINDOW, dense
 
 
@@ -282,11 +283,6 @@ class TestFixturePipeline:
             label_pairs(graph, target, WindowConfig(**WINDOW), [])
 
 
-GRAPH_SCHEMA = Schema(
-    node_types=("A", "P", "V"),
-    link_types=(LinkType("write", "A", "P"), LinkType("cite", "P", "P"),
-                LinkType("publish", "V", "P")),
-)
 AUTHOR_PATHS = ("write> <write", "write> cite> <write", "write> <cite <write",
                 "write> <publish publish> <write", "write> cite> cite> <write")
 
@@ -295,8 +291,8 @@ def random_graph(rng):
     """Small random graph with parallel links and link deaths."""
     sizes = {"A": int(rng.integers(2, 9)), "P": int(rng.integers(2, 9)),
              "V": int(rng.integers(1, 4))}
-    g = TemporalGraph(GRAPH_SCHEMA)
-    for lt in GRAPH_SCHEMA.link_types:
+    g = TemporalGraph(SCHEMA)
+    for lt in SCHEMA.link_types:
         for _ in range(int(rng.integers(0, 16))):
             src = f"{lt.src}{rng.integers(sizes[lt.src])}"
             dst = f"{lt.dst}{rng.integers(sizes[lt.dst])}"
@@ -316,7 +312,7 @@ class TestCandidatePairs:
         for _ in range(60):
             g = random_graph(rng)
             exprs = rng.choice(AUTHOR_PATHS, size=int(rng.integers(1, 4)), replace=False)
-            paths = [parse_metapath(e, GRAPH_SCHEMA) for e in exprs]
+            paths = [parse_metapath(e, SCHEMA) for e in exprs]
             window = WindowConfig(t0=float(rng.uniform(0, 4)), phi=4.0, omega=2.0,
                                   delta=2.0, k=2)
             seen = set()
@@ -329,8 +325,8 @@ class TestCandidatePairs:
 
     def test_mixed_endpoint_types_rejected(self):
         g = random_graph(np.random.default_rng(0))
-        paths = [parse_metapath("write> <write", GRAPH_SCHEMA),
-                 parse_metapath("write> cite>", GRAPH_SCHEMA)]
+        paths = [parse_metapath("write> <write", SCHEMA),
+                 parse_metapath("write> cite>", SCHEMA)]
         with pytest.raises(MetaPathError, match="A->A and A->P"):
             candidate_pairs(g, paths, WindowConfig(t0=0.0, phi=4.0, omega=2.0,
                                                    delta=2.0, k=2))
@@ -380,8 +376,8 @@ def dying_graph(rng):
     a grid point: after a change point born there, before the next birth."""
     sizes = {"A": int(rng.integers(2, 8)), "P": int(rng.integers(2, 8)),
              "V": int(rng.integers(1, 3))}
-    g = TemporalGraph(GRAPH_SCHEMA)
-    for lt in GRAPH_SCHEMA.link_types:
+    g = TemporalGraph(SCHEMA)
+    for lt in SCHEMA.link_types:
         for _ in range(int(rng.integers(0, 20))):
             src = f"{lt.src}{rng.integers(sizes[lt.src])}"
             dst = f"{lt.dst}{rng.integers(sizes[lt.dst])}"
@@ -425,7 +421,7 @@ class TestLabelPairsMatchesOracle:
         rng = np.random.default_rng(seed)
         for i in range(n):
             g = random_graph(rng) if i % 2 else dying_graph(rng)
-            target = parse_metapath(AUTHOR_PATHS[i % len(AUTHOR_PATHS)], GRAPH_SCHEMA)
+            target = parse_metapath(AUTHOR_PATHS[i % len(AUTHOR_PATHS)], SCHEMA)
             window = random_window(rng)
             n_a = g.node_count("A")
             cands = [(a, b) for a in range(n_a) for b in range(n_a)]
@@ -454,11 +450,11 @@ class TestLabelPairsMatchesOracle:
 def with_coauthorship(graph, birth):
     """A copy of ``graph`` (node ids are the indices) plus one paper written
     at ``birth`` by two new authors."""
-    g = TemporalGraph(GRAPH_SCHEMA)
-    for node_type in GRAPH_SCHEMA.node_types:
+    g = TemporalGraph(SCHEMA)
+    for node_type in SCHEMA.node_types:
         for i in range(graph.node_count(node_type)):
             g.node_index(node_type, str(i))
-    for lt in GRAPH_SCHEMA.link_types:
+    for lt in SCHEMA.link_types:
         store = graph.links_of(lt.name)
         for src, dst, b, d in zip(store.src, store.dst, store.birth, store.death):
             g.add_link(lt.name, str(src), str(dst), b, d if np.isfinite(d) else None)
@@ -474,20 +470,20 @@ class TestLabelInstant:
     @pytest.mark.parametrize("unrelated_birth", [12.2, 18.0])
     def test_unrelated_birth_leaves_label(self, unrelated_birth):
         # a0 and a1 co-author p0 at 12.0, and a0's link dies at 12.5
-        g = TemporalGraph(GRAPH_SCHEMA)
+        g = TemporalGraph(SCHEMA)
         g.add_link("write", "a0", "p0", 12.0, 12.5)
         g.add_link("write", "a1", "p0", 12.0)
         g.add_link("write", "a2", "p1", unrelated_birth)
         g.add_link("write", "a3", "p1", unrelated_birth)
         window = WindowConfig(t0=0.0, phi=10.0, omega=10.0, delta=5.0, k=2)
-        path = parse_metapath("write> <write", GRAPH_SCHEMA)
+        path = parse_metapath("write> <write", SCHEMA)
         assert label_pairs(g.freeze(), path, window, [(0, 1)]) == [((0, 1), 1, 2.0)]
 
     def test_new_coauthorship_leaves_every_label(self):
         rng = np.random.default_rng(5)
         for i in range(300):
             g = dying_graph(rng)
-            target = parse_metapath(AUTHOR_PATHS[i % len(AUTHOR_PATHS)], GRAPH_SCHEMA)
+            target = parse_metapath(AUTHOR_PATHS[i % len(AUTHOR_PATHS)], SCHEMA)
             window = random_window(rng)
             birth = float(rng.uniform(window.feature_end, window.observation_end))
             n_a = g.node_count("A")

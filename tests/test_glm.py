@@ -26,23 +26,9 @@ from hazardnet.npglm import (
 from hazardnet import npglm
 from hazardnet.synthetic import SynthConfig, generate
 
-from test_npglm import make_dataset, tied_rows
+from brute_force import exponential_dataset, make_dataset, tied_rows
 
 X0 = np.zeros((1, 0))
-
-
-def exponential_dataset(n, d, seed):
-    """Unit-shape ground truth: t = -log(u) / exp(w.x + b), all observed."""
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(d)
-    b = rng.standard_normal()
-    x = rng.standard_normal((n, d))
-    u = rng.uniform(size=n)
-    t = -np.log(u) / np.exp(x @ w + b)
-    order = np.argsort(t, kind="stable")
-    ds = Dataset(x=x[order], y=np.ones(n, dtype=np.int64), t=t[order],
-                 pairs=[(i, i) for i in range(n)])
-    return ds, w, b
 
 
 def toy(family="weibull", bias=0.0, shape=1.0):

@@ -5,7 +5,7 @@ from numpy.testing import assert_array_equal
 
 from hazardnet import metapaths
 from hazardnet.datasets import PairSeries, PrefixCache, WindowConfig, dynamic_series
-from hazardnet.graph import LinkType, Schema, TemporalGraph
+from hazardnet.graph import TemporalGraph
 from hazardnet.metapaths import (
     BACKWARD,
     FORWARD,
@@ -17,102 +17,8 @@ from hazardnet.metapaths import (
     read_metapath_file,
 )
 
+from brute_force import SCHEMA, dfs_count_oracle, link_stamps, random_graph_and_path
 from conftest import dense
-
-SCHEMA = Schema(
-    node_types=("A", "P", "V"),
-    link_types=(
-        LinkType("write", "A", "P"),
-        LinkType("cite", "P", "P"),
-        LinkType("publish", "V", "P"),
-    ),
-)
-
-
-def dfs_count_oracle(graph, path, tau):
-    """Brute-force typed-walk enumeration, the independent counting route.
-
-    Builds each step's dense adjacency from the stored links with its own
-    alive test, then walks it step by step, trying every intermediate node;
-    returns a dense matrix of walk counts (one per edge multiplicity
-    combination), which is what repeated matrix products compute.
-    """
-    mats = []
-    for name, direction in path.steps:
-        lt, store = graph.schema.link_type(name), graph.links_of(name)
-        m = np.zeros((graph.node_count(lt.src), graph.node_count(lt.dst)), dtype=np.int64)
-        alive = (store.birth < tau) & (tau <= store.death)
-        np.add.at(m, (store.src[alive], store.dst[alive]), 1)  # parallel links add up
-        mats.append(m if direction == FORWARD else m.T)
-    n_src, n_dst = mats[0].shape[0], mats[-1].shape[1]
-    out = np.zeros((n_src, n_dst), dtype=np.int64)
-
-    def walk(node, depth):
-        if depth == len(mats):
-            return {node: 1}
-        totals = {}
-        row = mats[depth][node]
-        for nxt in np.flatnonzero(row):
-            mult = int(row[nxt])
-            for end, c in walk(int(nxt), depth + 1).items():
-                totals[end] = totals.get(end, 0) + mult * c
-        return totals
-
-    for start in range(n_src):
-        for end, c in walk(start, 0).items():
-            out[start, end] = c
-    return out
-
-
-def link_stamps(graph, path):
-    """Each birth and finite death of the path's link types: the times at
-    which its counts change, where the alive rule's boundary decides them."""
-    stores = [graph.links_of(name) for name, _ in path.steps]
-    stamps = np.concatenate([np.r_[s.birth, s.death] for s in stores])
-    return np.unique(stamps[np.isfinite(stamps)]).tolist()
-
-
-def random_graph_and_path(rng):
-    """A random small typed graph plus a type-consistent random path."""
-    counts = {t: int(rng.integers(2, 8)) for t in SCHEMA.node_types}
-    g = TemporalGraph(SCHEMA)
-    for lt in SCHEMA.link_types:
-        n_edges = int(rng.integers(0, 14))
-        for _ in range(n_edges):
-            src = f"{lt.src}{rng.integers(counts[lt.src])}"
-            dst = f"{lt.dst}{rng.integers(counts[lt.dst])}"
-            birth = float(rng.uniform(0, 10))
-            death = None
-            if rng.uniform() < 0.3:
-                death = birth + float(rng.uniform(0.1, 5))
-            g.add_link(lt.name, src, dst, birth, death)
-    # pin node universes so matrix shapes match the counts
-    for t in SCHEMA.node_types:
-        for i in range(counts[t]):
-            g.node_index(t, f"{t}{i}")
-    g.freeze()
-
-    length = int(rng.integers(2, 5))
-    while True:
-        steps = []
-        current = str(rng.choice(SCHEMA.node_types))
-        ok = True
-        for _ in range(length):
-            options = []
-            for lt in SCHEMA.link_types:
-                if lt.src == current:
-                    options.append((lt.name, FORWARD, lt.dst))
-                if lt.dst == current:
-                    options.append((lt.name, BACKWARD, lt.src))
-            if not options:
-                ok = False
-                break
-            name, direction, nxt = options[rng.integers(len(options))]
-            steps.append((name, direction))
-            current = nxt
-        if ok:
-            expr = " ".join(f"{n}>" if d == FORWARD else f"<{n}" for n, d in steps)
-            return g, parse_metapath(expr, SCHEMA)
 
 
 class TestParse:
@@ -183,7 +89,7 @@ class TestMetapathMatrix:
     def test_random_graphs_match_dfs_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
-            g, p = random_graph_and_path(rng)
+            g, p = random_graph_and_path(rng, max_nodes=7, max_links=13)
             for tau in (float(rng.uniform(0, 12)), *link_stamps(g, p)):
                 assert_array_equal(dense(metapath_counts(g, p, tau)),
                                    dfs_count_oracle(g, p, tau))

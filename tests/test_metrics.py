@@ -7,23 +7,7 @@ from numpy.testing import assert_allclose
 from hazardnet.metrics import (EvalReport, _median, concordance_index, evaluate,
                                point_metrics)
 
-
-def ci_oracle(t_true, y, t_pred):
-    """Literal double loop over ordered pairs."""
-    num, den = 0.0, 0
-    n = len(t_true)
-    for i in range(n):
-        if y[i] != 1:
-            continue
-        for j in range(n):
-            if t_true[i] >= t_true[j]:
-                continue
-            den += 1
-            if t_pred[i] < t_pred[j]:
-                num += 1.0
-            elif t_pred[i] == t_pred[j]:
-                num += 0.5
-    return num / den
+from brute_force import ci_oracle
 
 
 def ci_row_loop(t_true, y, t_pred):

@@ -25,41 +25,7 @@ from hazardnet.npglm import (_counted, _fit_features, _gradient, _hazard, _hessi
                              _w_objective, augment)
 from hazardnet.synthetic import SynthConfig, generate
 
-
-def make_dataset(t, y, x=None):
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if x is None:
-        x = np.zeros((len(t), 0))
-    return Dataset(x=np.asarray(x, dtype=float), y=y, t=t,
-                   pairs=[(i, i) for i in range(len(t))])
-
-
-def random_dataset(rng, n, d, censor=0.3):
-    x = rng.normal(size=(n, d))
-    t = np.sort(rng.uniform(0.1, 5.0, size=n))
-    y = (rng.uniform(size=n) > censor).astype(np.int64)
-    if y.sum() == 0:
-        y[0] = 1
-    order = np.lexsort((-y, t))
-    return make_dataset(t[order], y[order], x[order])
-
-
-def compute_H_oracle(w, dataset):
-    """Literal double loop; inner risk sum descends so the additions happen
-    in the same order as a reversed cumulative sum."""
-    xa = np.hstack([dataset.x, np.ones((dataset.n, 1))])
-    e = np.exp(np.clip(xa @ np.asarray(w, dtype=float), -50, 50))
-    n = dataset.n
-    H = np.empty(n)
-    acc = 0.0
-    for j in range(n):
-        risk = 0.0
-        for k in range(n - 1, j - 1, -1):
-            risk += e[k]
-        acc += dataset.y[j] / risk
-        H[j] = acc
-    return H
+from brute_force import compute_H_oracle, make_dataset, random_dataset, tied_rows
 
 
 def partial_likelihood_oracle(w, x, y, t):
@@ -460,17 +426,6 @@ def counted_oracle(t, y, x):
     for key in zip(t.tolist(), y.tolist(), map(tuple, x.tolist())):
         sizes[key] = sizes.get(key, 0) + 1
     return sizes
-
-
-def tied_rows(rng, n, d, levels, events=0.2):
-    """Sorted (t, y, x) with integer times 1..5, most censored rows at 6,
-    and features in 0..levels-1, so equal rows are common."""
-    t = rng.integers(1, 6, size=n).astype(float)
-    y = (rng.uniform(size=n) < events).astype(np.int64)
-    t[(y == 0) & (rng.uniform(size=n) < 0.8)] = 6.0
-    x = rng.integers(0, levels, size=(n, d)).astype(float)
-    order = np.lexsort((-y, t))
-    return t[order], y[order], x[order]
 
 
 class TestCountedRows:
