@@ -140,8 +140,15 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = HazardModel.load(args.model_file)
     dataset = load_dataset(args.input)
-    with prefixed(args.input):
+    # numpy's overflow warning is off: a time past the float range, as
+    # t**(1/shape) at a tiny shape, comes back infinite and fails below
+    with prefixed(args.input), np.errstate(over="ignore"):
         times, exceeded = npglm.quantile_times(model, dataset.x, 0.5)
+    bad = ~np.isfinite(times)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{args.model_file} and {args.input}: row {row}'s predicted time "
+                         f"is not finite: {float(times[row])!r}; nothing written")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "t_pred", "horizon_exceeded"])
@@ -165,7 +172,7 @@ def _parse_query_x(args) -> np.ndarray:
             raise ValueError(f"row {index} outside dataset of {dataset.n} rows")
         x = dataset.x[index]
     else:
-        values = raw.split(",")
+        values = raw.split(",") if raw else []  # "" is the row with no features
         x = np.empty(len(values))
         for i, value in enumerate(values):
             try:
@@ -179,8 +186,9 @@ def _parse_query_x(args) -> np.ndarray:
 
 def _op_arguments(op: str, values, names, kind) -> list:
     """The arguments of ``--op``, one per name, each converted by ``kind``
-    (float or int); a wrong count or a bad value raises ValueError naming
-    the op and, for a bad value, the argument."""
+    (float or int); a wrong count or a bad value, such as a float that is
+    not finite, raises ValueError naming the op and, for a bad value, the
+    argument."""
     if len(values) != len(names):
         raise ValueError(f"usage: --op {op} " + " ".join(f"<{name}>" for name in names))
     out = []
@@ -190,6 +198,8 @@ def _op_arguments(op: str, values, names, kind) -> list:
         except ValueError:
             what = "a number" if kind is float else "an integer"
             raise ValueError(f"--op {op}: {name} {value!r} is not {what}") from None
+        if kind is float and not np.isfinite(out[-1]):  # float() takes inf and nan
+            raise ValueError(f"--op {op}: {name} {value!r} is not finite")
     return out
 
 
@@ -534,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="probability/quantile/sampling queries")
     p.add_argument("--model-file", required=True)
     p.add_argument("--x", required=True,
-                   help="comma-separated features, or row:<i> with --input")
+                   help="comma-separated features (empty for none), or row:<i> with --input")
     p.add_argument("--input", default=None)
     p.add_argument("--op", nargs="+", required=True,
                    help="ranged <a> <b> | quantile <alpha> | sample <n> <seed>")

@@ -438,6 +438,11 @@ class TestFitPredictQuery:
         (("quantile", "abc"), "--op quantile: alpha 'abc' is not a number"),
         (("sample", "x", 42), "--op sample: n 'x' is not an integer"),
         (("sample", 5, "4.2"), "--op sample: seed '4.2' is not an integer"),
+        (("ranged", 0, "inf"), "--op ranged: t_b 'inf' is not finite"),
+        (("ranged", "nan", 1), "--op ranged: t_a 'nan' is not finite"),
+        (("ranged", 0, "nan"), "--op ranged: t_b 'nan' is not finite"),
+        (("quantile", "nan"), "--op quantile: alpha 'nan' is not finite"),
+        (("quantile", "inf"), "--op quantile: alpha 'inf' is not finite"),
     ])
     def test_query_unparsable_op_argument_names_op_and_argument(self, tmp_path, synth_dir,
                                                                 capsys, caplog, op, message):
@@ -454,7 +459,9 @@ class TestFitPredictQuery:
         (("--x", "0,0,0", "--op", "sample", 0, 42), "sample count must be >= 1"),
         (("--x", "0,0"), "model expects 3 features, got 2"),
         (("--x", "0,0,0,0"), "model expects 3 features, got 4"),
-    ], ids=["row-outside", "no-samples", "too-few-features", "too-many-features"])
+        (("--x", ""), "model expects 3 features, got 0"),
+    ], ids=["row-outside", "no-samples", "too-few-features", "too-many-features",
+            "no-features"])
     def test_query_bad_input_exits_2(self, tmp_path, synth_dir, capsys, caplog, args, message):
         model_file = tmp_path / "m.json"
         run("fit", "--model", "npglm", "--input", synth_dir / "dataset.csv",
@@ -466,6 +473,19 @@ class TestFitPredictQuery:
         assert run("query", "--model-file", model_file, *args) == 2
         assert message in caplog.text
         assert capsys.readouterr().out == ""
+
+    def test_query_empty_x_is_the_row_with_no_features(self, tmp_path, capsys):
+        data = tmp_path / "bare.csv"
+        data.write_text("src,dst,y,t\n0,1,1,0.5\n2,3,1,1.0\n4,5,0,2.0\n")
+        model_file = tmp_path / "m.json"
+        assert run("fit", "--model", "npglm", "--input", data, "--out", model_file) == 0
+        answers = []
+        for x in (["--x", ""], ["--x", "row:0", "--input", data]):
+            capsys.readouterr()
+            assert run("query", "--model-file", model_file, *x, "--op", "quantile", 0.5) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1]
+        assert json.loads(answers[0])["time"] > 0
 
     def test_predict_narrower_dataset_exits_2(self, tmp_path, synth_dir, caplog):
         model_file = tmp_path / "m.json"
@@ -813,6 +833,16 @@ class TestScoreOverflow:
         assert run("query", "--model-file", path, "--x=-1e300,0", "--op", *op) == 2
         assert f"{path} and --x: the answer is not finite: " in caplog.text
         assert capsys.readouterr().out == ""
+
+    def test_predict_time_past_float_range_exits_2(self, tmp_path, caplog):
+        path = tmp_path / "weibull.json"
+        path.write_text(json.dumps({**PARENT_DOCS["weibull"], "shape": 0.05}))
+        data = self.dataset(tmp_path, "0,0", "-1e300,0", "-1e300,0")
+        out = tmp_path / "p.csv"
+        assert run("predict", "--model-file", path, "--input", data, "--out", out) == 2
+        assert (f"{path} and {data}: row 1's predicted time is not finite: inf"
+                in caplog.text)
+        assert not out.exists()
 
     def test_weibull_ranged_past_power_overflow(self, tmp_path, capsys):
         path = tmp_path / "weibull.json"

@@ -3,8 +3,6 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats as sps
-from scipy.optimize import minimize
 
 from hazardnet.datasets import Dataset
 from hazardnet.npglm import (
@@ -218,7 +216,9 @@ class TestParametricFitOnCountedRows:
 
 def lbfgs_reference(dataset, family):
     """Minimum of ``_negative_ll`` found by scipy's L-BFGS-B, the optimizer
-    the parametric fit used before it shared the Newton loop."""
+    the parametric fit used before it shared the Newton loop.  Skips the
+    calling test where scipy is not installed."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
     x = _fit_features(dataset)[0]
     xa = np.hstack([x, np.ones((len(x), 1))])
     learn_shape = family == "weibull"
@@ -348,6 +348,7 @@ class TestQueries:
             ranged_probability(m, X0, 2.0, 1.0)
 
     def test_sampling_matches_analytic_law(self):
+        kstest = pytest.importorskip("scipy.stats").kstest
         m = toy(bias=0.5, shape=2.0)
         g = np.exp(0.5)
         rng = np.random.default_rng(4)
@@ -355,7 +356,7 @@ class TestQueries:
         assert all(isinstance(e, TimeEstimate) and not e.horizon_exceeded
                    for e in draws)
         draws = np.array([e.time for e in draws])
-        stat = sps.kstest(draws, lambda t: 1 - np.exp(-g * t ** 2)).statistic
+        stat = kstest(draws, lambda t: 1 - np.exp(-g * t ** 2)).statistic
         assert stat < 0.02
 
     def test_sampling_deterministic(self):
