@@ -26,6 +26,10 @@ from . import npglm
 from .datasets import (
     DatasetError,
     WindowConfig,
+    _pair_columns,
+    _read_csv,
+    _RowFault,
+    _write_csv,
     aggregate_expsmooth,
     aggregate_stack,
     build_dataset,
@@ -149,11 +153,8 @@ def cmd_predict(args) -> int:
         row = int(np.argmax(bad))
         raise ValueError(f"{args.model_file} and {args.input}: row {row}'s predicted time "
                          f"is not finite: {float(times[row])!r}; nothing written")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "t_pred", "horizon_exceeded"])
-        for pair, tp, hx in zip(dataset.pairs, times, exceeded):
-            writer.writerow([pair[0], pair[1], repr(float(tp)), int(hx)])
+    _write_csv(args.out, ["src", "dst", "t_pred", "horizon_exceeded"], dataset.pairs,
+               (times, exceeded.astype(np.int64)))
     log.info("wrote %d predictions to %s", len(times), args.out)
     return 0
 
@@ -248,29 +249,33 @@ def cmd_query(args) -> int:
 def _read_predictions(path, pairs) -> np.ndarray:
     """The t_pred column.  A value that is not a finite time >= 0, or, when
     the file has src and dst columns, a pair that is not ``pairs`` at the
-    same row, raises ValueError naming the file and line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "t_pred" not in reader.fieldnames:
+    same row, raises DatasetError naming the file and line; within a row,
+    the pair is checked first."""
+    def reader(header):
+        if "t_pred" not in header:
             raise ValueError(f"{path} lacks a t_pred column")
-        paired = {"src", "dst"} <= set(reader.fieldnames)
-        times = []
-        for i, row in enumerate(reader):
-            if paired and i < len(pairs) and (row["src"], row["dst"]) != tuple(map(str, pairs[i])):
-                raise ValueError(f"{path}: line {reader.line_num}: pair "
-                                 f"({row['src']}, {row['dst']}) is not truth row {i}'s "
-                                 f"pair {tuple(pairs[i])}")
-            raw = row["t_pred"]
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):  # TypeError: the row ends before t_pred
-                value = float("nan")
-            if not 0 <= value < np.inf:  # NaN fails too
-                rule = "is not a number" if np.isnan(value) else "is not a finite time >= 0"
-                raise ValueError(f"{path}: line {reader.line_num}, column t_pred: "
-                                 f"{raw!r} {rule}")
-            times.append(value)
-    return np.asarray(times)
+        j = header.index("t_pred")
+        ends = [header.index("src"), header.index("dst")] if {"src", "dst"} <= set(header) else []
+
+        def read(ints, floats, raw):
+            t = floats[:, j]
+            bad_pair = np.zeros(len(t), dtype=bool)
+            if ends:
+                n = min(len(t), len(pairs))
+                rows, cols = _pair_columns(pairs[:n])
+                bad_pair[:n] = (ints[:n, ends[0]] != rows) | (ints[:n, ends[1]] != cols)
+            bad = bad_pair | ~((t >= 0) & (t < np.inf))  # NaN fails too
+            if bad.any():
+                i = int(np.argmax(bad))
+                if bad_pair[i]:
+                    raise _RowFault(i, None, f"pair ({ints[i, ends[0]]}, {ints[i, ends[1]]}) is "
+                                             f"not truth row {i}'s pair {tuple(pairs[i])}")
+                why = "is not a number" if np.isnan(t[i]) else "is not a finite time >= 0"
+                raise _RowFault(i, "t_pred", f"{raw(i)[j]!r} {why}")
+            return t.copy()
+        return read
+
+    return _read_csv(path, reader)
 
 
 def cmd_eval(args) -> int:
@@ -571,6 +576,11 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(asctime)s %(levelname)s %(message)s")
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value that starts with "-", such as -0.5,1, for an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--x":
+            argv[i:i + 2] = [f"--x={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

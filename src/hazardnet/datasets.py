@@ -18,7 +18,7 @@ import csv
 import numbers
 import warnings
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +45,17 @@ __all__ = [
 
 class DatasetError(ValueError):
     """Invalid window, labels, or feature table."""
+
+
+class _RowFault(DatasetError):
+    """Row ``row`` breaks a row rule, at ``column`` or, if None, as a whole."""
+
+    def __init__(self, row: int, column: str | None, text: str):
+        self.row, self.column, self.text = row, column, text
+        super().__init__(self.at(f"row {row}"))
+
+    def at(self, place: str) -> str:
+        return place + (f", column {self.column}: " if self.column else ": ") + self.text
 
 
 @dataclass(frozen=True)
@@ -94,18 +105,17 @@ def _header(d: int) -> list[str]:
 
 
 def _first_fault(x, y, t, header):
-    """(row, "column name: value rule") of the first value that breaks a row
-    rule, or None: y first, then t, then the features, named by ``header``."""
+    """Raise _RowFault on the first value that breaks a row rule: y first,
+    then t, then the features, named by ``header``."""
     for j, values, ok, rule in (
             (2, y, (y == 0) | (y == 1), "is not 0 or 1"),
             (3, t, np.isfinite(t) & (t > 0), "is not a positive finite time")):
         if not ok.all():
             i = int(np.argmin(ok))
-            return i, f"column {header[j]}: {values[i].item()!r} {rule}"
+            raise _RowFault(i, header[j], f"{values[i].item()!r} {rule}")
     if not np.isfinite(x).all():
         i, j = np.argwhere(~np.isfinite(x))[0]
-        return int(i), f"column {header[4 + j]}: {x[i, j].item()!r} is not finite"
-    return None
+        raise _RowFault(int(i), header[4 + j], f"{x[i, j].item()!r} is not finite")
 
 
 @dataclass
@@ -134,9 +144,7 @@ class Dataset:
             raise DatasetError(f"x must be 2-D with one row per t, got shape {self.x.shape}")
         if self.x.shape[0] != n or len(y) != n or len(self.pairs) != n:
             raise DatasetError("x, y, t, pairs must have equal lengths")
-        fault = _first_fault(self.x, y, self.t, _header(self.d))
-        if fault:
-            raise DatasetError(f"row {fault[0]}, {fault[1]}")
+        _first_fault(self.x, y, self.t, _header(self.d))
         self.y = np.asarray(y, dtype=np.int64)
 
     @property
@@ -363,62 +371,111 @@ def build_dataset(features: dict[tuple[int, int], np.ndarray],
     return Dataset(x=x, y=y, t=t, pairs=[pairs[i] for i in order])
 
 
-# Rows formatted per write in save_dataset: bounds the strings held at once.
+# Rows formatted per write in _write_csv: bounds the strings held at once.
 _SAVE_CHUNK = 1024
+
+
+def _write_csv(path, header, pairs, columns):
+    """Write a CSV of ``header``, one row per pair: src, dst, then the values
+    of ``columns`` (1-D, or 2-D with a field per column), each as its
+    ``repr`` so that a float reads back as the same double."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, len(pairs), _SAVE_CHUNK):
+            b = a + _SAVE_CHUNK
+            keys = (f"{src},{dst}" for src, dst in pairs[a:b])
+            # one repr pass per column, then one write per block
+            fields = [map(repr, f) for c in columns for f in np.atleast_2d(c[a:b].T).tolist()]
+            fh.write("\r\n".join(map(",".join, zip(keys, *fields))) + "\r\n")
 
 
 def save_dataset(path, dataset: Dataset):
     """Write the labeled dataset CSV, each float as its ``repr`` so that
     ``load_dataset`` reads back the same doubles."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(_header(dataset.d))
-        for a in range(0, dataset.n, _SAVE_CHUNK):
-            b = a + _SAVE_CHUNK
-            keys = (f"{src},{dst},{y}" for (src, dst), y
-                    in zip(dataset.pairs[a:b], dataset.y[a:b].tolist()))
-            # one repr pass per column, then one write per block
-            columns = [map(repr, c) for c in (dataset.t[a:b].tolist(),
-                                               *dataset.x[a:b].T.tolist())]
-            fh.write("\r\n".join(map(",".join, zip(keys, *columns))) + "\r\n")
+    _write_csv(path, _header(dataset.d), dataset.pairs, (dataset.y, dataset.t, dataset.x))
 
 
-def _int64(raw: str) -> int:
-    value = int(raw)
-    if not -2**63 <= value < 2**63:
-        raise ValueError(f"{raw!r} overflows int64")
-    return value
+# Columns read as int64 by _read_csv; every other column is read as a float.
+_INT_COLUMNS = ("src", "dst", "y")
 
 
-def _raise_first_fault(path, header):
-    """Re-read a dataset CSV row by row and raise the DatasetError that names
-    the file, line and column of its first fault; return if none is found."""
-    d = len(header) - 4
+def _parse(path, header, lines=None):
+    """A CSV's body, or its first ``lines`` lines, parsed in one ``np.loadtxt``
+    call: (rows, columns) int64 and float64 views of one table."""
+    with open(path, "r", encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+        fh.readline()
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(fh if lines is None else islice(fh, lines),
+                           dtype=[("", np.int64 if name in _INT_COLUMNS else float)
+                                  for name in header],
+                           delimiter=",", comments=None, quotechar='"', ndmin=1)
+    return table.view(np.int64).reshape(-1, len(header)), table.view(float).reshape(-1, len(header))
+
+
+def _rows(path):
+    """(body lines before it, line number, fields) of each row of a CSV."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        fh.readline()
         reader = csv.reader(fh)
-        next(reader)
-        ys, ts, xs, lines = [], [], [], []
+        before = 0
         for row in reader:
-            if not row:
-                continue
-            if len(row) != 4 + d:
-                raise DatasetError(f"{path}: line {reader.line_num}: row with "
-                                   f"{len(row)} fields, expected {4 + d}")
-            values = []
-            for j, raw in enumerate(row):
-                try:
-                    values.append((_int64 if j < 3 else float)(raw))
-                except ValueError:
-                    kind = "a 64-bit integer" if j < 3 else "a number"
-                    raise DatasetError(f"{path}: line {reader.line_num}, column {header[j]}: "
-                                       f"{raw!r} is not {kind}") from None
-            ys.append(values[2])
-            ts.append(values[3])
-            xs.append(values[4:])
-            lines.append(reader.line_num)
-    x = np.asarray(xs, dtype=float) if xs else np.empty((0, d))
-    fault = _first_fault(x, np.asarray(ys, dtype=np.int64), np.asarray(ts, dtype=float), header)
-    if fault:
-        raise DatasetError(f"{path}: line {lines[fault[0]]}, {fault[1]}")
+            if row:  # a blank line is no row
+                yield before, reader.line_num + 1, row
+            before = reader.line_num
+
+
+def _first_bad_row(path, header):
+    """(body lines before it, line number, _RowFault) of a CSV's first row
+    with a wrong field count or a field that does not parse, or None."""
+    for i, (before, line, row) in enumerate(_rows(path)):
+        if len(row) != len(header):
+            return before, line, _RowFault(i, None, f"row with {len(row)} fields, "
+                                                    f"expected {len(header)}")
+        for name, raw in zip(header, row):
+            try:
+                if "_" in raw or not raw.isascii():  # int() and float() take them, loadtxt not
+                    raise ValueError(raw)
+                (np.int64 if name in _INT_COLUMNS else float)(raw)
+            except (ValueError, OverflowError):
+                kind = "a 64-bit integer" if name in _INT_COLUMNS else "a number"
+                return before, line, _RowFault(i, name, f"{raw!r} is not {kind}")
+    return None
+
+
+def _read_csv(path, reader):
+    """Read a CSV whose first line names its columns.
+
+    ``reader(header)`` raises on a header it does not take, or returns
+    ``read(ints, floats, raw)``, whose value is returned.  ``ints`` and
+    ``floats`` view the body, parsed in one ``np.loadtxt`` call, as rows
+    and columns: src, dst and y hold int64s, other columns floats.
+    ``raw(i)`` is row i's fields as written.  A fault raises DatasetError
+    naming the file and line: the first row with a wrong field count or a
+    field that does not parse, unless ``read`` raises ``_RowFault`` on an
+    earlier row.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+    read = reader(header)
+
+    def row_at(i):
+        return next(islice(_rows(path), i, None))
+
+    try:
+        fault, table = None, _parse(path, header)
+    except ValueError as exc:
+        bad = _first_bad_row(path, header)
+        if bad is None:  # loadtxt failed where the row by row parse did not
+            raise DatasetError(f"{path}: {exc}") from None
+        before, line, fault = bad
+        table = _parse(path, header, before)
+    try:
+        value = read(*table, lambda i: row_at(i)[2])
+        if fault is None:
+            return value
+    except _RowFault as exc:
+        fault, line = exc, row_at(exc.row)[1]
+    raise DatasetError(fault.at(f"{path}: line {line}"))
 
 
 def load_dataset(path) -> Dataset:
@@ -429,21 +486,11 @@ def load_dataset(path) -> Dataset:
     at fault: a wrong field count, a field that does not parse, or a value
     that breaks a ``Dataset`` row rule.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
+    def reader(header):
         if header[:4] != ["src", "dst", "y", "t"]:
             raise DatasetError(f"{path}: expected header src,dst,y,t,x_0..")
-        dtype = [("src", np.int64), ("dst", np.int64), ("y", np.int64), ("t", float),
-                 ("x", float, (len(header) - 4,))]
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                  quotechar='"', ndmin=1)
-            return Dataset(x=np.ascontiguousarray(body["x"]), y=body["y"].copy(),
-                           t=body["t"].copy(),
-                           pairs=list(zip(body["src"].tolist(), body["dst"].tolist())))
-        except ValueError as exc:  # a DatasetError from a row rule included
-            fault = exc
-    _raise_first_fault(path, header)
-    raise DatasetError(f"{path}: {fault}")
+        return lambda ints, floats, raw: Dataset(
+            x=np.ascontiguousarray(floats[:, 4:]), y=ints[:, 2].copy(), t=floats[:, 3].copy(),
+            pairs=list(zip(ints[:, 0].tolist(), ints[:, 1].tolist())))
+
+    return _read_csv(path, reader)

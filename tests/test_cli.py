@@ -474,6 +474,29 @@ class TestFitPredictQuery:
         assert message in caplog.text
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("x", ["-0.5,1,2", "-1e-3,2,0"])
+    def test_query_x_may_start_with_minus(self, tmp_path, synth_dir, capsys, x):
+        # argparse alone reads "--x -0.5,1,2" as an option without its value
+        model_file = tmp_path / "m.json"
+        run("fit", "--model", "wblglm", "--input", synth_dir / "dataset.csv",
+            "--out", model_file)
+        answers = []
+        for given in (["--x", x], [f"--x={x}"]):
+            capsys.readouterr()
+            assert run("query", "--model-file", model_file, *given, "--op", "quantile", 0.5) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1]
+        assert json.loads(answers[0])["time"] > 0
+
+    def test_query_trailing_x_without_value_is_a_usage_error(self, tmp_path, synth_dir, capsys):
+        model_file = tmp_path / "m.json"
+        run("fit", "--model", "wblglm", "--input", synth_dir / "dataset.csv",
+            "--out", model_file)
+        with pytest.raises(SystemExit) as exc:
+            run("query", "--model-file", model_file, "--op", "quantile", 0.5, "--x")
+        assert exc.value.code == 2
+        assert "argument --x: expected one argument" in capsys.readouterr().err
+
     def test_query_empty_x_is_the_row_with_no_features(self, tmp_path, capsys):
         data = tmp_path / "bare.csv"
         data.write_text("src,dst,y,t\n0,1,1,0.5\n2,3,1,1.0\n4,5,0,2.0\n")
@@ -486,6 +509,22 @@ class TestFitPredictQuery:
             answers.append(capsys.readouterr().out)
         assert answers[0] == answers[1]
         assert json.loads(answers[0])["time"] > 0
+
+    def test_predict_saved_bytes(self, tmp_path):
+        # a score of 0 gives the median target H = ln 2 exactly, between the
+        # knots (1.0, 0.5) and (3.0, 1.0); a score of -100 passes the last knot
+        model_file = tmp_path / "m.json"
+        model_file.write_text(json.dumps({
+            "family": "npglm", "w": [1.0, 0.0], "event_times": [1.0, 3.0], "H": [0.5, 1.0],
+            "standardization": {"mean": [0.0], "std": [1.0]}}))
+        data = tmp_path / "d.csv"
+        data.write_text("src,dst,y,t,x_0\n0,1,1,1.0,0\n2,3,1,2.0,-100\n10,4,0,3.0,0.0\n")
+        out = tmp_path / "p.csv"
+        assert run("predict", "--model-file", model_file, "--input", data, "--out", out) == 0
+        assert out.read_bytes() == (b"src,dst,t_pred,horizon_exceeded\r\n"
+                                    b"0,1,1.7725887222397811,0\r\n"
+                                    b"2,3,3.0,1\r\n"
+                                    b"10,4,1.7725887222397811,0\r\n")
 
     def test_predict_narrower_dataset_exits_2(self, tmp_path, synth_dir, caplog):
         model_file = tmp_path / "m.json"
@@ -896,6 +935,65 @@ class TestEval:
         assert (f"{pred}: line 3, column t_pred: {value!r} is not a finite time >= 0"
                 in caplog.text)
         assert not out.exists()
+
+    @pytest.mark.parametrize("row, fields", [("0,0", 2), ("0,0,1.0,9,9", 5)],
+                             ids=["short", "long"])
+    def test_prediction_row_with_wrong_field_count_exits_2(self, tmp_path, synth_dir, caplog,
+                                                           row, fields):
+        # a parse of the used columns alone would take the long row
+        pred = tmp_path / "bad.csv"
+        out = tmp_path / "r.json"
+        pred.write_text(f"src,dst,t_pred\n{row}\n")
+        assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
+                   "--out", out) == 2
+        assert f"{pred}: line 2: row with {fields} fields, expected 3" in caplog.text
+        assert not out.exists()
+
+    def test_predictions_take_quoted_fields_blank_lines_and_any_column_order(
+            self, tmp_path, synth_dir):
+        truth = synth_dir / "dataset.csv"
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        run("fit", "--model", "expglm", "--input", truth, "--out", tmp_path / "m.json")
+        run("predict", "--model-file", tmp_path / "m.json", "--input", truth, "--out", plain)
+        rows = [row.split(",") for row in plain.read_text().splitlines()]
+        other.write_text("\r\n\r\n".join(f'"{t}",{hx},{src},"{dst}"'
+                                           for src, dst, t, hx in rows) + "\r\n")
+        reports = []
+        for pred in (plain, other):
+            out = tmp_path / f"{pred.stem}.json"
+            assert run("eval", "--pred", pred, "--truth", truth, "--out", out) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
+    def test_pairs_are_compared_as_64_bit_integers(self, tmp_path, caplog):
+        # 2**53 + 1 and 2**53 are the same double
+        truth = tmp_path / "truth.csv"
+        truth.write_text(f"src,dst,y,t\n{2**53 + 1},0,1,1.0\n1,2,1,2.0\n3,4,0,3.0\n")
+        pred = tmp_path / "p.csv"
+        pred.write_text(f"src,dst,t_pred\n{2**53},0,1.0\n1,2,2.0\n3,4,3.0\n")
+        out = tmp_path / "r.json"
+        assert run("eval", "--pred", pred, "--truth", truth, "--out", out) == 2
+        assert (f"{pred}: line 2: pair ({2**53}, 0) is not truth row 0's pair ({2**53 + 1}, 0)"
+                in caplog.text)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, where", [
+        # the first row with a fault is named, whatever its kind
+        (["0,0,1.0", "1,1,-2", "2,2,abc"], "line 3, column t_pred: '-2' is not a finite"),
+        (["0,0,1.0", "1,1,abc", "2,2,-2"], "line 3, column t_pred: 'abc' is not a number"),
+        (["0,0,1.0", "1,1,1.0", "2,2"], "line 4: row with 2 fields, expected 3"),
+        # a blank line is no row, but counts as a line
+        (["0,0,1.0", "", "1,1,-2"], "line 4, column t_pred: '-2' is not a finite"),
+        # within a row, the pair before the time
+        (["0,0,1.0", "1,7,-2"], "line 3: pair (1, 7) is not truth row 1's pair (1, 1)"),
+    ], ids=["time-before-parse", "parse-before-time", "field-count", "after-blank-line",
+                            "pair-before-time"])
+    def test_first_of_several_faults_is_named(self, tmp_path, synth_dir, caplog, rows, where):
+        pred = tmp_path / "bad.csv"
+        pred.write_text("src,dst,t_pred\n" + "\n".join(rows) + "\n3,3,-1\n")
+        assert run("eval", "--pred", pred, "--truth", synth_dir / "dataset.csv",
+                   "--out", tmp_path / "r.json") == 2
+        assert f"{pred}: {where}" in caplog.text
 
     @pytest.mark.parametrize("thresholds", [("nan", 1.0), (1.0, "nan")])
     def test_nan_threshold_exits_2(self, tmp_path, synth_dir, caplog, thresholds):

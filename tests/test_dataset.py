@@ -719,10 +719,25 @@ class TestPersistence:
         ("2,3,1,-1.0,0.5", "line 4, column t: -1.0 is not a positive finite time"),
         ("2,3,1,2.0,-inf", "line 4, column x_0: -inf is not finite"),
         ("   ", "line 4: row with 1 fields, expected 5"),
+        ("2,3,1,2.0,1_0", "line 4, column x_0: '1_0' is not a number"),
+        ("2,3,1,2.0,\u0661", "line 4, column x_0: '\u0661' is not a number"),
     ])
     def test_bad_row_named_after_blank_line(self, tmp_path, row, where):
         path = tmp_path / "data.csv"
         path.write_text(f"src,dst,y,t,x_0\n0,1,1,1.0,0.5\n\n{row}\n5,6,0,3.0,0.0\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: {where}"
+
+    @pytest.mark.parametrize("rows, where", [
+        (["0,1,2,1.0,0.5", "2,3,1,2.0,abc"], "line 2, column y: 2 is not 0 or 1"),
+        # by column among the rows before it: y, then t, then the features
+        (["0,1,1,1.0,inf", "2,3,1,-1.0,0.5", "4,5,1"],
+         "line 3, column t: -1.0 is not a positive finite time"),
+    ], ids=["rule-before-parse", "by-column"])
+    def test_rule_fault_before_unparsable_row_is_named_first(self, tmp_path, rows, where):
+        path = tmp_path / "data.csv"
+        path.write_text("src,dst,y,t,x_0\n" + "\n".join(rows) + "\n")
         with pytest.raises(DatasetError) as err:
             load_dataset(path)
         assert str(err.value) == f"{path}: {where}"
